@@ -18,14 +18,15 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
+from typing import Sequence
 
 import numpy as np
 
-from . import gemm, layer, residue, transforms
-from .errors import DynamicRangeExceeded, NotCoprime, RnsError
+from . import layer, residue, transforms
+from .errors import DynamicRangeExceeded, RnsError
 
 DEFAULT_SEED = 2020
 
@@ -132,22 +133,37 @@ def load_config(path) -> BenchConfig:
     return config_from_dict(doc, str(path))
 
 
+CONFIG_KEYS = frozenset(
+    "name rns tile_m batch seed iterations declared_bound layers".split()
+)
+LAYER_KEYS = frozenset(
+    "name h w c k r batch padding stride tile_m algorithm declared_bound".split()
+)
+
+
+def _check_keys(obj, allowed: frozenset, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        raise ConfigError(f"{what}: unknown key {unknown[0]!r}")
+
+
 def config_from_dict(doc: dict, where: str = "config") -> BenchConfig:
+    _check_keys(doc, CONFIG_KEYS, where)
     try:
         rns = tuple(int(m) for m in doc["rns"])
         tile_m = int(doc.get("tile_m", 14))
+        batch = int(doc.get("batch", 1))
         seed = int(doc.get("seed", DEFAULT_SEED))
         iterations = int(doc.get("iterations", 1))
         top_bound = doc.get("declared_bound")
         entries = []
         for ent in doc["layers"]:
+            _check_keys(ent, LAYER_KEYS, f"{where}: layer {len(entries)}")
             spec = layer.LayerSpec(
-                h=int(ent["h"]),
-                w=int(ent["w"]),
-                c=int(ent["c"]),
-                k=int(ent["k"]),
-                r=int(ent["r"]),
-                batch=int(ent.get("batch", 1)),
+                *(int(ent[key]) for key in ("h", "w", "c", "k", "r")),
+                batch=int(ent.get("batch", batch)),
                 padding=int(ent.get("padding", 0)),
                 stride=int(ent.get("stride", 1)),
                 tile_m=int(ent.get("tile_m", tile_m)),
@@ -157,14 +173,9 @@ def config_from_dict(doc: dict, where: str = "config") -> BenchConfig:
                 raise ConfigError(
                     f"{where}: layer {ent.get('name')!r} has unknown algorithm {algorithm!r}"
                 )
-            entries.append(
-                LayerEntry(
-                    name=str(ent.get("name", f"layer{len(entries)}")),
-                    spec=spec,
-                    algorithm=algorithm,
-                    declared_bound=ent.get("declared_bound", top_bound),
-                )
-            )
+            name = str(ent.get("name", f"layer{len(entries)}"))
+            bound = ent.get("declared_bound", top_bound)
+            entries.append(LayerEntry(name, spec, algorithm, bound))
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as e:
@@ -173,14 +184,7 @@ def config_from_dict(doc: dict, where: str = "config") -> BenchConfig:
         raise ConfigError(f"{where}: no layers")
     if iterations < 1:
         raise ConfigError(f"{where}: iterations must be >= 1")
-    return BenchConfig(
-        rns=rns,
-        tile_m=tile_m,
-        seed=seed,
-        iterations=iterations,
-        layers=tuple(entries),
-        declared_bound=top_bound,
-    )
+    return BenchConfig(rns, tile_m, seed, iterations, tuple(entries), top_bound)
 
 
 def default_bench_config_path():
@@ -207,30 +211,16 @@ def cmd_gen_transforms(args) -> int:
     modular = [transforms.reduce_transforms_mod(ts, m) for m in moduli]
 
     if args.json:
-        docs = [
-            {
-                "M": ts.m,
-                "R": ts.r,
-                "points": [_json_scalar(p) for p in ts.points],
-                "AT": _json_matrix(ts.at),
-                "G": _json_matrix(ts.g),
-                "BT": _json_matrix(ts.bt),
-                "alpha": _json_scalar(ts.alpha),
-                "Gprime": _json_matrix(ts.gprime),
-            }
+        head = {"M": ts.m, "R": ts.r, "points": [_json_scalar(p) for p in ts.points]}
+        docs = [dict(
+            head, AT=_json_matrix(ts.at), G=_json_matrix(ts.g), BT=_json_matrix(ts.bt),
+            alpha=_json_scalar(ts.alpha), Gprime=_json_matrix(ts.gprime),
+        )]
+        docs += [
+            dict(head, modulus=mt.modulus, AT=_json_matrix(mt.at.tolist()),
+                 G=_json_matrix(mt.g.tolist()), BT=_json_matrix(mt.bt.tolist()))
+            for mt in modular
         ]
-        for mt in modular:
-            docs.append(
-                {
-                    "M": ts.m,
-                    "R": ts.r,
-                    "points": [_json_scalar(p) for p in ts.points],
-                    "modulus": mt.modulus,
-                    "AT": _json_matrix(mt.at.tolist()),
-                    "G": _json_matrix(mt.g.tolist()),
-                    "BT": _json_matrix(mt.bt.tolist()),
-                }
-            )
         text = json.dumps(docs, indent=2)
         if args.json == "-":
             print(text)
@@ -442,81 +432,62 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
         weights = random_int8(rng, ent.spec.weight_shape())
         x = random_int8(rng, ent.spec.input_shape())
 
-        direct_best = float("inf")
-        for _ in range(cfg.iterations):
-            t0 = time.perf_counter()
-            want = layer.direct_conv(ent.spec, weights, x)
-            direct_best = min(direct_best, time.perf_counter() - t0)
-
-        timings = layer.StageTimings()
-        rns_best = float("inf")
-        if ent.algorithm == "direct":
+        def best_ms(call):
+            """Fastest of cfg.iterations calls, in ms, and the last output."""
+            best = float("inf")
             for _ in range(cfg.iterations):
                 t0 = time.perf_counter()
-                got = layer.direct_conv(ent.spec, weights, x)
-                rns_best = min(rns_best, time.perf_counter() - t0)
+                out = call()
+                best = min(best, time.perf_counter() - t0)
+            return best * 1e3, out
+
+        def direct():
+            return layer.direct_conv(ent.spec, weights, x)
+
+        direct_ms, want = best_ms(direct)
+        # stage times summed over the iterations; only their shares are shown
+        timings = layer.StageTimings()
+        if ent.algorithm == "direct":
+            rns_ms, got = best_ms(direct)
         else:
             # Filter transforms depend only on the weights, so inference reuses
             # them across every input; precompute outside the timed region.
             ts = transforms.cached_transforms(ent.spec.tile_m, ent.spec.r)
-            mts = transforms.reduce_for_system(ts, system)
-            filters = layer.precompute_filter_transforms(weights, mts)
-            for i in range(cfg.iterations):
-                timings = layer.StageTimings()
-                t0 = time.perf_counter()
-                got = layer.winograd_layer_conv(
-                    ent.spec, weights, x, system,
-                    declared_bound=ent.declared_bound, filters=filters,
-                    timings=timings,
-                )
-                rns_best = min(rns_best, time.perf_counter() - t0)
-
-        counts = layer.count_operations(ent.spec, system)
-        rows.append(
-            BenchRow(
-                name=ent.name,
-                algorithm=ent.algorithm,
-                spec=ent.spec,
-                direct_ms=direct_best * 1e3,
-                rns_ms=rns_best * 1e3,
-                timings=timings,
-                reduction=counts.reduction_ratio,
-                exact=bool(np.array_equal(want, got)),
+            filters = layer.precompute_filter_transforms(
+                weights, transforms.reduce_for_system(ts, system)
             )
-        )
+            rns_ms, got = best_ms(lambda: layer.winograd_layer_conv(
+                ent.spec, weights, x, system, declared_bound=ent.declared_bound,
+                filters=filters, timings=timings,
+            ))
+        reduction = layer.count_operations(ent.spec, system).reduction_ratio
+        rows.append(BenchRow(ent.name, ent.algorithm, ent.spec, direct_ms, rns_ms, timings,
+                             reduction, bool(np.array_equal(want, got))))
     return rows
 
 
-def _bench_pcts(row: BenchRow) -> tuple[float, float, float, float, float, float]:
-    """Stage shares of the fast path: tiling, input, gemm, backward, mrc, scatter."""
-    total = row.timings.total()
-    if total <= 0 or row.algorithm == "direct":
-        return (0.0,) * 6
-    return (
-        100.0 * row.timings.tiling / total,
-        100.0 * row.timings.input_transform / total,
-        100.0 * row.timings.gemm / total,
-        100.0 * row.timings.backward_transform / total,
-        100.0 * row.timings.mrc / total,
-        100.0 * row.timings.scatter / total,
-    )
+def _figure_cells(row: BenchRow, formats: Sequence[str]) -> list[str]:
+    """Multiplication reduction, then the fast path's stage shares (tiling,
+    input, gemm, backward, mrc, scatter), one per format; blank for a layer
+    run direct, which has neither."""
+    if row.algorithm == "direct":
+        return [format("", f.split(".")[0]) for f in formats]
+    t = row.timings
+    total = t.total()
+    stages = (t.tiling, t.input_transform, t.gemm, t.backward_transform, t.mrc, t.scatter)
+    figures = [float(row.reduction)] + [
+        100.0 * v / total if total > 0 else 0.0 for v in stages
+    ]
+    return [format(v, f) for v, f in zip(figures, formats)]
 
 
 def cmd_bench(args) -> int:
     path = args.config if args.config else default_bench_config_path()
     cfg = load_config(path)
     if args.iterations is not None:
-        cfg = BenchConfig(
-            rns=cfg.rns, tile_m=cfg.tile_m, seed=cfg.seed,
-            iterations=args.iterations, layers=cfg.layers,
-            declared_bound=cfg.declared_bound,
-        )
+        cfg = replace(cfg, iterations=args.iterations)
     if args.seed is not None:
-        cfg = BenchConfig(
-            rns=cfg.rns, tile_m=cfg.tile_m, seed=args.seed,
-            iterations=cfg.iterations, layers=cfg.layers,
-            declared_bound=cfg.declared_bound,
-        )
+        cfg = replace(cfg, seed=args.seed)
     rows = run_bench(cfg)
 
     print(f"rns={cfg.rns}  tile_m={cfg.tile_m}  seed={cfg.seed}  iterations={cfg.iterations}")
@@ -529,12 +500,10 @@ def cmd_bench(args) -> int:
     print(header)
     print("-" * len(header))
     for row in rows:
-        tile, inp, gm, bwd, mrc, scat = _bench_pcts(row)
+        cells = " ".join(_figure_cells(row, (">9.2f",) + (">6.1f",) * 6))
         print(
             f"{row.name:<10} {row.algorithm:<8} {row.direct_ms:>10.1f} "
-            f"{row.rns_ms:>10.1f} {row.speedup:>8.2f} {float(row.reduction):>9.2f} "
-            f"{tile:>6.1f} {inp:>6.1f} {gm:>6.1f} {bwd:>6.1f} {mrc:>6.1f} "
-            f"{scat:>6.1f}  {row.exact}"
+            f"{row.rns_ms:>10.1f} {row.speedup:>8.2f} {cells}  {row.exact}"
         )
     total_direct = sum(r.direct_ms for r in rows)
     total_rns = sum(r.rns_ms for r in rows)
@@ -555,15 +524,13 @@ def cmd_bench(args) -> int:
                 ]
             )
             for row in rows:
-                tile, inp, gm, bwd, mrc, scat = _bench_pcts(row)
                 wr.writerow(
                     [
                         row.name, row.algorithm, row.spec.h, row.spec.w,
                         row.spec.c, row.spec.k, row.spec.r,
                         f"{row.direct_ms:.3f}", f"{row.rns_ms:.3f}",
-                        f"{row.speedup:.4f}", f"{float(row.reduction):.4f}",
-                        f"{tile:.2f}", f"{inp:.2f}", f"{gm:.2f}",
-                        f"{bwd:.2f}", f"{mrc:.2f}", f"{scat:.2f}",
+                        f"{row.speedup:.4f}",
+                        *_figure_cells(row, (".4f",) + (".2f",) * 6),
                         int(row.exact),
                     ]
                 )

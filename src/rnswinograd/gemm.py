@@ -1,9 +1,9 @@
-"""Low-precision integer GEMM with 32-bit accumulation.
+"""Exact integer GEMM on floating-point BLAS, and the symmetric reduction.
 
-Operands are int8 or int16 (residues in symmetric range), accumulators are
-int32.  Reduction back into residue range happens after accumulation, not per
-multiply; callers accumulating over a dimension longer than
-accumulation_chunk(m) must reduce between chunks.
+A dot product of depth d over integers bounded by amax and bmax has every
+partial sum within d * amax * bmax, so float BLAS computes it exactly in
+float32 when that is at most 2**24 and in float64 up to 2**53 (the idea
+behind the Ozaki scheme).
 """
 
 from __future__ import annotations
@@ -13,11 +13,12 @@ import numpy as np
 from .errors import OverflowRisk, ShapeMismatch
 
 INT32_MAX = 2**31 - 1
+INT8_ABS_PEAK = 128
+FLOAT32_EXACT = 2**24
+FLOAT64_EXACT = 2**53
 
-# Inner-dimension block size.  numpy's integer matmul degrades badly once the
-# shared dimension blows the cache; blocking restores throughput and never
-# changes the exact result.
-_CACHE_CHUNK = 512
+# Bytes of the float copies made per slice of an exact_matmul result.
+_SLICE_BYTES = 1 << 20
 
 _OPERAND_DTYPES = (np.dtype(np.int8), np.dtype(np.int16))
 
@@ -33,11 +34,79 @@ def accumulation_chunk(m: int) -> int:
     return (INT32_MAX - half) // (half * half)
 
 
+def exact_float_dtype(depth: int, amax: int, bmax: int) -> np.dtype:
+    """Narrowest float in which every partial sum of such a product is exact."""
+    bound = depth * amax * bmax
+    if bound <= FLOAT32_EXACT:
+        return np.dtype(np.float32)
+    if bound <= FLOAT64_EXACT:
+        return np.dtype(np.float64)
+    raise OverflowRisk(
+        f"dot length {depth} with operand bounds {amax}*{bmax} exceeds the "
+        f"float64 mantissa (2**53)"
+    )
+
+
 def _abs_peak(x: np.ndarray) -> int:
     """max(|x|) as a Python int, without materializing a widened |x|."""
     if x.size == 0:
         return 0
     return max(-int(x.min()), int(x.max()))
+
+
+def _product_shape(a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeMismatch(f"need at least 2-D operands, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeMismatch(f"inner dimensions differ: {a.shape} @ {b.shape}")
+    try:
+        stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    except ValueError:
+        raise ShapeMismatch(f"stack dimensions differ: {a.shape} @ {b.shape}") from None
+    return stack + (a.shape[-2], b.shape[-1])
+
+
+def exact_matmul(
+    a: np.ndarray, b: np.ndarray, amax: int, bmax: int, m: int | None = None
+) -> np.ndarray:
+    """a @ b of integer arrays, exactly, through float BLAS; returns int32.
+
+    amax and bmax bound |a| and |b| and are trusted (int8 data counts as
+    128).  With a modulus m the result is reduced into the symmetric range;
+    without, it must fit int32.  OverflowRisk otherwise.  Operands broadcast
+    like matmul; the result is computed in slices along its leading axis,
+    converting an operand that does not run along it only once.
+    """
+    shape = _product_shape(a, b)
+    if not (np.issubdtype(a.dtype, np.integer) and np.issubdtype(b.dtype, np.integer)):
+        raise ShapeMismatch(f"operands must be integer arrays, got {a.dtype}, {b.dtype}")
+    depth = a.shape[-1]
+    ft = exact_float_dtype(depth, amax, bmax)
+    wide = depth * amax * bmax > INT32_MAX
+    if wide and m is None:
+        raise OverflowRisk(
+            f"dot length {depth} with operand bounds {amax}*{bmax} can overflow int32"
+        )
+    out = np.empty(shape, dtype=np.int32)
+    if out.size == 0:
+        return out
+    split_a = a.ndim == out.ndim and a.shape[0] == out.shape[0]
+    split_b = b.ndim == out.ndim > 2 and b.shape[0] == out.shape[0]
+    af = a if split_a else a.astype(ft)
+    bf = b if split_b else b.astype(ft)
+    row = out[0].size + (a[0].size if split_a else 0) + (b[0].size if split_b else 0)
+    step = max(1, _SLICE_BYTES // (row * ft.itemsize))
+    for i in range(0, out.shape[0], step):
+        s = slice(i, i + step)
+        prod = np.matmul(
+            af[s].astype(ft) if split_a else af, bf[s].astype(ft) if split_b else bf
+        )
+        if wide:
+            np.fmod(prod, m, out=prod)
+        np.copyto(out[s], prod, casting="unsafe")
+        if m is not None:
+            reduce_mod_inplace(out[s], m)
+    return out
 
 
 def gemm_acc(a: np.ndarray, b: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
@@ -46,28 +115,17 @@ def gemm_acc(a: np.ndarray, b: np.ndarray, acc: np.ndarray | None = None) -> np.
     Checks (from the actual operand magnitudes) that no intermediate sum can
     exceed int32 before doing any work, and raises OverflowRisk otherwise.
     Operands may carry leading stack dimensions with matmul broadcasting; the
-    guard and the widening casts then cover the whole stack in one call.
+    guard covers the whole stack in one call.
     """
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeMismatch(f"need at least 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeMismatch(f"inner dimensions differ: {a.shape} @ {b.shape}")
+    out_shape = _product_shape(a, b)
     if a.dtype not in _OPERAND_DTYPES or b.dtype not in _OPERAND_DTYPES:
         raise ShapeMismatch(f"operands must be int8 or int16, got {a.dtype}, {b.dtype}")
-    try:
-        stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError:
-        raise ShapeMismatch(f"stack dimensions differ: {a.shape} @ {b.shape}") from None
-    out_shape = stack + (a.shape[-2], b.shape[-1])
     if acc is None:
         acc = np.zeros(out_shape, dtype=np.int32)
-    else:
-        if acc.dtype != np.int32:
-            raise ShapeMismatch(f"accumulator must be int32, got {acc.dtype}")
-        if acc.shape != out_shape:
-            raise ShapeMismatch(
-                f"accumulator shape {acc.shape} does not match {a.shape} @ {b.shape}"
-            )
+    elif acc.dtype != np.int32 or acc.shape != out_shape:
+        raise ShapeMismatch(
+            f"accumulator {acc.dtype} {acc.shape} is not int32 {out_shape}"
+        )
 
     k = a.shape[-1]
     if k == 0 or acc.size == 0:
@@ -80,18 +138,22 @@ def gemm_acc(a: np.ndarray, b: np.ndarray, acc: np.ndarray | None = None) -> np.
             f"dot length {k} with operand peaks {amax}*{bmax} and accumulated "
             f"peak {accmax} can overflow int32"
         )
-    for k0 in range(0, k, _CACHE_CHUNK):
-        k1 = min(k0 + _CACHE_CHUNK, k)
-        acc += np.matmul(
-            a[..., k0:k1].astype(np.int32), b[..., k0:k1, :].astype(np.int32)
-        )
+    acc += exact_matmul(a, b, amax, bmax)
     return acc
 
 
 def reduce_mod_inplace(acc: np.ndarray, m: int) -> np.ndarray:
-    """Fold an integer array into the symmetric residue range of m, in place."""
+    """Fold an integer array into the symmetric residue range of m, in place.
+
+    acc - m*(acc // m) lies in [0, m), exact even where m*(acc // m) wraps,
+    as the true remainder fits the dtype; a second floor division centres it.
+    """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"modulus must be odd and >= 3, got {m}")
-    np.mod(acc, m, out=acc)
-    acc[acc > (m - 1) // 2] -= m
+    q = np.floor_divide(acc, m)
+    q *= m
+    acc -= q
+    np.floor_divide(acc, (m + 1) // 2, out=q)
+    q *= m
+    acc -= q
     return acc

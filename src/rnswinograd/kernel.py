@@ -1,10 +1,12 @@
-"""Single-tile 2-D fast convolution over one modulus, and over a full RNS.
+"""Transform stages of the fast path over one modulus, and single-tile convolution.
 
-All functions accept stacked tiles: an array of shape (..., r, r) or
-(..., n, n) is transformed tile by tile over the leading dimensions.  Matrix
-products accumulate in int32 with a symmetric reduction after each product;
-for n <= 20 and 15-bit moduli the intermediate sums stay far below int32
-limits (asserted, not silently assumed).
+The stages work position first: an array of shape (side, side, ...) is
+transformed over its two leading axes, independently for every trailing
+index, so a whole layer's tiles and channels go through two batched GEMMs,
+both exact on float BLAS (gemm.exact_matmul) with a symmetric reduction
+after each.  Stage inputs are int8 values (|x| <= 128, not reduced) or
+residues mod m in any integer dtype; outputs are int32 residues.  The
+single-tile functions take tiles in the last two axes, (..., side, side).
 """
 
 from __future__ import annotations
@@ -18,39 +20,45 @@ from .errors import DynamicRangeExceeded, ShapeMismatch
 from .transforms import ModularTransformSet
 
 
-def _sandwich_mod(left: np.ndarray, x: np.ndarray, right: np.ndarray, m: int) -> np.ndarray:
-    """left @ x @ right with a reduction mod m after each matrix product."""
+def _transform(left: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
+    """left @ x @ left.T over the two leading axes of x, reduced mod m.
+
+    Two GEMMs, each batched over one leading axis and contracting the other:
+    t[j] = left @ x[:, j], then y[a] = left @ t[:, a].  The float conversion
+    reads the swapped axes, and each BLAS call covers one (side, trailing)
+    slab, which the layer keeps small enough for cache and one thread.
+    """
+    side, n = left.shape
+    rest = int(np.prod(x.shape[2:], dtype=np.int64))
     half = (m - 1) // 2
-    assert left.shape[1] * half * max(half, 127) < gemm.INT32_MAX
-    t = left.astype(np.int32) @ x.astype(np.int32)
-    gemm.reduce_mod_inplace(t, m)
-    assert right.shape[0] * half * half < gemm.INT32_MAX
-    t = t @ right.astype(np.int32)
-    gemm.reduce_mod_inplace(t, m)
-    return t.astype(gemm.dtype_for_modulus(m))
+    xmax = gemm.INT8_ABS_PEAK if x.dtype == np.int8 else half
+    t = x.reshape(n, n, rest).transpose(1, 0, 2)
+    t = gemm.exact_matmul(left, t, half, xmax, m)
+    t = gemm.exact_matmul(left, t.transpose(1, 0, 2), half, half, m)
+    return t.reshape((side, side) + x.shape[2:])
 
 
 def _check_tile(x: np.ndarray, side: int, what: str) -> None:
-    if x.ndim < 2 or x.shape[-2:] != (side, side):
-        raise ShapeMismatch(f"{what} must end in ({side}, {side}), got {x.shape}")
+    if x.ndim < 2 or x.shape[:2] != (side, side):
+        raise ShapeMismatch(f"{what} must start with ({side}, {side}), got {x.shape}")
 
 
 def filter_transform_mod(g: np.ndarray, mt: ModularTransformSet) -> np.ndarray:
-    """G g G^T mod m for one or a stack of r x r filter tiles."""
+    """G g G^T mod m for filters shaped (r, r, ...)."""
     _check_tile(g, mt.r, "filter tile")
-    return _sandwich_mod(mt.g, g, mt.g.T, mt.modulus)
+    return _transform(mt.g, g, mt.modulus)
 
 
 def input_transform_mod(d: np.ndarray, mt: ModularTransformSet) -> np.ndarray:
-    """B^T d B mod m for one or a stack of n x n input tiles."""
+    """B^T d B mod m for input patches shaped (n, n, ...)."""
     _check_tile(d, mt.n, "input tile")
-    return _sandwich_mod(mt.bt, d, mt.bt.T, mt.modulus)
+    return _transform(mt.bt, d, mt.modulus)
 
 
 def backward_transform_mod(t: np.ndarray, mt: ModularTransformSet) -> np.ndarray:
-    """A^T t A mod m, collapsing an n x n product tile to m_out x m_out."""
+    """A^T t A mod m, collapsing (n, n, ...) products to (m_out, m_out, ...)."""
     _check_tile(t, mt.n, "product tile")
-    return _sandwich_mod(mt.at, t, mt.at.T, mt.modulus)
+    return _transform(mt.at, t, mt.modulus)
 
 
 def tile_conv_mod(g: np.ndarray, d: np.ndarray, mt: ModularTransformSet) -> np.ndarray:
@@ -60,11 +68,13 @@ def tile_conv_mod(g: np.ndarray, d: np.ndarray, mt: ModularTransformSet) -> np.n
     (..., m, m) output residues.  Exactly congruent to the direct correlation
     of the same tiles.
     """
-    u = filter_transform_mod(g, mt)
-    v = input_transform_mod(d, mt)
-    prod = u.astype(np.int32) * v.astype(np.int32)
+    first, last = (0, 1), (-2, -1)
+    u = filter_transform_mod(np.moveaxis(g, last, first), mt)
+    v = input_transform_mod(np.moveaxis(d, last, first), mt)
+    prod = np.moveaxis(u, first, last) * np.moveaxis(v, first, last)
     gemm.reduce_mod_inplace(prod, mt.modulus)
-    return backward_transform_mod(prod, mt)
+    y = backward_transform_mod(np.moveaxis(prod, last, first), mt)
+    return np.moveaxis(y, first, last)
 
 
 def rns_tile_conv(
@@ -79,15 +89,10 @@ def rns_tile_conv(
     integer correlation provided it fits the system's dynamic range, which is
     checked against the worst case r*r*127**2 up front.
     """
-    if len(mts) != len(system.moduli):
+    if [mt.modulus for mt in mts] != list(system.moduli):
         raise ShapeMismatch(
-            f"expected {len(system.moduli)} transform sets, got {len(mts)}"
+            f"transform sets for moduli {[mt.modulus for mt in mts]} do not match {system}"
         )
-    for mt, m in zip(mts, system.moduli):
-        if mt.modulus != m:
-            raise ShapeMismatch(
-                f"transform set for modulus {mt.modulus} does not match system {system}"
-            )
     r = mts[0].r
     worst = r * r * 127 * 127
     if worst > system.signed_bound:

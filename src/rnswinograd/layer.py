@@ -2,11 +2,15 @@
 
 Data layout is NHWC for activations and (r, r, c_in, c_out) for weights, both
 int8.  The fast path decomposes the padded input into overlapping n x n
-patches at stride m, transforms patches and filters once per modulus, runs
-one (patches x c_in) @ (c_in x c_out) GEMM per transform-domain position,
-transforms back and reconstructs full-precision int32 outputs by mixed radix
-conversion.  Outputs are bit-identical to direct_conv whenever the layer
-passes range_check.
+patches at stride m and keeps the transform-domain axes leading throughout:
+patches go to (n, n, tiles, c_in) once, as raw int8 shared by all moduli;
+per modulus they are transformed, multiplied by the (n, n, c_in, c_out)
+filters in one (tiles x c_in) @ (c_in x c_out) GEMM per position, and
+transformed back to (m, m, tiles, c_out).  Mixed radix conversion rebuilds
+full-precision int32 outputs, which reach NHWC by reshape, transpose and
+crop.  Every matrix product is exact on float BLAS (gemm.exact_matmul).
+Outputs are bit-identical to direct_conv whenever the layer passes
+range_check.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import os
 import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from math import ceil
 from typing import Sequence
@@ -91,15 +95,16 @@ def im2col(x: np.ndarray, r: int, stride: int, padding: int) -> np.ndarray:
 
 
 def direct_conv(spec: LayerSpec, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Reference convolution: im2col plus int32-accumulated GEMM.
+    """Reference convolution: im2col plus one exact GEMM.
 
-    Exact by construction (the overflow guard in gemm_acc covers the full
-    r*r*c dot length), used as the oracle the fast path is compared against.
+    Exact by construction (exact_matmul bounds the full r*r*c dot length
+    with int8 operands at 128), used as the oracle the fast path is compared
+    against; it runs on the same GEMM engine as the fast path.
     """
     _check_operands(spec, weights, x)
     cols = im2col(x, spec.r, spec.stride, spec.padding)
     wmat = weights.reshape(-1, spec.k)
-    out = gemm.gemm_acc(cols, wmat)
+    out = gemm.exact_matmul(cols, wmat, gemm.INT8_ABS_PEAK, gemm.INT8_ABS_PEAK)
     return out.reshape(spec.batch, spec.out_h, spec.out_w, spec.k)
 
 
@@ -140,21 +145,12 @@ def tile_decompose(
     win = np.lib.stride_tricks.sliding_window_view(canvas, (n, n), axis=(1, 2))
     win = win[:, ::tile_m, ::tile_m]
     patches = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
-    placements = []
-    for ti in range(th):
-        for tj in range(tw):
-            h0 = ti * tile_m
-            w0 = tj * tile_m
-            placements.append(
-                TilePlacement(
-                    row=ti,
-                    col=tj,
-                    out_h0=h0,
-                    out_h1=min(h0 + tile_m, out_h),
-                    out_w0=w0,
-                    out_w1=min(w0 + tile_m, out_w),
-                )
-            )
+    placements = [
+        TilePlacement(ti, tj, ti * tile_m, min((ti + 1) * tile_m, out_h),
+                      tj * tile_m, min((tj + 1) * tile_m, out_w))
+        for ti in range(th)
+        for tj in range(tw)
+    ]
     return patches, placements
 
 
@@ -163,15 +159,16 @@ def precompute_filter_transforms(
 ) -> dict[int, np.ndarray]:
     """Transform (r, r, c, k) filters once per modulus.
 
-    Returns {modulus: (n, n, c, k) residue array}; layout puts the transform-
-    domain position first so each position's (c, k) slice is one GEMM operand.
+    Returns {modulus: (n, n, c, k) residues in the modulus's narrow dtype};
+    the transform-domain position leads, as in the weights, so each
+    position's (c, k) slice is one GEMM operand.
     """
-    modstack = {}
-    for mt in mts:
-        g = kernel.residue_encode_array(weights.transpose(2, 3, 0, 1), mt.modulus)
-        u = kernel.filter_transform_mod(g, mt)
-        modstack[mt.modulus] = np.ascontiguousarray(u.transpose(2, 3, 0, 1))
-    return modstack
+    return {
+        mt.modulus: kernel.filter_transform_mod(weights, mt).astype(
+            gemm.dtype_for_modulus(mt.modulus)
+        )
+        for mt in mts
+    }
 
 
 @dataclass(frozen=True)
@@ -200,12 +197,7 @@ def range_check(
     """
     static = spec.r * spec.r * spec.c * INT8_PEAK * INT8_PEAK
     bound = static if declared_bound is None else declared_bound
-    return RangeReport(
-        static_bound=static,
-        declared_bound=declared_bound,
-        bound=bound,
-        signed_bound=system.signed_bound,
-    )
+    return RangeReport(static, declared_bound, bound, system.signed_bound)
 
 
 @dataclass
@@ -221,80 +213,47 @@ class StageTimings:
     scatter: float = 0.0
 
     def total(self) -> float:
-        return (
-            self.tiling
-            + self.filter_transform
-            + self.input_transform
-            + self.gemm
-            + self.backward_transform
-            + self.mrc
-            + self.scatter
-        )
+        return sum(astuple(self))
 
 
 def _worker_count(n_tasks: int) -> int:
-    raw = os.environ.get("RNSW_THREADS", "")
     try:
-        cap = int(raw)
+        cap = int(os.environ.get("RNSW_THREADS", ""))
     except ValueError:
         cap = n_tasks
-    if cap < 1:
-        cap = 1
-    return min(cap, n_tasks)
+    return min(max(cap, 1), n_tasks)
 
 
-# Transform positions batched into one GEMM call; 64 keeps the widened int32
-# operand copies to a few tens of MB even for 512-channel layers.
-_POSITION_GROUP = 64
-
-
-def _modular_gemm(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """(a @ b) mod m with reductions spaced to keep int32 exact.
-
-    Accepts stacked operands like gemm_acc does.
-    """
-    chunk = gemm.accumulation_chunk(m)
-    stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    acc = np.zeros(stack + (a.shape[-2], b.shape[-1]), dtype=np.int32)
-    depth = a.shape[-1]
-    for c0 in range(0, depth, chunk):
-        gemm.gemm_acc(a[..., c0 : c0 + chunk], b[..., c0 : c0 + chunk, :], acc)
-        gemm.reduce_mod_inplace(acc, m)
-    return acc
+# Bytes of one float copy of a tile block's widest per-modulus intermediate;
+# each modulus worker holds a few such copies at once.
+_BLOCK_BYTES = 1 << 21
 
 
 def _modulus_pass(
-    patches: np.ndarray,
-    u: np.ndarray,
-    mt: transforms.ModularTransformSet,
+    d: np.ndarray, u: np.ndarray, mt: transforms.ModularTransformSet
 ) -> tuple[np.ndarray, StageTimings]:
-    """Forward transform, per-position GEMM and backward transform, one modulus."""
+    """Input transform, per-position GEMM and backward transform, one modulus.
+
+    d: (n, n, tiles, c) raw int8 patches, u: (n, n, c, k) filter residues;
+    returns (m, m, tiles, k) output residues in the modulus's narrow dtype.
+    """
     t = StageTimings()
-    b, th, tw, n, _, c = patches.shape
-    n_pos = n * n
-    p = b * th * tw
+    n, _, p, c = d.shape
     k = u.shape[3]
+    half = (mt.modulus - 1) // 2
 
     t0 = time.perf_counter()
-    d = kernel.residue_encode_array(patches.transpose(0, 1, 2, 5, 3, 4), mt.modulus)
     v = kernel.input_transform_mod(d, mt)
-    # (b, th, tw, c, n, n) -> (n*n, p, c): one GEMM operand per position
-    vpos = np.ascontiguousarray(v.transpose(4, 5, 0, 1, 2, 3)).reshape(n_pos, p, c)
-    t.input_transform += time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    upos = u.reshape(n_pos, c, k)
-    acc = np.empty((n_pos, p, k), dtype=np.int32)
-    for pos in range(0, n_pos, _POSITION_GROUP):
-        hi = min(pos + _POSITION_GROUP, n_pos)
-        acc[pos:hi] = _modular_gemm(vpos[pos:hi], upos[pos:hi], mt.modulus)
-    t.gemm += time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    prod = acc.reshape(n, n, p, k).transpose(2, 3, 0, 1)
-    prod = np.ascontiguousarray(prod).astype(gemm.dtype_for_modulus(mt.modulus))
-    y = kernel.backward_transform_mod(prod, mt)
-    t.backward_transform += time.perf_counter() - t0
+    t1 = time.perf_counter()
+    prod = gemm.exact_matmul(
+        v.reshape(n * n, p, c), u.reshape(n * n, c, k), half, half, mt.modulus
+    )
+    t2 = time.perf_counter()
+    y = kernel.backward_transform_mod(prod.reshape(n, n, p, k), mt)
+    y = y.astype(gemm.dtype_for_modulus(mt.modulus))
+    t.input_transform += t1 - t0
+    t.gemm += t2 - t1
+    t.backward_transform += time.perf_counter() - t2
     return y, t
 
 
@@ -341,7 +300,7 @@ def winograd_layer_conv(
         timings = StageTimings()
 
     t0 = time.perf_counter()
-    patches, placements = tile_decompose(x, tile_m, spec.r, spec.padding)
+    patches, _ = tile_decompose(x, tile_m, spec.r, spec.padding)
     timings.tiling += time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -358,33 +317,40 @@ def winograd_layer_conv(
                 )
     timings.filter_transform += time.perf_counter() - t0
 
+    b, th, tw, n, _, c = patches.shape
+    k = spec.k
+    # (n, n, tile rows, tw, c): a view; each block copies its own slice
+    d = patches.transpose(3, 4, 0, 1, 2, 5).reshape(n, n, b * th, tw, c)
+    canvas = np.empty((b * th, tile_m, tw, tile_m, k), dtype=np.int32)
+    step = max(1, _BLOCK_BYTES // (tw * n * n * max(c, k) * 8))
     workers = _worker_count(len(mts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda mt: _modulus_pass(patches, filters[mt.modulus], mt), mts)
-            )
-    else:
-        results = [_modulus_pass(patches, filters[mt.modulus], mt) for mt in mts]
-    for _, st in results:
-        timings.input_transform += st.input_transform
-        timings.gemm += st.gemm
-        timings.backward_transform += st.backward_transform
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        run = pool.map if workers > 1 else map
+        for r0 in range(0, b * th, step):
+            blk = d[:, :, r0 : r0 + step]
+            rows = blk.shape[2]
+            blk = blk.reshape(n, n, rows * tw, c)
+
+            def one(mt, blk=blk):
+                return _modulus_pass(blk, filters[mt.modulus], mt)
+
+            results = list(run(one, mts))
+            for _, st in results:
+                timings.input_transform += st.input_transform
+                timings.gemm += st.gemm
+                timings.backward_transform += st.backward_transform
+
+            t0 = time.perf_counter()
+            y = residue.mrc_reconstruct_arrays([r for r, _ in results], system)
+            t1 = time.perf_counter()
+            y = y.reshape(tile_m, tile_m, rows, tw, k)
+            canvas[r0 : r0 + rows] = y.transpose(2, 0, 3, 1, 4)
+            timings.mrc += t1 - t0
+            timings.scatter += time.perf_counter() - t1
 
     t0 = time.perf_counter()
-    y = residue.mrc_reconstruct_arrays([r for r, _ in results], system).astype(np.int32)
-    timings.mrc += time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    b, th, tw = patches.shape[:3]
-    tiles = y.reshape(b, th, tw, spec.k, tile_m, tile_m)
-    out = np.empty((spec.batch, spec.out_h, spec.out_w, spec.k), dtype=np.int32)
-    for pl in placements:
-        hh = pl.out_h1 - pl.out_h0
-        ww = pl.out_w1 - pl.out_w0
-        out[:, pl.out_h0 : pl.out_h1, pl.out_w0 : pl.out_w1] = tiles[
-            :, pl.row, pl.col, :, :hh, :ww
-        ].transpose(0, 2, 3, 1)
+    out = canvas.reshape(b, th * tile_m, tw * tile_m, k)[:, : spec.out_h, : spec.out_w]
+    out = np.ascontiguousarray(out)
     timings.scatter += time.perf_counter() - t0
     return out
 
@@ -402,12 +368,7 @@ def layer_conv(
     if spec.stride != 1:
         return direct_conv(spec, weights, x)
     return winograd_layer_conv(
-        spec,
-        weights,
-        x,
-        system,
-        declared_bound=declared_bound,
-        filters=filters,
+        spec, weights, x, system, declared_bound=declared_bound, filters=filters,
         timings=timings,
     )
 

@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotCoprime, OutOfRange, SystemMismatch
+from . import gemm
+from .errors import NotCoprime, OutOfRange, OverflowRisk, SystemMismatch
 
 # Residues must fit a signed 16-bit word, so moduli are capped at 15 bits.
 MAX_MODULUS = (1 << 15) - 1
@@ -74,11 +75,15 @@ class RnsSystem:
         self.moduli = moduli
         self.dynamic_range = math.prod(moduli)
         self.signed_bound = (self.dynamic_range - 1) // 2
-        # _mrc_inv[j][i] = moduli[i]^-1 mod moduli[j], for i < j
-        self._mrc_inv = [
-            [mod_inverse(moduli[i], moduli[j]) for i in range(j)]
-            for j in range(len(moduli))
-        ]
+        # Digit j of x = sum_i W_i d_i, W_i = moduli[0] * ... * moduli[i-1], is
+        # d_j = r_j * W_j^-1 - sum_{i<j} d_i * W_i * W_j^-1 mod moduli[j];
+        # _mrc_weights[j] = (W_j^-1, [W_i * W_j^-1 for i < j]) mod moduli[j].
+        self._mrc_weights = []
+        for j, m in enumerate(moduli):
+            scale = mod_inverse(math.prod(moduli[:j]) % m, m)
+            self._mrc_weights.append(
+                (scale, [mod_reduce(math.prod(moduli[:i]) * scale, m) for i in range(j)])
+            )
 
     def __len__(self) -> int:
         return len(self.moduli)
@@ -118,17 +123,11 @@ class RnsSystem:
             raise SystemMismatch(
                 f"expected {len(self.moduli)} residues, got {len(values)}"
             )
-        digits = []
-        for j, m in enumerate(self.moduli):
-            t = values[j] % m
-            for i in range(j):
-                t = (t - digits[i]) * self._mrc_inv[j][i] % m
-            digits.append(t)
-        x = digits[-1]
-        for j in range(len(digits) - 2, -1, -1):
-            x = digits[j] + self.moduli[j] * x
-        if x > self.signed_bound:
-            x -= self.dynamic_range
+        # x = sum_j W_j d_j with balanced digits lies in the signed range
+        x, radix = 0, 1
+        for v, m, (scale, _) in zip(values, self.moduli, self._mrc_weights):
+            x += radix * mod_reduce((v - x) * scale, m)
+            radix *= m
         return x
 
 
@@ -140,10 +139,9 @@ class RnsVector:
     system: RnsSystem
 
     def __post_init__(self):
-        assert all(
-            abs(v) <= (m - 1) // 2
-            for v, m in zip(self.values, self.system.moduli)
-        ), "residue outside symmetric range"
+        for v, m in zip(self.values, self.system.moduli):
+            if abs(v) > (m - 1) // 2:
+                raise OutOfRange(f"residue {v} outside the symmetric range of {m}")
 
     def _binop(self, other, op) -> "RnsVector":
         if not isinstance(other, RnsVector):
@@ -183,24 +181,34 @@ def mrc_reconstruct_arrays(
     """Vectorized mixed radix conversion.
 
     residues holds one integer array per modulus (matching shapes, residues of
-    the same tensor).  Returns an int64 array of the reconstructed signed
-    integers.  The dynamic range must fit int64 with room for one digit-times-
-    radix product, which every supported system satisfies by a wide margin.
+    the same tensor, any congruent representatives).  Returns an int64 array
+    of the reconstructed signed integers.  The digits are computed in int32
+    in the symmetric range, each as one weighted sum reduced once; residues
+    of at most 16 bits are used as they are, wider ones are reduced first.
+    Balanced digits of odd radices span exactly the signed range, so the
+    weighted sum of the digits needs no final correction.  The dynamic range
+    must fit int64 with room for one digit-times-radix product.
     """
     if len(residues) != len(system.moduli):
         raise SystemMismatch(
             f"expected {len(system.moduli)} residue arrays, got {len(residues)}"
         )
-    assert system.dynamic_range < (1 << 62)
+    if system.dynamic_range >= 1 << 62:
+        raise OverflowRisk(f"dynamic range of {system} does not fit int64 reconstruction")
+    # |sum| <= h_j * (2**16 + sum_{i<j} h_i), h = (m - 1) / 2: below 2**31
+    # for moduli of at most 15 bits whose product is below 2**62
     digits = []
     for j, m in enumerate(system.moduli):
-        t = residues[j].astype(np.int64) % m
-        for i in range(j):
-            t = (t - digits[i]) * system._mrc_inv[j][i] % m
-        digits.append(t)
-    x = digits[-1].copy()
+        r = np.asarray(residues[j])
+        if r.dtype.itemsize > 2:
+            r = gemm.reduce_mod_inplace(r.copy(), m)
+        scale, weights = system._mrc_weights[j]
+        t = np.multiply(r, scale, dtype=np.int32)
+        for d, w in zip(digits, weights):
+            t -= d * w
+        digits.append(gemm.reduce_mod_inplace(t, m))
+    x = digits[-1].astype(np.int64)
     for j in range(len(digits) - 2, -1, -1):
         x *= system.moduli[j]
         x += digits[j]
-    x[x > system.signed_bound] -= system.dynamic_range
     return x

@@ -151,10 +151,7 @@ def vandermonde_inverse(points: Sequence) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def _lcm_denominators(values) -> int:
-    lam = 1
-    for v in values:
-        lam = lam * v.denominator // math.gcd(lam, v.denominator)
-    return lam
+    return math.lcm(*(v.denominator for v in values))
 
 
 @dataclass(frozen=True)

@@ -283,6 +283,47 @@ def test_config_from_dict_errors():
         )
 
 
+def test_config_rejects_unknown_keys_naming_them():
+    layer_ent = {"h": 8, "w": 8, "c": 1, "k": 1, "r": 3}
+    # the README once documented "mode"; it must not silently run winograd
+    with pytest.raises(ConfigError, match="'mode'"):
+        cli.config_from_dict({"rns": [251], "layers": [dict(layer_ent, mode="direct")]})
+    with pytest.raises(ConfigError, match="'tile'"):
+        cli.config_from_dict({"rns": [251], "tile": 4, "layers": [layer_ent]})
+    with pytest.raises(ConfigError):
+        cli.config_from_dict({"rns": [251], "layers": [[8, 8, 1, 1, 3]]})
+
+
+def test_config_top_level_batch_is_a_layer_default():
+    cfg = cli.config_from_dict({
+        "name": "smoke", "batch": 3, "rns": [251],
+        "layers": [
+            {"h": 8, "w": 8, "c": 1, "k": 1, "r": 3},
+            {"h": 8, "w": 8, "c": 1, "k": 1, "r": 3, "batch": 1},
+        ],
+    })
+    assert [ent.spec.batch for ent in cfg.layers] == [3, 1]
+
+
+def test_bench_leaves_fast_path_figures_blank_for_direct_layers(tmp_path, capsys):
+    path = write_small_bench_config(tmp_path)
+    csv_path = tmp_path / "rows.csv"
+    code, out, _ = run_cli(capsys, "bench", "--config", str(path), "--csv", str(csv_path))
+    assert code == 0
+    plain = next(l for l in out.splitlines() if l.startswith("plain"))
+    # layer, alg, direct ms, rns ms, speedup, exact: nothing in between
+    assert len(plain.split()) == 6 and plain.split()[-1] == "True"
+    tiny = next(l for l in out.splitlines() if l.startswith("tiny"))
+    assert len(tiny.split()) == 13
+    with open(csv_path, newline="") as f:
+        rows = {r["layer"]: r for r in csv.DictReader(f)}
+    figures = ["mult_reduction", "tiling_pct", "input_transform_pct", "gemm_pct",
+               "backward_pct", "mrc_pct", "scatter_pct"]
+    assert all(rows["plain"][k] == "" for k in figures)
+    assert all(rows["tiny"][k] != "" for k in figures)
+    assert rows["plain"]["exact"] == "1"
+
+
 # ---------------------------------------------------------------------------
 # analyze
 

@@ -164,3 +164,117 @@ def test_chunked_accumulate_reduce_stays_exact():
     want = a.astype(np.int64) @ b.astype(np.int64)
     assert np.all((want - acc) % m == 0)
     assert np.all(np.abs(acc) <= half)
+
+
+# ---------------------------------------------------------------------------
+# exact float-BLAS GEMM and its bounds
+
+
+def test_exact_matmul_modular_matches_wide_oracle():
+    # 700 * 2165**2 exceeds int32, so the float64 products are folded with
+    # fmod before the int32 conversion
+    rng = np.random.default_rng(21)
+    m = 4331
+    half = (m - 1) // 2
+    a = rng.integers(-half, half + 1, (4, 6, 700)).astype(np.int16)
+    b = rng.integers(-half, half + 1, (4, 700, 5)).astype(np.int16)
+    got = gemm.exact_matmul(a, b, half, half, m)
+    want = np.matmul(a.astype(np.int64), b.astype(np.int64))
+    assert got.dtype == np.int32
+    assert np.all((want - got) % m == 0)
+    assert np.all(np.abs(got) <= half)
+
+
+def test_exact_float_dtype_mantissa_edges():
+    assert gemm.exact_float_dtype(1024, 128, 128) == np.float32  # 2**24
+    assert gemm.exact_float_dtype(673, 97, 257) == np.float64  # 2**24 + 1
+    assert gemm.exact_float_dtype(1, 128, 2**46) == np.float64  # 2**53
+    with pytest.raises(OverflowRisk):
+        gemm.exact_float_dtype(1, 128, 2**46 + 1)
+
+
+def test_exact_matmul_at_float32_edge_is_exact():
+    a = np.full((2, 1024), -128, np.int8)
+    b = np.full((1024, 3), -128, np.int8)
+    got = gemm.exact_matmul(a, b, 128, 128)
+    assert np.all(got == 2**24)
+
+
+def test_exact_matmul_just_past_float32_edge_uses_float64():
+    # 673 * 97 * 257 = 2**24 + 1: float32 accumulation would round it
+    a = np.full((1, 673), 97, np.int8)
+    b = np.full((673, 1), 257, np.int16)
+    assert int(np.matmul(a.astype(np.float32), b.astype(np.float32))[0, 0]) != 2**24 + 1
+    assert gemm.exact_matmul(a, b, 97, 257)[0, 0] == 2**24 + 1
+
+
+def test_exact_matmul_float64_edge_counts_int8_minimum():
+    m = 251
+    a = np.full((1, 1), -128, np.int8)
+    amax = gemm._abs_peak(a)
+    assert amax == 128
+    at_edge = np.array([[2**46]], np.int64)  # 128 * 2**46 = 2**53
+    got = gemm.exact_matmul(a, at_edge, amax, 2**46, m)
+    want = (-128 * 2**46) % m
+    want -= m if want > (m - 1) // 2 else 0
+    assert got[0, 0] == want
+    # 127 * (2**46 + 1) would fit the mantissa; -128 makes it overflow
+    assert 127 * (2**46 + 1) <= gemm.FLOAT64_EXACT
+    with pytest.raises(OverflowRisk):
+        gemm.exact_matmul(a, at_edge + 1, amax, 2**46 + 1, m)
+
+
+def test_exact_matmul_without_modulus_must_fit_int32():
+    a = np.full((1, 2), 32767, np.int16)
+    got = gemm.exact_matmul(a, a.T.copy(), 32767, 32767)
+    assert got[0, 0] == 2 * 32767 * 32767
+    three = np.full((1, 3), 32767, np.int16)
+    with pytest.raises(OverflowRisk):
+        gemm.exact_matmul(three, three.T.copy(), 32767, 32767)
+
+
+def test_exact_matmul_slices_match_oracle(monkeypatch):
+    # a tiny slice budget forces one slice per leading index
+    monkeypatch.setattr(gemm, "_SLICE_BYTES", 1)
+    rng = np.random.default_rng(22)
+    cases = [
+        ((9, 13), (13, 4)),
+        ((7, 7), (7, 4)),  # rows equal to depth: only a's rows may be split
+        ((5, 3, 13), (5, 13, 4)),
+        ((6, 2, 9), (9, 3)),
+        ((4, 9), (3, 9, 5)),
+        ((1, 2, 9), (4, 9, 5)),
+        ((3, 0), (0, 2)),
+    ]
+    for sa, sb in cases:
+        a = rng.integers(-128, 128, sa).astype(np.int8)
+        b = rng.integers(-128, 128, sb).astype(np.int8)
+        want = np.matmul(a.astype(np.int64), b.astype(np.int64))
+        got = gemm.exact_matmul(a, b, 128, 128)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        red = gemm.exact_matmul(a, b, 128, 128, 251)
+        assert np.all((want - red) % 251 == 0)
+        assert np.all(np.abs(red) <= 125)
+
+
+def test_exact_matmul_shape_and_dtype_errors():
+    a8 = np.zeros((2, 3), np.int8)
+    with pytest.raises(ShapeMismatch):
+        gemm.exact_matmul(a8, np.zeros((4, 2), np.int8), 1, 1)
+    with pytest.raises(ShapeMismatch):
+        gemm.exact_matmul(a8, np.zeros((3, 2), np.float32), 1, 1)
+    with pytest.raises(ShapeMismatch):
+        gemm.exact_matmul(np.zeros((2, 4, 3), np.int8), np.zeros((3, 3, 2), np.int8), 1, 1)
+
+
+@pytest.mark.parametrize("m", [3, 251, 4331])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_reduce_mod_inplace_at_dtype_extremes(m, dtype):
+    info = np.iinfo(dtype)
+    values = [info.min, info.min + 1, -1, 0, 1, info.max - 1, info.max]
+    got = gemm.reduce_mod_inplace(np.array(values, dtype=dtype), m)
+    half = (m - 1) // 2
+    for v, r in zip(values, got.tolist()):
+        assert -half <= r <= half
+        assert (v - r) % m == 0

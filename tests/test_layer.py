@@ -194,6 +194,33 @@ def test_winograd_layer_with_declared_bound():
     assert np.array_equal(got, want)
 
 
+def test_winograd_layer_15bit_wide_depth_with_declared_bound():
+    # 512 * 2165**2 exceeds int32: the position GEMM folds its float64
+    # products before converting them
+    spec = layer.LayerSpec(h=7, w=9, c=512, k=3, r=3, padding=1, tile_m=4)
+    rng = np.random.default_rng(4331)
+    weights = rng.integers(-1, 2, spec.weight_shape()).astype(np.int8)
+    x = rng.integers(-128, 128, spec.input_shape()).astype(np.int8)
+    want = layer.direct_conv(spec, weights, x)
+    assert int(np.abs(want).max()) < 300_000
+    got = layer.winograd_layer_conv(spec, weights, x, SYS16, declared_bound=300_000)
+    assert np.array_equal(got, want)
+
+
+def test_winograd_layer_tile_blocks_match_direct(monkeypatch):
+    # a one-byte budget makes every tile row its own block, across images
+    # and through the cropped last row and column
+    monkeypatch.setattr(layer, "_BLOCK_BYTES", 1)
+    for kw, system in (
+        (dict(h=13, w=11, c=3, k=4, r=3, padding=1, batch=2, tile_m=4), SYS8),
+        (dict(h=10, w=17, c=2, k=3, r=5, padding=2, batch=3, tile_m=2), SYS16),
+    ):
+        spec = layer.LayerSpec(**kw)
+        weights, x = random_operands(spec, spec.h)
+        got = layer.winograd_layer_conv(spec, weights, x, system)
+        assert np.array_equal(got.astype(np.int64), naive_conv(spec, weights, x))
+
+
 def test_winograd_layer_requires_tile_and_unit_stride():
     spec = layer.LayerSpec(h=8, w=8, c=2, k=2, r=3, padding=1, stride=2, tile_m=4)
     weights, x = random_operands(spec, 1)
@@ -358,14 +385,3 @@ def test_tensor_rejects_bad_files(tmp_path):
     with pytest.raises(ShapeMismatch):
         layer.write_tensor(p, np.zeros((2, 2), np.float32))
 
-
-def test_modular_gemm_layer_helper_matches_wide_oracle():
-    rng = np.random.default_rng(21)
-    m = 4331
-    half = (m - 1) // 2
-    a = rng.integers(-half, half + 1, (4, 6, 700)).astype(np.int16)
-    b = rng.integers(-half, half + 1, (4, 700, 5)).astype(np.int16)
-    got = layer._modular_gemm(a, b, m)
-    want = np.matmul(a.astype(np.int64), b.astype(np.int64))
-    assert np.all((want - got) % m == 0)
-    assert np.all(np.abs(got) <= half)

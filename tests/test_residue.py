@@ -6,6 +6,10 @@ under test twice.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnswinograd import residue
-from rnswinograd.errors import NotCoprime, OutOfRange, SystemMismatch
+from rnswinograd.errors import NotCoprime, OutOfRange, OverflowRisk, SystemMismatch
 
 
 def brute_force_reconstruct(values, moduli):
@@ -249,6 +253,71 @@ def test_mrc_matches_scalar_reconstruct():
     assert got.tolist() == values
     for v in values:
         assert system.reconstruct([residue.mod_reduce(v, m) for m in system.moduli]) == v
+
+
+@pytest.mark.parametrize("moduli", [(7, 9, 11), (251, 241, 239), (4001, 4331)])
+def test_mrc_at_symmetric_range_edges(moduli):
+    # every combination of residues -(m-1)/2, 0 and (m-1)/2
+    system = residue.RnsSystem(moduli)
+    grids = np.meshgrid(*[[-(m - 1) // 2, 0, (m - 1) // 2] for m in moduli], indexing="ij")
+    parts = [g.ravel() for g in grids]
+    got = residue.mrc_reconstruct_arrays(parts, system)
+    assert np.all(np.abs(got) <= system.signed_bound)
+    # congruent to every residue inside the signed range: the unique preimage
+    for j, m in enumerate(moduli):
+        assert np.all((got - parts[j]) % m == 0)
+
+
+def test_mrc_wide_representatives_on_widest_15bit_system():
+    # four 15-bit moduli (range ~2**60) with int16 representatives as far
+    # from the symmetric range as int16 allows (the digit sums' worst case),
+    # and int32 ones near the int32 limit, which must be reduced first
+    system = residue.RnsSystem((32749, 32719, 32717, 32713))
+    rng = np.random.default_rng(60)
+    x = rng.integers(-system.signed_bound, system.signed_bound + 1, size=200)
+    x[:2] = (system.signed_bound, -system.signed_bound)
+    narrow, wide = [], []
+    for m in system.moduli:
+        r = symmetric_residues(x.copy(), m)
+        narrow.append(np.where(r > 0, r - m, r + m).astype(np.int16))
+        wide.append((r + m * 65000).astype(np.int32))
+    assert all(int(np.abs(p.astype(np.int64)).max()) > 32000 for p in narrow)
+    assert np.array_equal(residue.mrc_reconstruct_arrays(narrow, system), x)
+    assert np.array_equal(residue.mrc_reconstruct_arrays(wide, system), x)
+
+
+def test_mrc_rejects_range_beyond_int64():
+    system = residue.RnsSystem((32749, 32719, 32717, 32713, 32707))
+    parts = [np.zeros(2, np.int32)] * 5
+    with pytest.raises(OverflowRisk):
+        residue.mrc_reconstruct_arrays(parts, system)
+
+
+def test_range_checks_survive_optimized_mode():
+    # python -O strips assert statements; these checks must still raise
+    code = (
+        "import numpy as np\n"
+        "from rnswinograd import residue\n"
+        "from rnswinograd.errors import OutOfRange, OverflowRisk\n"
+        "system = residue.RnsSystem((7, 9))\n"
+        "try:\n"
+        "    residue.RnsVector((5, 0), system)\n"
+        "    raise SystemExit('RnsVector accepted an out-of-range residue')\n"
+        "except OutOfRange:\n"
+        "    pass\n"
+        "wide = residue.RnsSystem((32749, 32719, 32717, 32713, 32707))\n"
+        "try:\n"
+        "    residue.mrc_reconstruct_arrays([np.zeros(1, np.int32)] * 5, wide)\n"
+        "    raise SystemExit('reconstruction accepted a range beyond int64')\n"
+        "except OverflowRisk:\n"
+        "    pass\n"
+    )
+    src = str(Path(residue.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # ---------------------------------------------------------------------------

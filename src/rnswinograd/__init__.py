@@ -30,7 +30,6 @@ from .transforms import (
     vandermonde,
     vandermonde_inverse,
 )
-from .kernel import rns_tile_conv, tile_conv_mod
 from .layer import (
     LayerSpec,
     count_operations,
@@ -53,7 +52,6 @@ __all__ = [
     "default_points", "vandermonde", "vandermonde_inverse", "derive_transforms",
     "check_modulus_compatibility", "reduce_transforms_mod",
     "data_width_analysis", "arithmetic_reduction",
-    "tile_conv_mod", "rns_tile_conv",
     "LayerSpec", "direct_conv", "winograd_layer_conv", "layer_conv",
     "tile_decompose", "range_check", "count_operations",
     "read_tensor", "write_tensor",

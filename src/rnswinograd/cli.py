@@ -2,7 +2,7 @@
 
 Subcommands:
   gen-transforms   print or dump exact and modular transform matrices
-  verify           bit-exact comparison of the fast path against direct conv
+  verify           bit-exact comparison of the fast path against an int64 oracle
   bench            timed layer sweep (default: the packaged VGG16 config)
   analyze          multiplication-reduction and data-width tables
 
@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
-from typing import Sequence
 
 import numpy as np
 
@@ -119,7 +118,6 @@ class BenchConfig:
     seed: int
     iterations: int
     layers: tuple[LayerEntry, ...]
-    declared_bound: int | None = None
 
 
 def load_config(path) -> BenchConfig:
@@ -175,6 +173,9 @@ def config_from_dict(doc: dict, where: str = "config") -> BenchConfig:
                 )
             name = str(ent.get("name", f"layer{len(entries)}"))
             bound = ent.get("declared_bound", top_bound)
+            bound = None if bound is None else int(bound)
+            if bound is not None and bound < 1:
+                raise ConfigError(f"{where}: layer {name!r}: declared_bound {bound} < 1")
             entries.append(LayerEntry(name, spec, algorithm, bound))
     except ConfigError:
         raise
@@ -184,7 +185,7 @@ def config_from_dict(doc: dict, where: str = "config") -> BenchConfig:
         raise ConfigError(f"{where}: no layers")
     if iterations < 1:
         raise ConfigError(f"{where}: iterations must be >= 1")
-    return BenchConfig(rns, tile_m, seed, iterations, tuple(entries), top_bound)
+    return BenchConfig(rns, tile_m, seed, iterations, tuple(entries))
 
 
 def default_bench_config_path():
@@ -257,7 +258,7 @@ class VerifyCase:
     declared_bound: int | None = None
 
 
-VERIFY_RNS = ((253, 251, 247), (251, 241, 239), (4001, 4331))
+STANDARD_SYSTEMS = ((253, 251, 247), (251, 241, 239), (4001, 4331))
 VERIFY_TILES = (
     (2, 3), (4, 3), (8, 3), (10, 3), (12, 3), (14, 3),
     (2, 5), (4, 5), (8, 5), (10, 5), (12, 5), (14, 5),
@@ -276,7 +277,7 @@ def default_verify_cases(seed: int) -> list[VerifyCase]:
     geo = make_rng(seed, "geometry")
     for tile_m, r in VERIFY_TILES:
         ts = transforms.cached_transforms(tile_m, r)
-        for moduli in VERIFY_RNS:
+        for moduli in STANDARD_SYSTEMS:
             if not all(transforms.check_modulus_compatibility(ts, m) for m in moduli):
                 continue
             for g in range(_GEOMETRIES_PER_COMBO):
@@ -304,24 +305,38 @@ def default_verify_cases(seed: int) -> list[VerifyCase]:
     return cases
 
 
+def oracle_conv(spec: layer.LayerSpec, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Direct correlation in int64 that shares no code with the package."""
+    p = spec.padding
+    xp = np.pad(x.astype(np.int64), ((0, 0), (p, p), (p, p), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (spec.r, spec.r), axis=(1, 2))
+    win = win[:, :: spec.stride, :: spec.stride]
+    return np.einsum("bhwcij,ijck->bhwk", win, weights.astype(np.int64))
+
+
+def _compare(label: str, spec, weights, x, got: np.ndarray) -> tuple[bool, str]:
+    """Check got against oracle_conv; returns (passed, report line)."""
+    want = oracle_conv(spec, weights, x)
+    if np.array_equal(want, got):
+        return True, f"PASS {label}"
+    bad = np.argwhere(want != got)
+    first = tuple(int(v) for v in bad[0])
+    return False, (
+        f"FAIL {label} mismatches={len(bad)} first at {first}: "
+        f"got {int(got[first])}, want {int(want[first])}"
+    )
+
+
 def run_verify_case(case: VerifyCase) -> tuple[bool, str]:
     """Run one case; returns (passed, report line)."""
     rng = make_rng(*case.entropy)
     weights = random_int8(rng, case.spec.weight_shape())
     x = random_int8(rng, case.spec.input_shape())
     system = residue.RnsSystem(case.moduli)
-    want = layer.direct_conv(case.spec, weights, x)
     got = layer.layer_conv(
         case.spec, weights, x, system, declared_bound=case.declared_bound
     )
-    if np.array_equal(want, got):
-        return True, f"PASS {case.label}"
-    bad = np.argwhere(want != got)
-    first = tuple(int(v) for v in bad[0])
-    return False, (
-        f"FAIL {case.label} mismatches={len(bad)} first at {first}: "
-        f"got {int(got[first])}, want {int(want[first])}"
-    )
+    return _compare(case.label, case.spec, weights, x, got)
 
 
 def cmd_verify(args) -> int:
@@ -385,22 +400,14 @@ def _verify_files(args) -> int:
         batch=x.shape[0], padding=args.padding, tile_m=args.tile,
     )
     system = residue.RnsSystem(parse_moduli(args.moduli))
-    want = layer.direct_conv(spec, weights, x)
     got = layer.winograd_layer_conv(
         spec, weights, x, system, declared_bound=args.declared_bound
     )
     if args.output:
         layer.write_tensor(args.output, got)
-    if np.array_equal(want, got):
-        print(f"PASS {args.input} * {args.weights}: outputs match direct conv")
-        return 0
-    bad = np.argwhere(want != got)
-    first = tuple(int(v) for v in bad[0])
-    print(
-        f"FAIL {args.input} * {args.weights}: {len(bad)} mismatches, first at "
-        f"{first}: got {int(got[first])}, want {int(want[first])}"
-    )
-    return 2
+    ok, line = _compare(f"{args.input} * {args.weights}", spec, weights, x, got)
+    print(line)
+    return 0 if ok else 2
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +459,10 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
         else:
             # Filter transforms depend only on the weights, so inference reuses
             # them across every input; precompute outside the timed region.
-            ts = transforms.cached_transforms(ent.spec.tile_m, ent.spec.r)
-            filters = layer.precompute_filter_transforms(
-                weights, transforms.reduce_for_system(ts, system)
+            mts = transforms.cached_modular_transforms(
+                ent.spec.tile_m, ent.spec.r, system.moduli
             )
+            filters = layer.precompute_filter_transforms(weights, mts)
             rns_ms, got = best_ms(lambda: layer.winograd_layer_conv(
                 ent.spec, weights, x, system, declared_bound=ent.declared_bound,
                 filters=filters, timings=timings,
@@ -466,19 +473,44 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
     return rows
 
 
-def _figure_cells(row: BenchRow, formats: Sequence[str]) -> list[str]:
-    """Multiplication reduction, then the fast path's stage shares (tiling,
-    input, gemm, backward, mrc, scatter), one per format; blank for a layer
-    run direct, which has neither."""
-    if row.algorithm == "direct":
-        return [format("", f.split(".")[0]) for f in formats]
-    t = row.timings
+# (CSV name, table heading or "" for a CSV-only column, table format, CSV format)
+BENCH_COLUMNS = (
+    ("layer", "layer", "<10", ""),
+    ("algorithm", "alg", "<8", ""),
+    *((dim, "", "", "d") for dim in "hwckr"),
+    ("direct_ms", "direct ms", ">10.1f", ".3f"),
+    ("rns_ms", "rns ms", ">10.1f", ".3f"),
+    ("speedup", "speedup", ">8.2f", ".4f"),
+    ("mult_reduction", "mult red", ">9.2f", ".4f"),
+    ("tiling_pct", "tile%", ">6.1f", ".2f"),
+    ("input_transform_pct", "inp%", ">6.1f", ".2f"),
+    ("gemm_pct", "gemm%", ">6.1f", ".2f"),
+    ("backward_pct", "bwd%", ">6.1f", ".2f"),
+    ("mrc_pct", "mrc%", ">6.1f", ".2f"),
+    ("scatter_pct", "scat%", ">6.1f", ".2f"),
+    ("exact", "exact", "", "d"),
+)
+
+
+def _bench_fields(row: BenchRow) -> list:
+    """One row's values in BENCH_COLUMNS order, for the table and the CSV.
+
+    A layer run direct has no fast path, so its multiplication reduction and
+    stage shares are None, which print blank.
+    """
+    s, t = row.spec, row.timings
     total = t.total()
     stages = (t.tiling, t.input_transform, t.gemm, t.backward_transform, t.mrc, t.scatter)
-    figures = [float(row.reduction)] + [
-        100.0 * v / total if total > 0 else 0.0 for v in stages
-    ]
-    return [format(v, f) for v, f in zip(figures, formats)]
+    figures = [float(row.reduction)] + [100.0 * v / total if total > 0 else 0.0 for v in stages]
+    if row.algorithm == "direct":
+        figures = [None] * len(figures)
+    return [row.name, row.algorithm, s.h, s.w, s.c, s.k, s.r,
+            row.direct_ms, row.rns_ms, row.speedup, *figures, row.exact]
+
+
+def _cell(value, spec: str) -> str:
+    """value formatted to spec; a missing value is blank at the spec's width."""
+    return format("", spec.split(".")[0]) if value is None else format(value, spec)
 
 
 def cmd_bench(args) -> int:
@@ -492,48 +524,23 @@ def cmd_bench(args) -> int:
 
     print(f"rns={cfg.rns}  tile_m={cfg.tile_m}  seed={cfg.seed}  iterations={cfg.iterations}")
     print("filter transforms are precomputed per layer and excluded from rns ms")
-    header = (
-        f"{'layer':<10} {'alg':<8} {'direct ms':>10} {'rns ms':>10} {'speedup':>8} "
-        f"{'mult red':>9} {'tile%':>6} {'inp%':>6} {'gemm%':>6} {'bwd%':>6} "
-        f"{'mrc%':>6} {'scat%':>6}  exact"
-    )
+    header = " ".join(format(head, fmt.split(".")[0]) for _, head, fmt, _ in BENCH_COLUMNS if head)
     print(header)
     print("-" * len(header))
-    for row in rows:
-        cells = " ".join(_figure_cells(row, (">9.2f",) + (">6.1f",) * 6))
-        print(
-            f"{row.name:<10} {row.algorithm:<8} {row.direct_ms:>10.1f} "
-            f"{row.rns_ms:>10.1f} {row.speedup:>8.2f} {cells}  {row.exact}"
-        )
     total_direct = sum(r.direct_ms for r in rows)
     total_rns = sum(r.rns_ms for r in rows)
-    print(
-        f"{'total':<10} {'':<8} {total_direct:>10.1f} {total_rns:>10.1f} "
-        f"{total_direct / total_rns:>8.2f}"
-    )
+    totals = ["total", "", *[None] * 5, total_direct, total_rns, total_direct / total_rns]
+    for fields in [_bench_fields(row) for row in rows] + [totals]:
+        cells = (_cell(v, fmt) for (_, head, fmt, _), v in zip(BENCH_COLUMNS, fields) if head)
+        print(" ".join(cells).rstrip())
 
     if args.csv:
         with open(args.csv, "w", newline="") as f:
             wr = csv.writer(f)
-            wr.writerow(
-                [
-                    "layer", "algorithm", "h", "w", "c", "k", "r",
-                    "direct_ms", "rns_ms", "speedup", "mult_reduction",
-                    "tiling_pct", "input_transform_pct", "gemm_pct",
-                    "backward_pct", "mrc_pct", "scatter_pct", "exact",
-                ]
-            )
+            wr.writerow([name for name, *_ in BENCH_COLUMNS])
             for row in rows:
-                wr.writerow(
-                    [
-                        row.name, row.algorithm, row.spec.h, row.spec.w,
-                        row.spec.c, row.spec.k, row.spec.r,
-                        f"{row.direct_ms:.3f}", f"{row.rns_ms:.3f}",
-                        f"{row.speedup:.4f}",
-                        *_figure_cells(row, (".4f",) + (".2f",) * 6),
-                        int(row.exact),
-                    ]
-                )
+                fields = zip(BENCH_COLUMNS, _bench_fields(row))
+                wr.writerow([_cell(v, csv_fmt) for (*_, csv_fmt), v in fields])
     return 0 if all(r.exact for r in rows) else 2
 
 
@@ -546,7 +553,6 @@ REDUCTION_TILES = (
     (10, 3), (10, 5), (11, 3), (11, 5), (12, 3), (12, 5), (14, 3),
 )
 WIDTH_TILES = ((2, 3), (4, 3), (6, 3), (8, 3), (8, 5), (10, 3), (10, 5))
-STANDARD_SYSTEMS = ((253, 251, 247), (251, 241, 239), (4001, 4331))
 
 
 def cmd_analyze(args) -> int:
@@ -602,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="write JSON to this path ('-' for stdout)")
     p.set_defaults(func=cmd_gen_transforms)
 
-    p = sub.add_parser("verify", help="compare fast path against direct convolution")
+    p = sub.add_parser("verify", help="compare the fast path against an int64 oracle")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", help="verify the layers of a bench config")
     p.add_argument("--input", help="QTNS int8 input tensor (NHWC)")

@@ -20,18 +20,10 @@ FLOAT64_EXACT = 2**53
 # Bytes of the float copies made per slice of an exact_matmul result.
 _SLICE_BYTES = 1 << 20
 
-_OPERAND_DTYPES = (np.dtype(np.int8), np.dtype(np.int16))
-
 
 def dtype_for_modulus(m: int) -> np.dtype:
     """Narrowest signed dtype holding the symmetric residue range of m."""
     return np.dtype(np.int8) if m < 256 else np.dtype(np.int16)
-
-
-def accumulation_chunk(m: int) -> int:
-    """Longest dot product of residues mod m that cannot overflow int32."""
-    half = (m - 1) // 2
-    return (INT32_MAX - half) // (half * half)
 
 
 def exact_float_dtype(depth: int, amax: int, bmax: int) -> np.dtype:
@@ -45,13 +37,6 @@ def exact_float_dtype(depth: int, amax: int, bmax: int) -> np.dtype:
         f"dot length {depth} with operand bounds {amax}*{bmax} exceeds the "
         f"float64 mantissa (2**53)"
     )
-
-
-def _abs_peak(x: np.ndarray) -> int:
-    """max(|x|) as a Python int, without materializing a widened |x|."""
-    if x.size == 0:
-        return 0
-    return max(-int(x.min()), int(x.max()))
 
 
 def _product_shape(a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
@@ -107,39 +92,6 @@ def exact_matmul(
         if m is not None:
             reduce_mod_inplace(out[s], m)
     return out
-
-
-def gemm_acc(a: np.ndarray, b: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
-    """acc += a @ b exactly, int8/int16 operands, int32 accumulator.
-
-    Checks (from the actual operand magnitudes) that no intermediate sum can
-    exceed int32 before doing any work, and raises OverflowRisk otherwise.
-    Operands may carry leading stack dimensions with matmul broadcasting; the
-    guard covers the whole stack in one call.
-    """
-    out_shape = _product_shape(a, b)
-    if a.dtype not in _OPERAND_DTYPES or b.dtype not in _OPERAND_DTYPES:
-        raise ShapeMismatch(f"operands must be int8 or int16, got {a.dtype}, {b.dtype}")
-    if acc is None:
-        acc = np.zeros(out_shape, dtype=np.int32)
-    elif acc.dtype != np.int32 or acc.shape != out_shape:
-        raise ShapeMismatch(
-            f"accumulator {acc.dtype} {acc.shape} is not int32 {out_shape}"
-        )
-
-    k = a.shape[-1]
-    if k == 0 or acc.size == 0:
-        return acc
-    amax = _abs_peak(a)
-    bmax = _abs_peak(b)
-    accmax = _abs_peak(acc)
-    if k * amax * bmax + accmax > INT32_MAX:
-        raise OverflowRisk(
-            f"dot length {k} with operand peaks {amax}*{bmax} and accumulated "
-            f"peak {accmax} can overflow int32"
-        )
-    acc += exact_matmul(a, b, amax, bmax)
-    return acc
 
 
 def reduce_mod_inplace(acc: np.ndarray, m: int) -> np.ndarray:

@@ -1,22 +1,19 @@
-"""Transform stages of the fast path over one modulus, and single-tile convolution.
+"""Transform stages of the fast path over one modulus.
 
 The stages work position first: an array of shape (side, side, ...) is
 transformed over its two leading axes, independently for every trailing
 index, so a whole layer's tiles and channels go through two batched GEMMs,
 both exact on float BLAS (gemm.exact_matmul) with a symmetric reduction
 after each.  Stage inputs are int8 values (|x| <= 128, not reduced) or
-residues mod m in any integer dtype; outputs are int32 residues.  The
-single-tile functions take tiles in the last two axes, (..., side, side).
+residues mod m in any integer dtype; outputs are int32 residues.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from . import gemm, residue
-from .errors import DynamicRangeExceeded, ShapeMismatch
+from . import gemm
+from .errors import ShapeMismatch
 from .transforms import ModularTransformSet
 
 
@@ -59,59 +56,3 @@ def backward_transform_mod(t: np.ndarray, mt: ModularTransformSet) -> np.ndarray
     """A^T t A mod m, collapsing (n, n, ...) products to (m_out, m_out, ...)."""
     _check_tile(t, mt.n, "product tile")
     return _transform(mt.at, t, mt.modulus)
-
-
-def tile_conv_mod(g: np.ndarray, d: np.ndarray, mt: ModularTransformSet) -> np.ndarray:
-    """One fast correlation tile modulo one modulus.
-
-    g: (..., r, r) filter residues, d: (..., n, n) input residues; returns
-    (..., m, m) output residues.  Exactly congruent to the direct correlation
-    of the same tiles.
-    """
-    first, last = (0, 1), (-2, -1)
-    u = filter_transform_mod(np.moveaxis(g, last, first), mt)
-    v = input_transform_mod(np.moveaxis(d, last, first), mt)
-    prod = np.moveaxis(u, first, last) * np.moveaxis(v, first, last)
-    gemm.reduce_mod_inplace(prod, mt.modulus)
-    y = backward_transform_mod(np.moveaxis(prod, last, first), mt)
-    return np.moveaxis(y, first, last)
-
-
-def rns_tile_conv(
-    g: np.ndarray,
-    d: np.ndarray,
-    system: residue.RnsSystem,
-    mts: Sequence[ModularTransformSet],
-) -> np.ndarray:
-    """One full-precision tile: per-modulus fast correlation, then MRC.
-
-    g and d are signed integer tiles (int8 range); the result is the exact
-    integer correlation provided it fits the system's dynamic range, which is
-    checked against the worst case r*r*127**2 up front.
-    """
-    if [mt.modulus for mt in mts] != list(system.moduli):
-        raise ShapeMismatch(
-            f"transform sets for moduli {[mt.modulus for mt in mts]} do not match {system}"
-        )
-    r = mts[0].r
-    worst = r * r * 127 * 127
-    if worst > system.signed_bound:
-        raise DynamicRangeExceeded(
-            f"worst case output {worst} exceeds signed bound {system.signed_bound}"
-        )
-    outs = [
-        tile_conv_mod(
-            residue_encode_array(g, mt.modulus),
-            residue_encode_array(d, mt.modulus),
-            mt,
-        )
-        for mt in mts
-    ]
-    return residue.mrc_reconstruct_arrays(outs, system).astype(np.int32)
-
-
-def residue_encode_array(x: np.ndarray, m: int) -> np.ndarray:
-    """Symmetric-range residues of an integer array, in the narrow dtype."""
-    out = x.astype(np.int32, copy=True)
-    gemm.reduce_mod_inplace(out, m)
-    return out.astype(gemm.dtype_for_modulus(m))

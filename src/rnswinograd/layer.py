@@ -29,8 +29,6 @@ import numpy as np
 from . import gemm, kernel, residue, transforms
 from .errors import DynamicRangeExceeded, ShapeMismatch, UnsupportedStride
 
-INT8_PEAK = 127
-
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -190,12 +188,12 @@ def range_check(
 ) -> RangeReport:
     """Compare the layer's worst-case output against the RNS dynamic range.
 
-    The static bound assumes every product hits the int8 peak; callers that
-    know their data (quantized networks in particular stay orders of
-    magnitude below worst case) may declare a tighter bound, which is then
-    what the reconstruction is trusted up to.
+    The static bound assumes every product reaches 128 * 128, as int8 holds
+    -128; callers that know their data (quantized networks in particular
+    stay orders of magnitude below worst case) may declare a tighter bound,
+    which is then what the reconstruction is trusted up to.
     """
-    static = spec.r * spec.r * spec.c * INT8_PEAK * INT8_PEAK
+    static = spec.r * spec.r * spec.c * gemm.INT8_ABS_PEAK**2
     bound = static if declared_bound is None else declared_bound
     return RangeReport(static, declared_bound, bound, system.signed_bound)
 
@@ -263,7 +261,6 @@ def winograd_layer_conv(
     x: np.ndarray,
     system: residue.RnsSystem,
     declared_bound: int | None = None,
-    transform_set: transforms.ExactTransformSet | None = None,
     filters: dict[int, np.ndarray] | None = None,
     timings: StageTimings | None = None,
 ) -> np.ndarray:
@@ -288,14 +285,7 @@ def winograd_layer_conv(
         raise DynamicRangeExceeded(
             f"worst case {report.bound} exceeds signed bound {report.signed_bound}"
         )
-    if transform_set is None:
-        transform_set = transforms.cached_transforms(tile_m, spec.r)
-    if transform_set.m != tile_m or transform_set.r != spec.r:
-        raise ShapeMismatch(
-            f"transform set is for ({transform_set.m}, {transform_set.r}), "
-            f"layer needs ({tile_m}, {spec.r})"
-        )
-    mts = transforms.reduce_for_system(transform_set, system)
+    mts = transforms.cached_modular_transforms(tile_m, spec.r, system.moduli)
     if timings is None:
         timings = StageTimings()
 
@@ -383,9 +373,7 @@ class OperationCounts:
     reduction_ratio: Fraction
 
 
-def count_operations(
-    spec: LayerSpec, system: residue.RnsSystem, tile_m: int | None = None
-) -> OperationCounts:
+def count_operations(spec: LayerSpec, system: residue.RnsSystem) -> OperationCounts:
     """Count GEMM multiplications only.
 
     The fast path spends its multiplications in the transform-domain GEMMs:
@@ -393,10 +381,9 @@ def count_operations(
     transform stages themselves are additions and shifts amortized over c * k
     and are excluded, matching the usual minimal-filtering accounting.
     """
+    tile_m = spec.tile_m
     if tile_m is None:
-        tile_m = spec.tile_m
-    if tile_m is None:
-        raise ValueError("tile_m must be given (argument or spec.tile_m)")
+        raise ValueError("spec.tile_m must be set to count the fast path")
     n = tile_m + spec.r - 1
     th = ceil(spec.out_h / tile_m)
     tw = ceil(spec.out_w / tile_m)

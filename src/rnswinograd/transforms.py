@@ -339,6 +339,19 @@ def cached_transforms(m: int, r: int) -> ExactTransformSet:
     return derive_transforms(m, r)
 
 
+@lru_cache(maxsize=64)
+def cached_modular_transforms(
+    m: int, r: int, moduli: tuple[int, ...]
+) -> tuple[ModularTransformSet, ...]:
+    """cached_transforms(m, r) reduced modulo each modulus, memoized.
+
+    Keyed on plain ints: hashing the Fraction matrices of a transform set
+    would cost a sizeable share of the reduction it saves.
+    """
+    ts = cached_transforms(m, r)
+    return tuple(reduce_transforms_mod(ts, q) for q in moduli)
+
+
 @dataclass(frozen=True)
 class DataWidthReport:
     """Worst-case growth through the forward transforms.

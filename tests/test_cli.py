@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import golden_transforms as gold
-from rnswinograd import cli, layer, residue
+from rnswinograd import cli, gemm, layer, residue
 from rnswinograd.cli import ConfigError
 
 
@@ -162,8 +162,54 @@ def test_verify_config_range_failure_exits_2(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--config", str(path))
     assert code == 2
     assert "FAIL big" in out and "dynamic range" in out
-    assert "static bound 74322432" in out  # 9 * 512 * 127**2
+    assert "static bound 75497472" in out  # 9 * 512 * 128**2
     assert "signed bound 7228674" in out
+
+
+def write_bound_config(tmp_path, bound):
+    cfg = {
+        "rns": [251, 241, 239],
+        "tile_m": 4,
+        "declared_bound": bound,
+        "layers": [{"name": "deep", "h": 6, "w": 6, "c": 64, "k": 2, "r": 3}],
+    }
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_verify_config_declared_bound_is_parsed_and_checked(tmp_path, capsys):
+    # c=64 fails the static bound, so only the parsed declaration lets it run
+    path = str(write_bound_config(tmp_path, "300000"))
+    code, out, _ = run_cli(capsys, "verify", "--config", path)
+    assert code == 0 and out.strip().endswith("1/1 cases passed")
+    path = str(write_bound_config(tmp_path, 0))
+    code, _, err = run_cli(capsys, "verify", "--config", path)
+    assert code == 1 and "'deep'" in err and "declared_bound" in err
+    path = str(write_bound_config(tmp_path, "big"))
+    code, _, err = run_cli(capsys, "verify", "--config", path)
+    assert code == 1 and "big" in err
+
+
+def test_oracle_conv_matches_direct_conv_with_padding_and_stride():
+    rng = np.random.default_rng(57)
+    for kw in (dict(padding=0, stride=1), dict(padding=2, stride=1), dict(padding=1, stride=2)):
+        spec = layer.LayerSpec(h=11, w=9, c=3, k=2, r=3, batch=2, **kw)
+        w = rng.integers(-128, 128, spec.weight_shape()).astype(np.int8)
+        x = rng.integers(-128, 128, spec.input_shape()).astype(np.int8)
+        want = layer.direct_conv(spec, w, x)
+        assert np.array_equal(cli.oracle_conv(spec, w, x), want)
+
+
+def test_verify_oracle_shares_no_engine_code(monkeypatch):
+    # an engine that returns zeros makes the fast path and direct_conv agree
+    # on a wrong answer; only an oracle outside the package sees it
+    real = gemm.exact_matmul
+    case = cli.default_verify_cases(2020)[0]
+    assert cli.run_verify_case(case)[0]
+    monkeypatch.setattr(gemm, "exact_matmul", lambda *a, **kw: real(*a, **kw) * 0)
+    ok, line = cli.run_verify_case(case)
+    assert not ok and line.startswith("FAIL") and "mismatches=" in line
 
 
 def test_verify_file_mode_round_trip(tmp_path, capsys):
@@ -243,6 +289,15 @@ def test_bench_iteration_and_seed_overrides(tmp_path, capsys):
     )
     assert code == 0
     assert "seed=123" in out and "iterations=2" in out
+
+
+def test_bench_config_declared_bound_is_parsed_and_checked(tmp_path, capsys):
+    path = str(write_bound_config(tmp_path, "300000"))
+    code, out, _ = run_cli(capsys, "bench", "--config", path)
+    assert code == 0 and "deep" in out
+    path = str(write_bound_config(tmp_path, -5))
+    code, _, err = run_cli(capsys, "bench", "--config", path)
+    assert code == 1 and "'deep'" in err and "declared_bound" in err
 
 
 def test_bench_rejects_bad_config(tmp_path, capsys):

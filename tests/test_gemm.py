@@ -1,4 +1,4 @@
-"""Accumulating integer GEMM against naive and wide-accumulator oracles."""
+"""Exact integer GEMM on float BLAS against naive and wide-accumulator oracles."""
 
 import numpy as np
 import pytest
@@ -26,148 +26,61 @@ def test_dtype_for_modulus():
     assert gemm.dtype_for_modulus(32767) == np.int16
 
 
-def test_accumulation_chunk_values():
-    assert gemm.accumulation_chunk(3) == 2**31 - 2
-    # 137438 * 125**2 + 125 <= 2**31 - 1 < 137439 * 125**2
-    assert gemm.accumulation_chunk(251) == 137_438
-    assert gemm.accumulation_chunk(4331) == 458
+# ---------------------------------------------------------------------------
+# exact float-BLAS GEMM and its bounds
 
 
-def test_gemm_acc_matches_naive_small():
+def test_exact_matmul_matches_naive_small():
     rng = np.random.default_rng(11)
     a = rng.integers(-128, 128, (4, 7)).astype(np.int8)
     b = rng.integers(-128, 128, (7, 5)).astype(np.int8)
-    got = gemm.gemm_acc(a, b)
+    got = gemm.exact_matmul(a, b, 128, 128)
     assert got.dtype == np.int32
     assert np.array_equal(got.astype(np.int64), naive_gemm(a, b))
 
 
-def test_gemm_acc_accumulates_into_given_buffer():
-    rng = np.random.default_rng(12)
-    a = rng.integers(-100, 100, (3, 6)).astype(np.int16)
-    b = rng.integers(-100, 100, (6, 2)).astype(np.int8)
-    acc = rng.integers(-1000, 1000, (3, 2)).astype(np.int32)
-    before = acc.copy()
-    out = gemm.gemm_acc(a, b, acc)
-    assert out is acc
-    assert np.array_equal(
-        acc.astype(np.int64), before.astype(np.int64) + naive_gemm(a, b)
-    )
-
-
-def test_gemm_acc_crosses_cache_chunks():
+def test_exact_matmul_deep_product_in_float64():
+    # 1300 * 128**2 exceeds 2**24: the product runs in float64
     rng = np.random.default_rng(13)
     a = rng.integers(-128, 128, (9, 1300)).astype(np.int8)
     b = rng.integers(-128, 128, (1300, 11)).astype(np.int8)
     want = np.einsum("ik,kj->ij", a.astype(np.int64), b.astype(np.int64))
-    assert np.array_equal(gemm.gemm_acc(a, b).astype(np.int64), want)
+    assert np.array_equal(gemm.exact_matmul(a, b, 128, 128).astype(np.int64), want)
 
 
-def test_gemm_acc_stacked_matches_per_slice():
+def test_exact_matmul_stacked_matches_per_slice():
     rng = np.random.default_rng(14)
     a = rng.integers(-128, 128, (5, 3, 17)).astype(np.int8)
     b = rng.integers(-128, 128, (5, 17, 4)).astype(np.int8)
-    got = gemm.gemm_acc(a, b)
+    got = gemm.exact_matmul(a, b, 128, 128)
     assert got.shape == (5, 3, 4)
     for s in range(5):
-        assert np.array_equal(got[s], gemm.gemm_acc(a[s], b[s]))
+        assert np.array_equal(got[s], gemm.exact_matmul(a[s], b[s], 128, 128))
 
 
-def test_gemm_acc_broadcasts_shared_operand():
+def test_exact_matmul_broadcasts_shared_operand():
     rng = np.random.default_rng(15)
     a = rng.integers(-128, 128, (6, 2, 9)).astype(np.int8)
     b = rng.integers(-128, 128, (9, 3)).astype(np.int8)
-    got = gemm.gemm_acc(a, b)
+    got = gemm.exact_matmul(a, b, 128, 128)
     for s in range(6):
-        assert np.array_equal(got[s], gemm.gemm_acc(a[s], b))
+        assert np.array_equal(got[s], gemm.exact_matmul(a[s], b, 128, 128))
 
 
-def test_gemm_acc_random_shape_fuzz():
+def test_exact_matmul_random_shape_fuzz():
     rng = np.random.default_rng(16)
     for _ in range(200):
         p, c, k = rng.integers(1, 24, 3)
         a = rng.integers(-128, 128, (p, c)).astype(np.int8)
         b = rng.integers(-128, 128, (c, k)).astype(np.int8)
         want = a.astype(np.int64) @ b.astype(np.int64)
-        assert np.array_equal(gemm.gemm_acc(a, b).astype(np.int64), want)
+        assert np.array_equal(gemm.exact_matmul(a, b, 128, 128).astype(np.int64), want)
 
 
-def test_gemm_acc_empty_inner_dimension():
+def test_exact_matmul_empty_inner_dimension():
     a = np.zeros((3, 0), np.int8)
     b = np.zeros((0, 4), np.int8)
-    assert np.array_equal(gemm.gemm_acc(a, b), np.zeros((3, 4), np.int32))
-
-
-def test_gemm_acc_overflow_guard():
-    peak = np.full((1, 3), 32767, np.int16)
-    with pytest.raises(OverflowRisk):
-        gemm.gemm_acc(peak, peak.T.copy())
-    # length 2 at full int16 peak still fits int32, and must be exact
-    two = np.full((1, 2), 32767, np.int16)
-    got = gemm.gemm_acc(two, two.T.copy())
-    assert got[0, 0] == 2 * 32767 * 32767
-    # but a preloaded accumulator can push it over
-    acc = np.full((1, 1), 200_000, np.int32)
-    with pytest.raises(OverflowRisk):
-        gemm.gemm_acc(two, two.T.copy(), acc)
-
-
-def test_gemm_acc_shape_and_dtype_errors():
-    a8 = np.zeros((2, 3), np.int8)
-    with pytest.raises(ShapeMismatch):
-        gemm.gemm_acc(np.zeros(3, np.int8), a8)
-    with pytest.raises(ShapeMismatch):
-        gemm.gemm_acc(a8, np.zeros((4, 2), np.int8))
-    with pytest.raises(ShapeMismatch):
-        gemm.gemm_acc(a8.astype(np.int32), np.zeros((3, 2), np.int8))
-    with pytest.raises(ShapeMismatch):
-        gemm.gemm_acc(a8, np.zeros((3, 2), np.float64))
-    with pytest.raises(ShapeMismatch):
-        gemm.gemm_acc(np.zeros((2, 4, 3), np.int8), np.zeros((3, 3, 2), np.int8))
-    with pytest.raises(ShapeMismatch):
-        gemm.gemm_acc(a8, np.zeros((3, 2), np.int8), np.zeros((2, 2), np.int64))
-    with pytest.raises(ShapeMismatch):
-        gemm.gemm_acc(a8, np.zeros((3, 2), np.int8), np.zeros((9, 9), np.int32))
-
-
-def test_reduce_mod_inplace_matches_oracle():
-    rng = np.random.default_rng(17)
-    x = rng.integers(-(2**31), 2**31, (50, 3)).astype(np.int64)
-    for m in (3, 7, 251, 4331):
-        got = x.copy()
-        out = gemm.reduce_mod_inplace(got, m)
-        assert out is got
-        half = (m - 1) // 2
-        assert np.all(np.abs(got) <= half)
-        assert np.all((x - got) % m == 0)
-
-
-def test_reduce_mod_inplace_rejects_even():
-    with pytest.raises(ValueError):
-        gemm.reduce_mod_inplace(np.zeros(3, np.int32), 10)
-
-
-def test_chunked_accumulate_reduce_stays_exact():
-    # the pattern the layer GEMM uses: accumulate at most accumulation_chunk
-    # residues, reduce, continue; final residues must match an int64 oracle
-    m = 4331
-    half = (m - 1) // 2
-    chunk = gemm.accumulation_chunk(m)
-    depth = 1000
-    rng = np.random.default_rng(18)
-    a = rng.integers(-half, half + 1, (3, depth)).astype(np.int16)
-    b = rng.integers(-half, half + 1, (depth, 2)).astype(np.int16)
-    acc = np.zeros((3, 2), np.int32)
-    for c0 in range(0, depth, chunk):
-        gemm.gemm_acc(a[:, c0 : c0 + chunk], b[c0 : c0 + chunk], acc)
-        gemm.reduce_mod_inplace(acc, m)
-    want = a.astype(np.int64) @ b.astype(np.int64)
-    assert np.all((want - acc) % m == 0)
-    assert np.all(np.abs(acc) <= half)
-
-
-# ---------------------------------------------------------------------------
-# exact float-BLAS GEMM and its bounds
+    assert np.array_equal(gemm.exact_matmul(a, b, 128, 128), np.zeros((3, 4), np.int32))
 
 
 def test_exact_matmul_modular_matches_wide_oracle():
@@ -211,8 +124,7 @@ def test_exact_matmul_just_past_float32_edge_uses_float64():
 def test_exact_matmul_float64_edge_counts_int8_minimum():
     m = 251
     a = np.full((1, 1), -128, np.int8)
-    amax = gemm._abs_peak(a)
-    assert amax == 128
+    amax = gemm.INT8_ABS_PEAK
     at_edge = np.array([[2**46]], np.int64)  # 128 * 2**46 = 2**53
     got = gemm.exact_matmul(a, at_edge, amax, 2**46, m)
     want = (-128 * 2**46) % m
@@ -261,11 +173,36 @@ def test_exact_matmul_slices_match_oracle(monkeypatch):
 def test_exact_matmul_shape_and_dtype_errors():
     a8 = np.zeros((2, 3), np.int8)
     with pytest.raises(ShapeMismatch):
+        gemm.exact_matmul(np.zeros(3, np.int8), a8, 1, 1)
+    with pytest.raises(ShapeMismatch):
+        gemm.exact_matmul(a8, np.zeros((3, 2), np.float64), 1, 1)
+    with pytest.raises(ShapeMismatch):
         gemm.exact_matmul(a8, np.zeros((4, 2), np.int8), 1, 1)
     with pytest.raises(ShapeMismatch):
         gemm.exact_matmul(a8, np.zeros((3, 2), np.float32), 1, 1)
     with pytest.raises(ShapeMismatch):
         gemm.exact_matmul(np.zeros((2, 4, 3), np.int8), np.zeros((3, 3, 2), np.int8), 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# symmetric reduction
+
+
+def test_reduce_mod_inplace_matches_oracle():
+    rng = np.random.default_rng(17)
+    x = rng.integers(-(2**31), 2**31, (50, 3)).astype(np.int64)
+    for m in (3, 7, 251, 4331):
+        got = x.copy()
+        out = gemm.reduce_mod_inplace(got, m)
+        assert out is got
+        half = (m - 1) // 2
+        assert np.all(np.abs(got) <= half)
+        assert np.all((x - got) % m == 0)
+
+
+def test_reduce_mod_inplace_rejects_even():
+    with pytest.raises(ValueError):
+        gemm.reduce_mod_inplace(np.zeros(3, np.int32), 10)
 
 
 @pytest.mark.parametrize("m", [3, 251, 4331])

@@ -1,14 +1,14 @@
-"""Single-tile modular fast convolution against direct correlation oracles.
+"""Transform stages and one-tile convolutions against direct correlation oracles.
 
-The oracle computes the plain sliding-window correlation in int64 and reduces
-once at the end; the fast path must land in exactly the same residue class,
-and the RNS wrapper must recover the exact integer values.
+The oracle computes the plain sliding-window correlation in int64.  The
+stages must land in exactly the residue class of a wide-arithmetic sandwich;
+a layer call whose input is a single tile must recover the exact integers.
 """
 
 import numpy as np
 import pytest
 
-from rnswinograd import kernel, residue, transforms
+from rnswinograd import cli, kernel, layer, residue, transforms
 from rnswinograd.errors import DynamicRangeExceeded, ShapeMismatch
 
 
@@ -19,13 +19,15 @@ def sym_reduce(x, m):
 
 
 def correlate_tiles(d, g):
-    """Valid-mode 2-D correlation over the last two axes, int64, stackable."""
+    """Valid-mode 2-D correlation over the last two axes, int64; the leading
+    axes of d and g broadcast."""
     d = np.asarray(d, dtype=np.int64)
     g = np.asarray(g, dtype=np.int64)
     n = d.shape[-1]
     r = g.shape[-1]
     m = n - r + 1
-    out = np.zeros(d.shape[:-2] + (m, m), dtype=np.int64)
+    lead = np.broadcast_shapes(d.shape[:-2], g.shape[:-2])
+    out = np.zeros(lead + (m, m), dtype=np.int64)
     for i in range(m):
         for j in range(m):
             window = d[..., i : i + r, j : j + r]
@@ -77,7 +79,37 @@ def test_stage_transforms_reject_wrong_tile_shape():
 
 
 # ---------------------------------------------------------------------------
-# whole tiles, one modulus
+# whole tiles: one-tile layer calls
+
+
+def system_with(modulus, m_out, r):
+    """The first standard system that holds modulus and suits F(m_out, r)."""
+    ts = transforms.cached_transforms(m_out, r)
+    for moduli in cli.STANDARD_SYSTEMS:
+        if modulus in moduli and all(
+            transforms.check_modulus_compatibility(ts, q) for q in moduli
+        ):
+            return residue.RnsSystem(moduli)
+    raise AssertionError(f"no standard system for modulus {modulus}")
+
+
+def one_tile_conv(d, g, m_out, system):
+    """Every (n, n) tile of d (B, n, n) correlated with every (r, r) filter of
+    g (K, r, r) by one layer call whose input is exactly one tile
+    (h = w = n, padding 0): tiles on the batch axis, filters on the output
+    channels.  Returns (B, K, m_out, m_out)."""
+    (b, n, _), (k, r, _) = d.shape, g.shape
+    spec = layer.LayerSpec(h=n, w=n, c=1, k=k, r=r, batch=b, tile_m=m_out)
+    x = np.asarray(d, np.int8).reshape(b, n, n, 1)
+    w = np.asarray(g, np.int8).transpose(1, 2, 0).reshape(r, r, 1, k)
+    out = layer.winograd_layer_conv(spec, w, x, system)
+    assert out.shape == (b, m_out, m_out, k)
+    return np.moveaxis(out, -1, 1).astype(np.int64)
+
+
+def all_pairs(d, g):
+    """correlate_tiles of every tile of d with every filter of g."""
+    return correlate_tiles(d[:, None], g[None, :])
 
 
 @pytest.mark.parametrize(
@@ -85,87 +117,62 @@ def test_stage_transforms_reject_wrong_tile_shape():
     [(2, 3, 251), (4, 3, 253), (4, 3, 4331), (8, 5, 241), (14, 3, 251), (12, 5, 4001)],
 )
 def test_tile_conv_matches_direct_correlation(m_out, r, modulus):
-    (mt,) = modular_sets(m_out, r, [modulus])
+    system = system_with(modulus, m_out, r)
     n = m_out + r - 1
     rng = np.random.default_rng(n * modulus)
-    for _ in range(4):
-        g8 = rng.integers(-128, 128, (r, r))
-        d8 = rng.integers(-128, 128, (n, n))
-        g = kernel.residue_encode_array(g8, modulus)
-        d = kernel.residue_encode_array(d8, modulus)
-        got = kernel.tile_conv_mod(g, d, mt)
-        want = sym_reduce(correlate_tiles(d8, g8), modulus)
-        assert got.shape == (m_out, m_out)
-        assert np.array_equal(got.astype(np.int64), want)
+    g = rng.integers(-128, 128, (4, r, r))
+    d = rng.integers(-128, 128, (4, n, n))
+    got = one_tile_conv(d, g, m_out, system)
+    assert np.array_equal(got, all_pairs(d, g))
 
 
 def test_tile_conv_stacked_tiles():
-    (mt,) = modular_sets(4, 3, [251])
     rng = np.random.default_rng(99)
-    g8 = rng.integers(-128, 128, (5, 2, 3, 3))
-    d8 = rng.integers(-128, 128, (5, 2, 6, 6))
-    got = kernel.tile_conv_mod(
-        kernel.residue_encode_array(g8, 251),
-        kernel.residue_encode_array(d8, 251),
-        mt,
-    )
-    assert got.shape == (5, 2, 4, 4)
-    want = sym_reduce(correlate_tiles(d8, g8), 251)
-    assert np.array_equal(got.astype(np.int64), want)
+    g = rng.integers(-128, 128, (10, 3, 3))
+    d = rng.integers(-128, 128, (10, 6, 6))
+    got = one_tile_conv(d, g, 4, residue.RnsSystem((253, 251, 247)))
+    assert got.shape == (10, 10, 4, 4)
+    assert np.array_equal(got, all_pairs(d, g))
 
 
 def test_tile_conv_exhaustive_ternary_filters():
-    # every {-1, 0, 1} 3x3 filter (3**9 of them) against one random input
-    # tile each, as a single stacked call
-    (mt,) = modular_sets(2, 3, [251])
+    # every {-1, 0, 1} 3x3 filter (3**9 of them) as the output channels of
+    # one call, against a few random input tiles
     count = 3**9
     idx = np.arange(count)
     g = np.stack(
         [(idx // 3**p) % 3 - 1 for p in range(9)], axis=-1
     ).reshape(count, 3, 3).astype(np.int8)
     rng = np.random.default_rng(2020)
-    d8 = rng.integers(-128, 128, (count, 4, 4))
-    got = kernel.tile_conv_mod(g, kernel.residue_encode_array(d8, 251), mt)
-    want = sym_reduce(correlate_tiles(d8, g), 251)
-    assert np.array_equal(got.astype(np.int64), want)
+    d = rng.integers(-128, 128, (3, 4, 4))
+    got = one_tile_conv(d, g, 2, residue.RnsSystem((251, 241, 239)))
+    assert np.array_equal(got, all_pairs(d, g))
 
 
 def test_tile_conv_delta_and_box_filters():
-    (mt,) = modular_sets(4, 3, [239])
     rng = np.random.default_rng(7)
-    d8 = rng.integers(-128, 128, (6, 6))
-    d = kernel.residue_encode_array(d8, 239)
-
+    d = rng.integers(-128, 128, (1, 6, 6))
     delta = np.zeros((3, 3), np.int8)
     delta[0, 0] = 1
-    got = kernel.tile_conv_mod(delta, d, mt)
-    assert np.array_equal(got.astype(np.int64), sym_reduce(d8[:4, :4].copy(), 239))
-
     box = np.ones((3, 3), np.int8)
-    got = kernel.tile_conv_mod(box, d, mt)
-    want = sym_reduce(correlate_tiles(d8, np.ones((3, 3))), 239)
-    assert np.array_equal(got.astype(np.int64), want)
+    system = residue.RnsSystem((251, 241, 239))
+    got = one_tile_conv(d, np.stack([delta, box]), 4, system)
+    assert np.array_equal(got[0, 0], d[0, :4, :4])
+    assert np.array_equal(got[0, 1], correlate_tiles(d[0], box))
 
 
 def test_tile_conv_is_linear_in_the_filter():
-    (mt,) = modular_sets(4, 3, [251])
     rng = np.random.default_rng(31)
     g1 = rng.integers(-60, 61, (3, 3))
     g2 = rng.integers(-60, 61, (3, 3))
-    d = kernel.residue_encode_array(rng.integers(-128, 128, (6, 6)), 251)
-    lhs = kernel.tile_conv_mod(
-        kernel.residue_encode_array(g1 + g2, 251), d, mt
-    ).astype(np.int64)
-    rhs = kernel.tile_conv_mod(
-        kernel.residue_encode_array(g1, 251), d, mt
-    ).astype(np.int64) + kernel.tile_conv_mod(
-        kernel.residue_encode_array(g2, 251), d, mt
-    ).astype(np.int64)
-    assert np.array_equal(sym_reduce(lhs, 251), sym_reduce(rhs, 251))
+    d = rng.integers(-128, 128, (2, 6, 6))
+    system = residue.RnsSystem((251, 241, 239))
+    got = one_tile_conv(d, np.stack([g1, g2, g1 + g2]), 4, system)
+    assert np.array_equal(got[:, 2], got[:, 0] + got[:, 1])
 
 
 # ---------------------------------------------------------------------------
-# full RNS tiles
+# full RNS tiles: exact integers through mixed radix conversion
 
 
 @pytest.mark.parametrize(
@@ -177,58 +184,26 @@ def test_tile_conv_is_linear_in_the_filter():
     ],
 )
 def test_rns_tile_conv_recovers_exact_integers(m_out, r, moduli):
-    system = residue.RnsSystem(moduli)
-    mts = modular_sets(m_out, r, moduli)
     n = m_out + r - 1
     rng = np.random.default_rng(n)
-    g = rng.integers(-128, 128, (r, r)).astype(np.int8)
-    d = rng.integers(-128, 128, (n, n)).astype(np.int8)
-    got = kernel.rns_tile_conv(g, d, system, mts)
-    assert got.dtype == np.int32
-    assert np.array_equal(got.astype(np.int64), correlate_tiles(d, g))
+    g = rng.integers(-128, 128, (1, r, r))
+    d = rng.integers(-128, 128, (1, n, n))
+    got = one_tile_conv(d, g, m_out, residue.RnsSystem(moduli))
+    assert np.array_equal(got, all_pairs(d, g))
 
 
 def test_rns_tile_conv_worst_case_inputs():
-    # every operand at the int8 extreme: output hits r*r*127*128 territory,
-    # still inside the three-moduli range
+    # every operand at an int8 extreme: -128 filters on an all-127 and an
+    # all -128 tile reach 9*128*127 and 9*128*128, inside the three-moduli range
     system = residue.RnsSystem((251, 241, 239))
-    mts = modular_sets(4, 3, system.moduli)
-    g = np.full((3, 3), -128, np.int8)
-    d = np.full((6, 6), 127, np.int8)
-    got = kernel.rns_tile_conv(g, d, system, mts)
-    assert np.all(got == 9 * -128 * 127)
-
-
-def test_rns_tile_conv_validates_transform_sets():
-    system = residue.RnsSystem((253, 251, 247))
-    mts = modular_sets(4, 3, system.moduli)
-    g = np.zeros((3, 3), np.int8)
-    d = np.zeros((6, 6), np.int8)
-    with pytest.raises(ShapeMismatch):
-        kernel.rns_tile_conv(g, d, system, mts[:2])
-    with pytest.raises(ShapeMismatch):
-        kernel.rns_tile_conv(g, d, system, mts[::-1])
+    g = np.full((1, 3, 3), -128, np.int8)
+    d = np.stack([np.full((6, 6), 127, np.int8), np.full((6, 6), -128, np.int8)])
+    got = one_tile_conv(d, g, 4, system)
+    assert np.all(got[0] == 9 * -128 * 127)
+    assert np.all(got[1] == 9 * 128 * 128)
 
 
 def test_rns_tile_conv_rejects_insufficient_range():
-    system = residue.RnsSystem((7, 11))  # bound 38, far below 9 * 127**2
-    mts = modular_sets(2, 3, system.moduli)
+    system = residue.RnsSystem((7, 11))  # bound 38, far below 9 * 128**2
     with pytest.raises(DynamicRangeExceeded):
-        kernel.rns_tile_conv(
-            np.zeros((3, 3), np.int8), np.zeros((4, 4), np.int8), system, mts
-        )
-
-
-# ---------------------------------------------------------------------------
-# residue encoding
-
-
-def test_residue_encode_array():
-    x = np.array([[-300_000, -127, 0, 126, 300_000]], dtype=np.int32)
-    got = kernel.residue_encode_array(x, 251)
-    assert got.dtype == np.int8
-    assert np.all(np.abs(got.astype(np.int64)) <= 125)
-    assert np.all((x.astype(np.int64) - got) % 251 == 0)
-    wide = kernel.residue_encode_array(x, 4001)
-    assert wide.dtype == np.int16
-    assert np.all((x.astype(np.int64) - wide) % 4001 == 0)
+        one_tile_conv(np.zeros((1, 4, 4)), np.zeros((1, 3, 3)), 2, system)

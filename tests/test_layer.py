@@ -5,6 +5,8 @@ a different decomposition from both the im2col reference and the tiled fast
 path, so agreement of all three is meaningful.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -231,14 +233,6 @@ def test_winograd_layer_requires_tile_and_unit_stride():
         layer.winograd_layer_conv(spec, weights, x, SYS8)
 
 
-def test_winograd_layer_rejects_foreign_transform_set():
-    spec = layer.LayerSpec(h=8, w=8, c=2, k=2, r=3, padding=1, tile_m=4)
-    weights, x = random_operands(spec, 2)
-    wrong = transforms.cached_transforms(2, 3)
-    with pytest.raises(ShapeMismatch):
-        layer.winograd_layer_conv(spec, weights, x, SYS8, transform_set=wrong)
-
-
 def test_layer_conv_falls_back_for_strides():
     spec = layer.LayerSpec(h=9, w=9, c=2, k=3, r=3, padding=1, stride=2, tile_m=4)
     weights, x = random_operands(spec, 3)
@@ -297,12 +291,34 @@ def test_stage_timings_accumulate():
 def test_range_check_static_bound():
     spec = layer.LayerSpec(h=8, w=8, c=64, k=4, r=3, padding=1, tile_m=4)
     report = layer.range_check(spec, SYS8)
-    assert report.static_bound == 3 * 3 * 64 * 127 * 127
+    assert report.static_bound == 3 * 3 * 64 * 128 * 128
     assert report.bound == report.static_bound
     assert not report.fits  # 9.3M > 7.2M signed bound
     assert layer.range_check(spec, SYS8, declared_bound=300_000).fits
     small = layer.LayerSpec(h=8, w=8, c=49, k=4, r=3, padding=1, tile_m=4)
     assert layer.range_check(small, SYS8).fits  # 7.11M just inside
+
+
+def test_range_check_counts_int8_minimum():
+    # int8 holds -128, so the static bound is 9 * c * 128**2; at 127**2 the
+    # c=54 layer below passed the check and wrapped to -7,722,617
+    def minimum_layer(c):
+        spec = layer.LayerSpec(h=6, w=6, c=c, k=2, r=3, tile_m=4)
+        full = np.full(spec.weight_shape(), -128, np.int8)
+        return spec, full, np.full(spec.input_shape(), -128, np.int8)
+
+    spec, weights, x = minimum_layer(54)
+    with pytest.raises(DynamicRangeExceeded):
+        layer.winograd_layer_conv(spec, weights, x, residue.RnsSystem((253, 251, 247)))
+
+    spec, weights, x = minimum_layer(49)  # 7,225,344 <= 7,228,674
+    got = layer.winograd_layer_conv(spec, weights, x, SYS8)
+    assert np.all(got == 9 * 49 * 128 * 128)
+    assert np.array_equal(got, layer.direct_conv(spec, weights, x))
+
+    spec, weights, x = minimum_layer(50)
+    with pytest.raises(DynamicRangeExceeded):
+        layer.winograd_layer_conv(spec, weights, x, SYS8)
 
 
 def test_count_operations_against_tiling():
@@ -332,7 +348,7 @@ def test_count_operations_needs_tile():
     spec = layer.LayerSpec(h=8, w=8, c=1, k=1, r=3)
     with pytest.raises(ValueError):
         layer.count_operations(spec, SYS8)
-    assert layer.count_operations(spec, SYS8, tile_m=2).tiles == 9
+    assert layer.count_operations(replace(spec, tile_m=2), SYS8).tiles == 9
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,18 @@ def test_cached_transforms_memoizes():
     assert a == transforms.derive_transforms(4, 3)
 
 
+def test_cached_modular_transforms_memoizes():
+    system = residue.RnsSystem((251, 241, 239))
+    a = transforms.cached_modular_transforms(4, 3, system.moduli)
+    assert transforms.cached_modular_transforms(4, 3, (251, 241, 239)) is a
+    want = transforms.reduce_for_system(transforms.derive_transforms(4, 3), system)
+    assert [mt.modulus for mt in a] == [mt.modulus for mt in want]
+    for got, ref in zip(a, want):
+        for name in ("at", "g", "bt"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+            assert not getattr(got, name).flags.writeable  # shared by every caller
+
+
 # ---------------------------------------------------------------------------
 # modulus compatibility
 

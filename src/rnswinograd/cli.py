@@ -95,8 +95,8 @@ def make_rng(*entropy) -> np.random.Generator:
 
 
 def random_int8(rng: np.random.Generator, shape) -> np.ndarray:
-    # [-127, 127]: keeps |x| within the symmetric analysis peak
-    return rng.integers(-127, 128, size=shape, dtype=np.int8)
+    """Uniform int8 over its whole range, -128 included."""
+    return rng.integers(-128, 128, size=shape, dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +385,10 @@ def cmd_verify(args) -> int:
 
 
 def _verify_files(args) -> int:
+    if args.declared_bound is not None and args.declared_bound < 1:
+        # no output can be trusted up to such a bound: a range failure
+        print(f"error: --declared-bound {args.declared_bound} < 1", file=sys.stderr)
+        return 2
     x = layer.read_tensor(args.input)
     weights = layer.read_tensor(args.weights)
     if weights.ndim != 4 or x.ndim != 4:

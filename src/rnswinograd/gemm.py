@@ -3,7 +3,9 @@
 A dot product of depth d over integers bounded by amax and bmax has every
 partial sum within d * amax * bmax, so float BLAS computes it exactly in
 float32 when that is at most 2**24 and in float64 up to 2**53 (the idea
-behind the Ozaki scheme).
+behind the Ozaki scheme).  A modular product stays in that float and is
+folded there with one multiply-round pass, exact up to 2**22 in float32 and
+2**51 in float64.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ INT32_MAX = 2**31 - 1
 INT8_ABS_PEAK = 128
 FLOAT32_EXACT = 2**24
 FLOAT64_EXACT = 2**53
+# Largest |x| that x - m*rint(x * (1/m)) folds to its centred residue: the
+# quotient's rounding error stays below 1/(2m) and m*rint(...) is exact.
+FLOAT32_FOLD = 2**22
+FLOAT64_FOLD = 2**51
 
 # Bytes of the float copies made per slice of an exact_matmul result.
 _SLICE_BYTES = 1 << 20
@@ -54,54 +60,80 @@ def _product_shape(a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
 def exact_matmul(
     a: np.ndarray, b: np.ndarray, amax: int, bmax: int, m: int | None = None
 ) -> np.ndarray:
-    """a @ b of integer arrays, exactly, through float BLAS; returns int32.
+    """a @ b of integer arrays, exactly, through float BLAS.
 
     amax and bmax bound |a| and |b| and are trusted (int8 data counts as
-    128).  With a modulus m the result is reduced into the symmetric range;
-    without, it must fit int32.  OverflowRisk otherwise.  Operands broadcast
-    like matmul; the result is computed in slices along its leading axis,
-    converting an operand that does not run along it only once.
+    128).  Without a modulus the result is int32 and must fit it.  With a
+    modulus m the product runs in float32 while its bound is at most 2**22
+    and in float64 above, and the symmetric residues are returned as float32,
+    which holds them exactly for any m up to 2**24 (float64 beyond); an
+    operand may be such a float result of an earlier modular product.
+    OverflowRisk otherwise.  Operands broadcast like matmul; the result is
+    computed and folded in slices along its leading axis, converting an
+    operand that does not run along it only once.
     """
     shape = _product_shape(a, b)
-    if not (np.issubdtype(a.dtype, np.integer) and np.issubdtype(b.dtype, np.integer)):
-        raise ShapeMismatch(f"operands must be integer arrays, got {a.dtype}, {b.dtype}")
+    for x in (a, b):
+        if not (np.issubdtype(x.dtype, np.integer) or (m is not None and x.dtype.kind == "f")):
+            raise ShapeMismatch(
+                f"operands must be integer arrays (or float residues with a modulus), "
+                f"got {a.dtype}, {b.dtype}"
+            )
     depth = a.shape[-1]
+    bound = depth * amax * bmax
     ft = exact_float_dtype(depth, amax, bmax)
-    wide = depth * amax * bmax > INT32_MAX
-    if wide and m is None:
-        raise OverflowRisk(
-            f"dot length {depth} with operand bounds {amax}*{bmax} can overflow int32"
-        )
-    out = np.empty(shape, dtype=np.int32)
+    if m is None:
+        if bound > INT32_MAX:
+            raise OverflowRisk(
+                f"dot length {depth} with operand bounds {amax}*{bmax} can overflow int32"
+            )
+        out = np.empty(shape, dtype=np.int32)
+    else:
+        if bound > FLOAT32_FOLD:
+            ft = np.dtype(np.float64)
+        out = np.empty(shape, dtype=np.float32 if m <= FLOAT32_EXACT else ft)
     if out.size == 0:
         return out
     split_a = a.ndim == out.ndim and a.shape[0] == out.shape[0]
     split_b = b.ndim == out.ndim > 2 and b.shape[0] == out.shape[0]
-    af = a if split_a else a.astype(ft)
-    bf = b if split_b else b.astype(ft)
+    af = a if split_a else a.astype(ft, copy=False)
+    bf = b if split_b else b.astype(ft, copy=False)
     row = out[0].size + (a[0].size if split_a else 0) + (b[0].size if split_b else 0)
     step = max(1, _SLICE_BYTES // (row * ft.itemsize))
     for i in range(0, out.shape[0], step):
         s = slice(i, i + step)
-        prod = np.matmul(
-            af[s].astype(ft) if split_a else af, bf[s].astype(ft) if split_b else bf
-        )
-        if wide:
+        x = af[s].astype(ft, copy=False) if split_a else af
+        y = bf[s].astype(ft, copy=False) if split_b else bf
+        if m is None:
+            np.copyto(out[s], np.matmul(x, y), casting="unsafe")
+            continue
+        prod = np.matmul(x, y, out=out[s] if ft == out.dtype else None)
+        if bound > FLOAT64_FOLD:
+            # past the one-pass edge; fmod is exact and leaves |x| below m
             np.fmod(prod, m, out=prod)
-        np.copyto(out[s], prod, casting="unsafe")
-        if m is not None:
-            reduce_mod_inplace(out[s], m)
+        reduce_mod_inplace(prod, m)
+        if ft != out.dtype:
+            out[s] = prod
     return out
 
 
 def reduce_mod_inplace(acc: np.ndarray, m: int) -> np.ndarray:
-    """Fold an integer array into the symmetric residue range of m, in place.
+    """Fold an array into the symmetric residue range of m, in place.
 
-    acc - m*(acc // m) lies in [0, m), exact even where m*(acc // m) wraps,
-    as the true remainder fits the dtype; a second floor division centres it.
+    A float array holds integers with |x| at most FLOAT32_FOLD (float32) or
+    FLOAT64_FOLD (float64); one pass x -= m * rint(x * (1/m)) centres them.
+    An integer array of any value takes two floor divisions: acc - m*(acc // m)
+    lies in [0, m), exact even where m*(acc // m) wraps, as the true remainder
+    fits the dtype; the second centres it.
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"modulus must be odd and >= 3, got {m}")
+    if acc.dtype.kind == "f":
+        q = np.multiply(acc, acc.dtype.type(1) / m)
+        np.rint(q, out=q)
+        q *= m
+        acc -= q
+        return acc
     q = np.floor_divide(acc, m)
     q *= m
     acc -= q

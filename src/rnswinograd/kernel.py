@@ -3,9 +3,10 @@
 The stages work position first: an array of shape (side, side, ...) is
 transformed over its two leading axes, independently for every trailing
 index, so a whole layer's tiles and channels go through two batched GEMMs,
-both exact on float BLAS (gemm.exact_matmul) with a symmetric reduction
-after each.  Stage inputs are int8 values (|x| <= 128, not reduced) or
-residues mod m in any integer dtype; outputs are int32 residues.
+both exact on float BLAS (gemm.exact_matmul) with a symmetric fold after
+each.  Stage inputs are int8 values (|x| <= 128, not reduced) or residues
+mod m, integer or float; outputs are the float32 residues exact_matmul
+returns, so a chain of stages never leaves float.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .transforms import ModularTransformSet
 
 
 def _transform(left: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
-    """left @ x @ left.T over the two leading axes of x, reduced mod m.
+    """left @ x @ left.T over the two leading axes of x, folded mod m.
 
     Two GEMMs, each batched over one leading axis and contracting the other:
     t[j] = left @ x[:, j], then y[a] = left @ t[:, a].  The float conversion

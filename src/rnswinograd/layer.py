@@ -6,11 +6,13 @@ patches at stride m and keeps the transform-domain axes leading throughout:
 patches go to (n, n, tiles, c_in) once, as raw int8 shared by all moduli;
 per modulus they are transformed, multiplied by the (n, n, c_in, c_out)
 filters in one (tiles x c_in) @ (c_in x c_out) GEMM per position, and
-transformed back to (m, m, tiles, c_out).  Mixed radix conversion rebuilds
-full-precision int32 outputs, which reach NHWC by reshape, transpose and
-crop.  Every matrix product is exact on float BLAS (gemm.exact_matmul).
-Outputs are bit-identical to direct_conv whenever the layer passes
-range_check.
+transformed back to (m, m, tiles, c_out), the residues staying in float,
+the type BLAS computes in, from stage to stage.  Mixed radix conversion
+rebuilds full-precision int32 outputs, which reach NHWC by reshape,
+transpose and crop.  The work runs in blocks of tile rows, each block taken
+through every modulus, reconstruction and scatter by one worker.  Every
+matrix product is exact on float BLAS (gemm.exact_matmul).  Outputs are
+bit-identical to direct_conv whenever the layer passes range_check.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from math import ceil
 from typing import Sequence
@@ -27,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gemm, kernel, residue, transforms
-from .errors import DynamicRangeExceeded, ShapeMismatch, UnsupportedStride
+from .errors import DynamicRangeExceeded, OverflowRisk, ShapeMismatch, UnsupportedStride
 
 
 @dataclass(frozen=True)
@@ -200,7 +202,7 @@ def range_check(
 
 @dataclass
 class StageTimings:
-    """Seconds spent in each phase of the fast path, summed over moduli."""
+    """Seconds spent in each phase of the fast path, summed over workers."""
 
     tiling: float = 0.0
     filter_transform: float = 0.0
@@ -213,29 +215,37 @@ class StageTimings:
     def total(self) -> float:
         return sum(astuple(self))
 
+    def add(self, other: "StageTimings") -> None:
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
 
 def _worker_count(n_tasks: int) -> int:
+    """RNSW_THREADS caps the workers; by default one per usable core."""
     try:
         cap = int(os.environ.get("RNSW_THREADS", ""))
     except ValueError:
-        cap = n_tasks
+        if hasattr(os, "sched_getaffinity"):
+            cap = len(os.sched_getaffinity(0))
+        else:
+            cap = os.cpu_count() or 1
     return min(max(cap, 1), n_tasks)
 
 
-# Bytes of one float copy of a tile block's widest per-modulus intermediate;
-# each modulus worker holds a few such copies at once.
+# Bytes of a tile block's widest intermediate at 8 bytes per element; each
+# worker holds a few arrays of about that size at once.
 _BLOCK_BYTES = 1 << 21
 
 
 def _modulus_pass(
-    d: np.ndarray, u: np.ndarray, mt: transforms.ModularTransformSet
-) -> tuple[np.ndarray, StageTimings]:
+    d: np.ndarray, u: np.ndarray, mt: transforms.ModularTransformSet, t: StageTimings
+) -> np.ndarray:
     """Input transform, per-position GEMM and backward transform, one modulus.
 
     d: (n, n, tiles, c) raw int8 patches, u: (n, n, c, k) filter residues;
     returns (m, m, tiles, k) output residues in the modulus's narrow dtype.
+    The residues stay in float from the input transform to the narrowing.
     """
-    t = StageTimings()
     n, _, p, c = d.shape
     k = u.shape[3]
     half = (mt.modulus - 1) // 2
@@ -246,13 +256,15 @@ def _modulus_pass(
     prod = gemm.exact_matmul(
         v.reshape(n * n, p, c), u.reshape(n * n, c, k), half, half, mt.modulus
     )
+    del v  # each stage's input goes before the next stage allocates
     t2 = time.perf_counter()
     y = kernel.backward_transform_mod(prod.reshape(n, n, p, k), mt)
+    del prod
     y = y.astype(gemm.dtype_for_modulus(mt.modulus))
     t.input_transform += t1 - t0
     t.gemm += t2 - t1
     t.backward_transform += time.perf_counter() - t2
-    return y, t
+    return y
 
 
 def winograd_layer_conv(
@@ -270,7 +282,13 @@ def winograd_layer_conv(
     weights; passing it amortizes the filter transform across calls that
     reuse the same weights, exactly as repeated inference does.
 
-    Raises DynamicRangeExceeded when range_check fails and UnsupportedStride
+    The tile rows are cut into blocks, and each block goes through every
+    modulus, mixed radix conversion and the scatter into its own output
+    rows; a pool of up to RNSW_THREADS workers (default: the usable cores)
+    takes the blocks, and a layer of one block runs inline.
+
+    Raises DynamicRangeExceeded when range_check fails, OverflowRisk when
+    the bound it uses exceeds int32 (the output dtype), and UnsupportedStride
     for stride > 1 (the tiling only covers unit stride; callers wanting a
     silent fallback use layer_conv).
     """
@@ -285,6 +303,8 @@ def winograd_layer_conv(
         raise DynamicRangeExceeded(
             f"worst case {report.bound} exceeds signed bound {report.signed_bound}"
         )
+    if report.bound > gemm.INT32_MAX:
+        raise OverflowRisk(f"worst case {report.bound} does not fit the int32 output")
     mts = transforms.cached_modular_transforms(tile_m, spec.r, system.moduli)
     if timings is None:
         timings = StageTimings()
@@ -313,30 +333,33 @@ def winograd_layer_conv(
     d = patches.transpose(3, 4, 0, 1, 2, 5).reshape(n, n, b * th, tw, c)
     canvas = np.empty((b * th, tile_m, tw, tile_m, k), dtype=np.int32)
     step = max(1, _BLOCK_BYTES // (tw * n * n * max(c, k) * 8))
-    workers = _worker_count(len(mts))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        run = pool.map if workers > 1 else map
-        for r0 in range(0, b * th, step):
-            blk = d[:, :, r0 : r0 + step]
-            rows = blk.shape[2]
-            blk = blk.reshape(n, n, rows * tw, c)
 
-            def one(mt, blk=blk):
-                return _modulus_pass(blk, filters[mt.modulus], mt)
+    def block(r0: int) -> StageTimings:
+        t = StageTimings()
+        t0 = time.perf_counter()
+        blk = d[:, :, r0 : r0 + step]
+        rows = blk.shape[2]
+        blk = blk.reshape(n, n, rows * tw, c)
+        t.tiling += time.perf_counter() - t0
+        res = [_modulus_pass(blk, filters[mt.modulus], mt, t) for mt in mts]
+        t0 = time.perf_counter()
+        y = residue.mrc_reconstruct_arrays(res, system)
+        t1 = time.perf_counter()
+        y = y.reshape(tile_m, tile_m, rows, tw, k)
+        canvas[r0 : r0 + rows] = y.transpose(2, 0, 3, 1, 4)
+        t.mrc += t1 - t0
+        t.scatter += time.perf_counter() - t1
+        return t
 
-            results = list(run(one, mts))
-            for _, st in results:
-                timings.input_transform += st.input_transform
-                timings.gemm += st.gemm
-                timings.backward_transform += st.backward_transform
-
-            t0 = time.perf_counter()
-            y = residue.mrc_reconstruct_arrays([r for r, _ in results], system)
-            t1 = time.perf_counter()
-            y = y.reshape(tile_m, tile_m, rows, tw, k)
-            canvas[r0 : r0 + rows] = y.transpose(2, 0, 3, 1, 4)
-            timings.mrc += t1 - t0
-            timings.scatter += time.perf_counter() - t1
+    starts = range(0, b * th, step)
+    workers = _worker_count(len(starts))
+    if workers == 1:
+        done = [block(r0) for r0 in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(block, starts))
+    for t in done:
+        timings.add(t)
 
     t0 = time.perf_counter()
     out = canvas.reshape(b, th * tile_m, tw * tile_m, k)[:, : spec.out_h, : spec.out_w]

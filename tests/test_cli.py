@@ -244,6 +244,30 @@ def test_verify_file_mode_argument_errors(tmp_path, capsys):
     assert code == 1 and "square filters" in err
 
 
+def test_verify_file_mode_rejects_bound_below_one(tmp_path, capsys):
+    rng = np.random.default_rng(57)
+    xp, wp = tmp_path / "x.qtns", tmp_path / "w.qtns"
+    layer.write_tensor(xp, rng.integers(-128, 128, (1, 8, 8, 3)).astype(np.int8))
+    layer.write_tensor(wp, rng.integers(-128, 128, (3, 3, 3, 2)).astype(np.int8))
+    for bound in ("-5", "0"):
+        code, out, err = run_cli(
+            capsys, "verify", "--input", str(xp), "--weights", str(wp),
+            "--tile", "4", "--declared-bound", bound,
+        )
+        assert code == 2 and "--declared-bound" in err and "PASS" not in out
+    code, out, _ = run_cli(
+        capsys, "verify", "--input", str(xp), "--weights", str(wp),
+        "--tile", "4", "--declared-bound", "1000000",
+    )
+    assert code == 0 and out.startswith("PASS")
+
+
+def test_random_int8_reaches_both_extremes():
+    x = cli.random_int8(np.random.default_rng(3), 4096)
+    assert x.dtype == np.int8
+    assert int(x.min()) == -128 and int(x.max()) == 127
+
+
 # ---------------------------------------------------------------------------
 # bench
 

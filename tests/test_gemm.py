@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rnswinograd import gemm
+from rnswinograd import cli, gemm
 from rnswinograd.errors import OverflowRisk, ShapeMismatch
 
 
@@ -84,8 +84,8 @@ def test_exact_matmul_empty_inner_dimension():
 
 
 def test_exact_matmul_modular_matches_wide_oracle():
-    # 700 * 2165**2 exceeds int32, so the float64 products are folded with
-    # fmod before the int32 conversion
+    # 700 * 2165**2 exceeds int32 and 2**22: the product runs in float64 and
+    # its residues are returned as float32
     rng = np.random.default_rng(21)
     m = 4331
     half = (m - 1) // 2
@@ -93,7 +93,7 @@ def test_exact_matmul_modular_matches_wide_oracle():
     b = rng.integers(-half, half + 1, (4, 700, 5)).astype(np.int16)
     got = gemm.exact_matmul(a, b, half, half, m)
     want = np.matmul(a.astype(np.int64), b.astype(np.int64))
-    assert got.dtype == np.int32
+    assert got.dtype == np.float32
     assert np.all((want - got) % m == 0)
     assert np.all(np.abs(got) <= half)
 
@@ -215,3 +215,45 @@ def test_reduce_mod_inplace_at_dtype_extremes(m, dtype):
     for v, r in zip(values, got.tolist()):
         assert -half <= r <= half
         assert (v - r) % m == 0
+
+
+# ---------------------------------------------------------------------------
+# the one-pass float fold at its edges
+
+FOLD_MODULI = sorted({m for system in cli.STANDARD_SYSTEMS for m in system})
+
+
+def assert_centred(x, got, m):
+    got = got.astype(np.int64)
+    assert np.all(np.abs(got) <= (m - 1) // 2)
+    assert np.all((x - got) % m == 0)
+
+
+@pytest.mark.parametrize("m", FOLD_MODULI)
+def test_float32_fold_is_exact_over_its_whole_range(m):
+    edge = gemm.FLOAT32_FOLD
+    for lo in range(-edge, edge + 1, 1 << 20):
+        x = np.arange(lo, min(lo + (1 << 20), edge + 1), dtype=np.int64)
+        assert_centred(x, gemm.reduce_mod_inplace(x.astype(np.float32), m), m)
+
+
+@pytest.mark.parametrize("m", FOLD_MODULI)
+def test_float64_fold_at_its_edge(m):
+    edge = gemm.FLOAT64_FOLD
+    near = np.arange(edge - 4 * m, edge + 1, dtype=np.int64)  # every class
+    rand = np.random.default_rng(m).integers(-edge, edge + 1, 4096)
+    x = np.concatenate([near, -near, rand])
+    assert_centred(x, gemm.reduce_mod_inplace(x.astype(np.float64), m), m)
+
+
+def test_modular_product_past_float32_fold_edge_stays_centred():
+    # float32 holds 5,029,549 exactly (below 2**24), but its one-pass fold
+    # mod 241 lands off centre; the product's bound is above 2**22, so it
+    # must run and fold in float64
+    m, v = 241, 5_029_549
+    assert gemm.FLOAT32_FOLD < v < gemm.FLOAT32_EXACT
+    off = gemm.reduce_mod_inplace(np.array([v, -v], np.float32), m)
+    assert np.all(np.abs(off) > (m - 1) // 2)
+    a = np.array([[v], [-v]], np.int32)
+    got = gemm.exact_matmul(a, np.ones((1, 1), np.int8), v, 1, m)
+    assert_centred(np.array([[v], [-v]]), got, m)

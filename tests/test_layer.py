@@ -5,6 +5,7 @@ a different decomposition from both the im2col reference and the tiled fast
 path, so agreement of all three is meaningful.
 """
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from rnswinograd import gemm, layer, residue, transforms
 from rnswinograd.errors import (
     DynamicRangeExceeded,
+    OverflowRisk,
     ShapeMismatch,
     UnsupportedStride,
 )
@@ -272,12 +274,33 @@ def test_thread_count_does_not_change_results(monkeypatch):
     assert np.array_equal(serial, threaded)
 
 
-def test_stage_timings_accumulate():
+def test_block_workers_under_fast_switching_match_direct(monkeypatch):
+    # more workers than cores, one tile row per block and a thread switch
+    # every few microseconds: a lost or misplaced block row shows as a
+    # mismatch
+    monkeypatch.setattr(layer, "_BLOCK_BYTES", 1)
+    monkeypatch.setenv("RNSW_THREADS", "8")
+    spec = layer.LayerSpec(h=30, w=9, c=3, k=5, r=3, padding=1, batch=2, tile_m=2)
+    weights, x = random_operands(spec, 10)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = layer.winograd_layer_conv(spec, weights, x, SYS8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, layer.direct_conv(spec, weights, x))
+
+
+def test_stage_timings_accumulate(monkeypatch):
+    # several blocks on two workers: every stage a block runs is counted
+    monkeypatch.setattr(layer, "_BLOCK_BYTES", 1)
+    monkeypatch.setenv("RNSW_THREADS", "2")
     spec = layer.LayerSpec(h=8, w=8, c=2, k=2, r=3, padding=1, tile_m=4)
     weights, x = random_operands(spec, 8)
     t = layer.StageTimings()
     layer.winograd_layer_conv(spec, weights, x, SYS8, timings=t)
-    assert t.total() > 0
+    for stage in ("tiling", "input_transform", "gemm", "backward_transform", "mrc", "scatter"):
+        assert getattr(t, stage) > 0, stage
     assert t.total() == pytest.approx(
         t.tiling + t.filter_transform + t.input_transform + t.gemm
         + t.backward_transform + t.mrc + t.scatter
@@ -319,6 +342,33 @@ def test_range_check_counts_int8_minimum():
     spec, weights, x = minimum_layer(50)
     with pytest.raises(DynamicRangeExceeded):
         layer.winograd_layer_conv(spec, weights, x, SYS8)
+
+
+def test_output_bound_past_int32_raises():
+    # the output is int32: a bound beyond it must raise, not wrap (c=15000
+    # at -128 returned -2,083,127,296 for 2,211,840,000)
+    system = residue.RnsSystem((32749, 32719, 32717))
+
+    def minimum_layer(c):
+        spec = layer.LayerSpec(h=4, w=4, c=c, k=1, r=3, tile_m=2)
+        full = np.full(spec.weight_shape(), -128, np.int8)
+        return spec, full, np.full(spec.input_shape(), -128, np.int8)
+
+    spec, weights, x = minimum_layer(14563)  # 2,147,450,880 <= INT32_MAX
+    got = layer.winograd_layer_conv(spec, weights, x, system)
+    assert np.all(got == 9 * 14563 * 128 * 128)
+    assert np.array_equal(got, layer.direct_conv(spec, weights, x))
+
+    spec, weights, x = minimum_layer(14564)
+    assert layer.range_check(spec, system).fits
+    with pytest.raises(OverflowRisk):
+        layer.winograd_layer_conv(spec, weights, x, system)
+    with pytest.raises(OverflowRisk):
+        layer.direct_conv(spec, weights, x)
+    small = layer.LayerSpec(h=4, w=4, c=1, k=1, r=3, tile_m=2)
+    w1, x1 = random_operands(small, 11)
+    with pytest.raises(OverflowRisk):
+        layer.winograd_layer_conv(small, w1, x1, system, declared_bound=gemm.INT32_MAX + 1)
 
 
 def test_count_operations_against_tiling():

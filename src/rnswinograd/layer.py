@@ -84,9 +84,10 @@ def _check_operands(spec: LayerSpec, weights: np.ndarray, x: np.ndarray) -> None
 
 def im2col(x: np.ndarray, r: int, stride: int, padding: int) -> np.ndarray:
     """Unfold NHWC input into rows of flattened r x r x c receptive fields."""
-    b, h, w, c = x.shape
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (r, r), axis=(1, 2))
+    c = x.shape[3]
+    if padding:  # np.pad copies even when it adds nothing
+        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(x, (r, r), axis=(1, 2))
     win = win[:, ::stride, ::stride]
     bo, ho, wo = win.shape[:3]
     return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(
@@ -108,27 +109,15 @@ def direct_conv(spec: LayerSpec, weights: np.ndarray, x: np.ndarray) -> np.ndarr
     return out.reshape(spec.batch, spec.out_h, spec.out_w, spec.k)
 
 
-@dataclass(frozen=True)
-class TilePlacement:
-    """Where one patch's outputs land in the layer output plane."""
-
-    row: int
-    col: int
-    out_h0: int
-    out_h1: int
-    out_w0: int
-    out_w1: int
-
-
-def tile_decompose(
-    x: np.ndarray, tile_m: int, r: int, padding: int
-) -> tuple[np.ndarray, list[TilePlacement]]:
+def tile_decompose(x: np.ndarray, tile_m: int, r: int, padding: int) -> np.ndarray:
     """Cut padded NHWC input into overlapping n x n patches at stride tile_m.
 
     n = tile_m + r - 1; neighbouring patches overlap by r - 1 so every
     sliding window falls inside exactly one patch.  The canvas is zero padded
-    on the right/bottom so the last row and column of patches is full sized;
-    placements record the (possibly cropped) output rectangle of each patch.
+    on the right/bottom so the last row and column of patches is full sized.
+    Returns (b, th, tw, n, n, c): patch (i, j) is the canvas window at
+    (i * tile_m, j * tile_m), and its m x m outputs land at the same offset
+    of the output plane, cropped to out_h x out_w.
     """
     b, h, w, c = x.shape
     n = tile_m + r - 1
@@ -142,16 +131,7 @@ def tile_decompose(
         (b, (th - 1) * tile_m + n, (tw - 1) * tile_m + n, c), dtype=x.dtype
     )
     canvas[:, padding : padding + h, padding : padding + w] = x
-    win = np.lib.stride_tricks.sliding_window_view(canvas, (n, n), axis=(1, 2))
-    win = win[:, ::tile_m, ::tile_m]
-    patches = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
-    placements = [
-        TilePlacement(ti, tj, ti * tile_m, min((ti + 1) * tile_m, out_h),
-                      tj * tile_m, min((tj + 1) * tile_m, out_w))
-        for ti in range(th)
-        for tj in range(tw)
-    ]
-    return patches, placements
+    return im2col(canvas, n, tile_m, 0).reshape(b, th, tw, n, n, c)
 
 
 def precompute_filter_transforms(
@@ -193,8 +173,11 @@ def range_check(
     The static bound assumes every product reaches 128 * 128, as int8 holds
     -128; callers that know their data (quantized networks in particular
     stay orders of magnitude below worst case) may declare a tighter bound,
-    which is then what the reconstruction is trusted up to.
+    which is then what the reconstruction is trusted up to.  A declared
+    bound below 1 holds for no output and raises ValueError.
     """
+    if declared_bound is not None and declared_bound < 1:
+        raise ValueError(f"declared bound {declared_bound} < 1 holds for no output")
     static = spec.r * spec.r * spec.c * gemm.INT8_ABS_PEAK**2
     bound = static if declared_bound is None else declared_bound
     return RangeReport(static, declared_bound, bound, system.signed_bound)
@@ -310,7 +293,7 @@ def winograd_layer_conv(
         timings = StageTimings()
 
     t0 = time.perf_counter()
-    patches, _ = tile_decompose(x, tile_m, spec.r, spec.padding)
+    patches = tile_decompose(x, tile_m, spec.r, spec.padding)
     timings.tiling += time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -374,16 +357,11 @@ def layer_conv(
     x: np.ndarray,
     system: residue.RnsSystem,
     declared_bound: int | None = None,
-    filters: dict[int, np.ndarray] | None = None,
-    timings: StageTimings | None = None,
 ) -> np.ndarray:
     """winograd_layer_conv with a direct fallback for strided layers."""
     if spec.stride != 1:
         return direct_conv(spec, weights, x)
-    return winograd_layer_conv(
-        spec, weights, x, system, declared_bound=declared_bound, filters=filters,
-        timings=timings,
-    )
+    return winograd_layer_conv(spec, weights, x, system, declared_bound=declared_bound)
 
 
 @dataclass(frozen=True)
@@ -454,13 +432,18 @@ def read_tensor(path) -> np.ndarray:
         raw = f.read()
     if raw[:4] != QTNS_MAGIC:
         raise ValueError(f"{path}: not a QTNS tensor file")
-    version, rank = struct.unpack_from("<BB", raw, 4)
+    if len(raw) < 6:
+        raise ValueError(f"{path}: header truncated at {len(raw)} bytes")
+    version, rank = raw[4], raw[5]
     if version != QTNS_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
-    off = 6
-    dims = struct.unpack_from(f"<{rank}i", raw, off) if rank else ()
-    off += 4 * rank
-    (bits,) = struct.unpack_from("<B", raw, off)
+    off = 6 + 4 * rank
+    if len(raw) <= off:
+        raise ValueError(
+            f"{path}: header truncated at {len(raw)} bytes, rank {rank} needs {off + 1}"
+        )
+    dims = struct.unpack_from(f"<{rank}i", raw, 6)
+    bits = raw[off]
     off += 1
     if bits not in _QTNS_DTYPES:
         raise ValueError(f"{path}: unsupported element width {bits}")

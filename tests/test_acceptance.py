@@ -347,23 +347,31 @@ def test_criterion_9_property_suite():
         x = int(rng.integers(-system.signed_bound, system.signed_bound + 1))
         assert system.reconstruct(system.to_rns(x)) == x
 
+    # the tile grid: th x tw patches of side n at stride tile_m, the fewest
+    # whose m x m outputs cover the output plane, each one the window of the
+    # zero-padded input at its grid offset
     rng = cli.make_rng(SEED, "tiling")
+    values = cli.make_rng(SEED, "tile-values")
     for _ in range(trials):
         r = int(rng.choice((3, 5)))
         h = int(rng.integers(r, 41))
         w = int(rng.integers(r, 41))
         tile_m = int(rng.integers(2, 15))
         padding = int(rng.integers(0, 3))
-        x = np.zeros((1, h, w, 1), np.int8)
-        _, placements = layer.tile_decompose(x, tile_m, r, padding)
+        x = values.integers(-128, 128, (2, h, w, 2)).astype(np.int8)
+        patches = layer.tile_decompose(x, tile_m, r, padding)
         out_h = h + 2 * padding - r + 1
         out_w = w + 2 * padding - r + 1
-        cover = np.zeros((out_h, out_w), np.int32)
-        for pl in placements:
-            assert 0 < pl.out_h1 - pl.out_h0 <= tile_m
-            assert 0 < pl.out_w1 - pl.out_w0 <= tile_m
-            cover[pl.out_h0 : pl.out_h1, pl.out_w0 : pl.out_w1] += 1
-        assert np.all(cover == 1)
+        b, th, tw, n, n2, c = patches.shape
+        assert (b, c) == (2, 2)
+        assert n == n2 == tile_m + r - 1
+        assert (th - 1) * tile_m < out_h <= th * tile_m
+        assert (tw - 1) * tile_m < out_w <= tw * tile_m
+        canvas = np.pad(x, ((0, 0), (padding, padding + n), (padding, padding + n), (0, 0)))
+        for i in range(th):
+            for j in range(tw):
+                want = canvas[:, i * tile_m : i * tile_m + n, j * tile_m : j * tile_m + n]
+                assert np.array_equal(patches[:, i, j], want)
 
     rng = cli.make_rng(SEED, "linearity")
     sys3 = STANDARD_SYSTEMS[0]
@@ -394,6 +402,6 @@ def test_criterion_9_property_suite():
     assert elapsed < 60.0
     record_acceptance(
         f"criterion 9: PASS ({elapsed:.1f}s) homomorphism, reconstruction "
-        f"round-trip, tiling partition and channel linearity each held for "
+        f"round-trip, tile grid and channel linearity each held for "
         f"{trials} seeded trials"
     )

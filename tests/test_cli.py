@@ -242,6 +242,18 @@ def test_verify_file_mode_argument_errors(tmp_path, capsys):
         capsys, "verify", "--input", str(xp), "--weights", str(wp), "--tile", "4"
     )
     assert code == 1 and "square filters" in err
+    for raw in (
+        b"QTNS\x01",
+        b"QTNS\x01\x04\x01\x00",
+        b"QTNS\x01\x04" + (2).to_bytes(4, "little") * 4,
+    ):
+        xp.write_bytes(raw)  # truncated header: an error line, no traceback
+        code, out, err = run_cli(
+            capsys, "verify", "--input", str(xp), "--weights", str(wp), "--tile", "4"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "x.qtns: header truncated" in err
+        assert "Traceback" not in err
 
 
 def test_verify_file_mode_rejects_bound_below_one(tmp_path, capsys):

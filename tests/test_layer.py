@@ -117,40 +117,38 @@ def test_direct_conv_validates_operands():
 
 
 def test_tile_decompose_geometry_224():
+    # F(14x14, 3x3) on a padded 224 plane: 16 x 16 patches of side 16 whose
+    # outputs end exactly at 224, so the scatter crops nothing
     x = np.zeros((1, 224, 224, 3), np.int8)
-    patches, placements = layer.tile_decompose(x, tile_m=14, r=3, padding=1)
+    patches = layer.tile_decompose(x, tile_m=14, r=3, padding=1)
     assert patches.shape == (1, 16, 16, 16, 16, 3)
-    assert len(placements) == 256
-    last = placements[-1]
-    assert (last.out_h1, last.out_w1) == (224, 224)
+    assert 16 * 14 == layer.LayerSpec(h=224, w=224, c=3, k=1, r=3, padding=1).out_h
 
 
 def test_tile_decompose_cropped_tail():
     # out 9x9 with tile 4 -> 3x3 tiles, the last row/col crops to 1
     x = np.zeros((1, 11, 11, 1), np.int8)
-    patches, placements = layer.tile_decompose(x, tile_m=4, r=3, padding=0)
-    assert patches.shape[1:3] == (3, 3)
-    assert placements[-1].out_h1 - placements[-1].out_h0 == 1
-    assert placements[-1].out_w1 - placements[-1].out_w0 == 1
+    patches = layer.tile_decompose(x, tile_m=4, r=3, padding=0)
+    assert patches.shape == (1, 3, 3, 6, 6, 1)
+    out = 11 - 3 + 1
+    assert out - (patches.shape[1] - 1) * 4 == 1
+    assert out - (patches.shape[2] - 1) * 4 == 1
 
 
 def test_tile_decompose_patch_content_matches_padded_input():
     rng = np.random.default_rng(77)
     x = rng.integers(-128, 128, (2, 13, 9, 3)).astype(np.int8)
     tile_m, r, padding = 4, 3, 1
-    patches, placements = layer.tile_decompose(x, tile_m, r, padding)
-    b, th, tw, n, _, c = patches.shape
-    canvas = np.zeros(
-        (2, (th - 1) * tile_m + n, (tw - 1) * tile_m + n, 3), np.int8
-    )
+    patches = layer.tile_decompose(x, tile_m, r, padding)
+    # out 13x9 -> 4x3 tiles of side 6; the canvas is padded independently
+    assert patches.shape == (2, 4, 3, 6, 6, 3)
+    n = 6
+    canvas = np.zeros((2, 3 * tile_m + n, 2 * tile_m + n, 3), np.int8)
     canvas[:, padding : padding + 13, padding : padding + 9] = x
-    for pl in placements:
-        want = canvas[
-            :,
-            pl.row * tile_m : pl.row * tile_m + n,
-            pl.col * tile_m : pl.col * tile_m + n,
-        ]
-        assert np.array_equal(patches[:, pl.row, pl.col], want)
+    for i in range(4):
+        for j in range(3):
+            want = canvas[:, i * tile_m : i * tile_m + n, j * tile_m : j * tile_m + n]
+            assert np.array_equal(patches[:, i, j], want)
 
 
 def test_tile_decompose_rejects_undersized_input():
@@ -322,6 +320,19 @@ def test_range_check_static_bound():
     assert layer.range_check(small, SYS8).fits  # 7.11M just inside
 
 
+def test_range_check_rejects_bound_below_one():
+    # a declared bound below 1 holds for no output: it must not "fit"
+    spec = layer.LayerSpec(h=8, w=8, c=2, k=1, r=3, tile_m=4)
+    assert layer.range_check(spec, SYS8, declared_bound=1).fits
+    for bound in (0, -5):
+        with pytest.raises(ValueError, match="declared bound"):
+            layer.range_check(spec, SYS8, declared_bound=bound)
+    weights = np.full(spec.weight_shape(), 127, np.int8)
+    x = np.full(spec.input_shape(), 127, np.int8)
+    with pytest.raises(ValueError, match="declared bound"):
+        layer.winograd_layer_conv(spec, weights, x, SYS8, declared_bound=-5)
+
+
 def test_range_check_counts_int8_minimum():
     # int8 holds -128, so the static bound is 9 * c * 128**2; at 127**2 the
     # c=54 layer below passed the check and wrapped to -7,722,617
@@ -374,10 +385,9 @@ def test_output_bound_past_int32_raises():
 def test_count_operations_against_tiling():
     spec = layer.LayerSpec(h=224, w=224, c=3, k=64, r=3, padding=1, tile_m=14)
     counts = layer.count_operations(spec, SYS8)
-    _, placements = layer.tile_decompose(
-        np.zeros(spec.input_shape(), np.int8), 14, 3, 1
-    )
-    assert counts.tiles == len(placements) * spec.batch
+    patches = layer.tile_decompose(np.zeros(spec.input_shape(), np.int8), 14, 3, 1)
+    b, th, tw = patches.shape[:3]
+    assert counts.tiles == b * th * tw
     assert counts.tiles == 256
     assert counts.direct_mults == 224 * 224 * 64 * 3 * 9
     assert counts.winograd_mults == 256 * 16 * 16 * 3 * 64 * 3
@@ -448,6 +458,14 @@ def test_tensor_rejects_bad_files(tmp_path):
     p.write_bytes(good.read_bytes()[:-1])  # truncated payload
     with pytest.raises(ValueError):
         layer.read_tensor(p)
+    for raw in (
+        b"QTNS\x01",  # no rank byte
+        b"QTNS\x01\x04\x01\x00",  # rank 4, one and a half dims
+        b"QTNS\x01\x04" + (2).to_bytes(4, "little") * 4,  # no width byte
+    ):
+        p.write_bytes(raw)
+        with pytest.raises(ValueError, match="bad.qtns: header truncated"):
+            layer.read_tensor(p)
     with pytest.raises(ShapeMismatch):
         layer.write_tensor(p, np.zeros((2, 2), np.float32))
 

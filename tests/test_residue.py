@@ -293,8 +293,10 @@ def test_mrc_rejects_range_beyond_int64():
         residue.mrc_reconstruct_arrays(parts, system)
 
 
-def test_range_checks_survive_optimized_mode():
+def test_range_checks_survive_optimized_mode(tmp_path):
     # python -O strips assert statements; these checks must still raise
+    short = tmp_path / "short.qtns"
+    short.write_bytes(b"QTNS\x01")
     code = (
         "import numpy as np\n"
         "from rnswinograd import residue\n"
@@ -310,6 +312,18 @@ def test_range_checks_survive_optimized_mode():
         "    residue.mrc_reconstruct_arrays([np.zeros(1, np.int32)] * 5, wide)\n"
         "    raise SystemExit('reconstruction accepted a range beyond int64')\n"
         "except OverflowRisk:\n"
+        "    pass\n"
+        "from rnswinograd import layer\n"
+        "spec = layer.LayerSpec(h=8, w=8, c=2, k=1, r=3, tile_m=4)\n"
+        "try:\n"
+        "    layer.range_check(spec, residue.RnsSystem((251, 241, 239)), -5)\n"
+        "    raise SystemExit('range_check accepted a declared bound below 1')\n"
+        "except ValueError:\n"
+        "    pass\n"
+        "try:\n"
+        f"    layer.read_tensor({str(short)!r})\n"
+        "    raise SystemExit('read_tensor accepted a truncated header')\n"
+        "except ValueError:\n"
         "    pass\n"
     )
     src = str(Path(residue.__file__).resolve().parents[1])

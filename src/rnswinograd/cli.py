@@ -24,7 +24,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import layer, residue, transforms
+from . import gemm, kernel, layer, residue, transforms
 from .errors import DynamicRangeExceeded, RnsError
 
 DEFAULT_SEED = 2020
@@ -517,6 +517,19 @@ def _cell(value, spec: str) -> str:
     return format("", spec.split(".")[0]) if value is None else format(value, spec)
 
 
+def reconstruction_route(system: residue.RnsSystem, n: int) -> str:
+    """How a layer of transform size n rebuilds its outputs (layer.crt_route),
+    with the bound that picked the route."""
+    rows = layer.crt_route(system, n)
+    folded = rows is not kernel.backward_rows
+    bound = f"2**{math.log2(system.crt_bound(n, folded)):.1f}"
+    edge = f"2**{math.log2(gemm.FLOAT64_FOLD):.0f}"
+    if rows is None:
+        return f"MRC (CRT bound {bound} > {edge} at n={n})"
+    route = "CRT" if folded else "CRT, unfolded rows"
+    return f"{route} (bound {bound} <= {edge} at n={n})"
+
+
 def cmd_bench(args) -> int:
     path = args.config if args.config else default_bench_config_path()
     cfg = load_config(path)
@@ -526,7 +539,10 @@ def cmd_bench(args) -> int:
         cfg = replace(cfg, seed=args.seed)
     rows = run_bench(cfg)
 
-    print(f"rns={cfg.rns}  tile_m={cfg.tile_m}  seed={cfg.seed}  iterations={cfg.iterations}")
+    n = cfg.tile_m + max(ent.spec.r for ent in cfg.layers) - 1
+    route = reconstruction_route(residue.RnsSystem(cfg.rns), n)
+    print(f"rns={cfg.rns}  tile_m={cfg.tile_m}  seed={cfg.seed}  "
+          f"iterations={cfg.iterations}  reconstruction={route}")
     print("filter transforms are precomputed per layer and excluded from rns ms")
     header = " ".join(format(head, fmt.split(".")[0]) for _, head, fmt, _ in BENCH_COLUMNS if head)
     print(header)

@@ -6,7 +6,10 @@ index, so a whole layer's tiles and channels go through two batched GEMMs,
 both exact on float BLAS (gemm.exact_matmul) with a symmetric fold after
 each.  Stage inputs are int8 values (|x| <= 128, not reduced) or residues
 mod m, integer or float; outputs are the float32 residues exact_matmul
-returns, so a chain of stages never leaves float.
+returns, so a chain of stages never leaves float.  backward_rows_mod stops
+after the backward transform's first GEMM, for the layer to finish it inside
+its CRT reconstruction, and backward_rows leaves that GEMM unfolded where the
+CRT bound allows.
 """
 
 from __future__ import annotations
@@ -26,14 +29,24 @@ def _transform(left: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     reads the swapped axes, and each BLAS call covers one (side, trailing)
     slab, which the layer keeps small enough for cache and one thread.
     """
-    side, n = left.shape
+    side = left.shape[0]
+    half = (m - 1) // 2
+    t = _rows(left, x, m)
+    t = gemm.exact_matmul(left, t.transpose(1, 0, 2), half, half, m)
+    return t.reshape((side, side) + x.shape[2:])
+
+
+def _rows(left: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
+    """The first GEMM of _transform: t[j] = left @ x[:, j], folded mod m.
+
+    Returns (n, side, rest) float32 residues, rest the trailing axes of x
+    flattened: axis 0 is the column of x, axis 1 a row of the result.
+    """
+    n = left.shape[1]
     rest = int(np.prod(x.shape[2:], dtype=np.int64))
     half = (m - 1) // 2
     xmax = gemm.INT8_ABS_PEAK if x.dtype == np.int8 else half
-    t = x.reshape(n, n, rest).transpose(1, 0, 2)
-    t = gemm.exact_matmul(left, t, half, xmax, m)
-    t = gemm.exact_matmul(left, t.transpose(1, 0, 2), half, half, m)
-    return t.reshape((side, side) + x.shape[2:])
+    return gemm.exact_matmul(left, x.reshape(n, n, rest).transpose(1, 0, 2), half, xmax, m)
 
 
 def _check_tile(x: np.ndarray, side: int, what: str) -> None:
@@ -57,3 +70,31 @@ def backward_transform_mod(t: np.ndarray, mt: ModularTransformSet) -> np.ndarray
     """A^T t A mod m, collapsing (n, n, ...) products to (m_out, m_out, ...)."""
     _check_tile(t, mt.n, "product tile")
     return _transform(mt.at, t, mt.modulus)
+
+
+def backward_rows_mod(t: np.ndarray, mt: ModularTransformSet) -> np.ndarray:
+    """A^T t mod m alone, the backward transform's first GEMM.
+
+    Returns (n, m_out, rest) float32 residues for (n, n, ...) products, rest
+    the trailing axes flattened: entry [j, a] is output row a at product
+    column j, so row a of A^T t A is mt.at @ [:, a] mod m.  The layer
+    finishes the transform inside its CRT sum.
+    """
+    _check_tile(t, mt.n, "product tile")
+    return _rows(mt.at, t, mt.modulus)
+
+
+def backward_rows(t: np.ndarray, mt: ModularTransformSet) -> np.ndarray:
+    """backward_rows_mod without the fold: the exact integer products.
+
+    t holds residues mod m (|t| <= h = (m - 1) / 2), so every entry and
+    partial sum is within n * h**2 and the product runs in the narrowest
+    float that holds that (gemm.exact_float_dtype), float32 for 8-bit moduli.
+    For a CRT sum whose bound admits unfolded rows (RnsSystem.crt_fits).
+    """
+    _check_tile(t, mt.n, "product tile")
+    n = mt.n
+    half = (mt.modulus - 1) // 2
+    ft = gemm.exact_float_dtype(n, half, half)
+    x = t.reshape(n, n, t[0, 0].size).transpose(1, 0, 2).astype(ft, copy=False)
+    return np.matmul(mt.at.astype(ft), x)

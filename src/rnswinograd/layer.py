@@ -6,13 +6,19 @@ patches at stride m and keeps the transform-domain axes leading throughout:
 patches go to (n, n, tiles, c_in) once, as raw int8 shared by all moduli;
 per modulus they are transformed, multiplied by the (n, n, c_in, c_out)
 filters in one (tiles x c_in) @ (c_in x c_out) GEMM per position, and
-transformed back to (m, m, tiles, c_out), the residues staying in float,
-the type BLAS computes in, from stage to stage.  Mixed radix conversion
-rebuilds full-precision int32 outputs, which reach NHWC by reshape,
-transpose and crop.  The work runs in blocks of tile rows, each block taken
-through every modulus, reconstruction and scatter by one worker.  Every
-matrix product is exact on float BLAS (gemm.exact_matmul).  Outputs are
-bit-identical to direct_conv whenever the layer passes range_check.
+taken through the backward transform's first GEMM, the residues staying in
+float, the type BLAS computes in, from stage to stage.  The second GEMM
+carries each modulus's Chinese Remainder Theorem weight: one float64 sum
+over the moduli, folded once mod the dynamic range, gives the int32 outputs
+(_crt_scatter), which reach NHWC by reshape, transpose and crop.  Where that
+sum's bound allows, the first GEMM is not folded either (crt_route).  A
+residue system too wide for the sum finishes the backward transform per
+modulus and rebuilds the outputs by mixed radix conversion.
+The work runs in blocks of tile rows, each block taken through every
+modulus, reconstruction and scatter by one worker.  Every matrix product is
+exact on float BLAS (gemm.exact_matmul, or the CRT bound for the last).
+Outputs are bit-identical to direct_conv whenever the layer passes
+range_check.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from math import ceil
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -221,13 +227,21 @@ _BLOCK_BYTES = 1 << 21
 
 
 def _modulus_pass(
-    d: np.ndarray, u: np.ndarray, mt: transforms.ModularTransformSet, t: StageTimings
+    d: np.ndarray,
+    u: np.ndarray,
+    mt: transforms.ModularTransformSet,
+    crt_rows: Callable | None,
+    t: StageTimings,
 ) -> np.ndarray:
     """Input transform, per-position GEMM and backward transform, one modulus.
 
-    d: (n, n, tiles, c) raw int8 patches, u: (n, n, c, k) filter residues;
-    returns (m, m, tiles, k) output residues in the modulus's narrow dtype.
-    The residues stay in float from the input transform to the narrowing.
+    d: (n, n, tiles, c) raw int8 patches, u: (n, n, c, k) filter residues.
+    On the CRT route crt_rows is kernel.backward_rows_mod or backward_rows,
+    the backward transform's first GEMM folded or not, and its
+    (n, m, tiles * k) float result goes to _crt_scatter; without it the
+    (m, m, tiles, k) output residues come back in the modulus's narrow dtype
+    for mixed radix conversion.  The residues stay in float from the input
+    transform on.
     """
     n, _, p, c = d.shape
     k = u.shape[3]
@@ -241,13 +255,82 @@ def _modulus_pass(
     )
     del v  # each stage's input goes before the next stage allocates
     t2 = time.perf_counter()
-    y = kernel.backward_transform_mod(prod.reshape(n, n, p, k), mt)
-    del prod
-    y = y.astype(gemm.dtype_for_modulus(mt.modulus))
+    if crt_rows is None:
+        y = kernel.backward_transform_mod(prod.reshape(n, n, p, k), mt)
+        del prod
+        y = y.astype(gemm.dtype_for_modulus(mt.modulus))
+    else:
+        y = crt_rows(prod.reshape(n, n, p, k), mt)
     t.input_transform += t1 - t0
     t.gemm += t2 - t1
     t.backward_transform += time.perf_counter() - t2
     return y
+
+
+def crt_route(system: residue.RnsSystem, n: int) -> Callable | None:
+    """The first backward GEMM the CRT sum takes at transform size n.
+
+    kernel.backward_rows, unfolded, where RnsSystem.crt_fits admits that;
+    kernel.backward_rows_mod where only the folded bound holds; None for a
+    system past both, whose outputs mixed radix conversion rebuilds.
+    """
+    if system.crt_fits(n, folded=False):
+        return kernel.backward_rows
+    if system.crt_fits(n):
+        return kernel.backward_rows_mod
+    return None
+
+
+# Bytes of the float64 sum _crt_scatter holds at once: a few output rows.
+_CRT_CHUNK_BYTES = 1 << 18
+
+
+def _crt_scatter(
+    ts: Sequence[np.ndarray],
+    crt_at: Sequence[np.ndarray],
+    dynamic_range: int,
+    out: np.ndarray,
+    t: StageTimings,
+) -> None:
+    """Finish the backward transforms and rebuild the outputs by the CRT.
+
+    ts: per modulus the (n, m, tiles * k) first backward GEMM t_i, folded or
+    not (kernel.backward_rows_mod, backward_rows); crt_at: per modulus
+    c_i * A_i^T in float64, c_i its CRT weight; out: the block's
+    (tile rows, m, tw, m, k) int32 canvas.  Output row a is
+    sum_i crt_at[i] @ t_i[:, a], congruent to the true output mod every m_i,
+    so one fold mod the dynamic range yields it; every partial sum is an
+    integer within RnsSystem.crt_bound, which the layer keeps within the
+    float64 fold's reach (gemm.FLOAT64_FOLD).  It runs a few output rows at
+    a time in three reused buffers: the sum, its float64 operand and the
+    other terms, which then hold the fold's quotient.
+    """
+    n, side, rest = ts[0].shape
+    rows, _, tw, _, k = out.shape
+    step = max(1, _CRT_CHUNK_BYTES // (side * rest * 8))
+    acc = np.empty((min(step, side), side, rest))
+    q = np.empty_like(acc)
+    term = np.empty((len(acc), n, rest))
+    for a in range(0, side, step):
+        t0 = time.perf_counter()
+        ya, qa, ta = acc[: side - a], q[: side - a], term[: side - a]
+        for i, (w, ti) in enumerate(zip(crt_at, ts)):
+            np.copyto(ta, ti[:, a : a + step].transpose(1, 0, 2))
+            if i == 0:
+                np.matmul(w, ta, out=ya)
+            else:
+                np.matmul(w, ta, out=qa)
+                ya += qa
+        # gemm.reduce_mod_inplace's one-pass float fold, into qa
+        np.multiply(ya, 1.0 / dynamic_range, out=qa)
+        np.rint(qa, out=qa)
+        qa *= dynamic_range
+        ya -= qa
+        t1 = time.perf_counter()
+        ya = ya.reshape(len(ya), side, rows, tw, k).transpose(2, 0, 3, 1, 4)
+        np.copyto(out[:, a : a + step], ya, casting="unsafe")
+        t.mrc += t1 - t0
+        t.scatter += time.perf_counter() - t1
 
 
 def winograd_layer_conv(
@@ -266,9 +349,10 @@ def winograd_layer_conv(
     reuse the same weights, exactly as repeated inference does.
 
     The tile rows are cut into blocks, and each block goes through every
-    modulus, mixed radix conversion and the scatter into its own output
-    rows; a pool of up to RNSW_THREADS workers (default: the usable cores)
-    takes the blocks, and a layer of one block runs inline.
+    modulus, the reconstruction (the CRT sum, or mixed radix conversion past
+    its bound) and the scatter into its own output rows; a pool of up to
+    RNSW_THREADS workers (default: the usable cores) takes the blocks, and a
+    layer of one block runs inline.
 
     Raises DynamicRangeExceeded when range_check fails, OverflowRisk when
     the bound it uses exceeds int32 (the output dtype), and UnsupportedStride
@@ -289,6 +373,10 @@ def winograd_layer_conv(
     if report.bound > gemm.INT32_MAX:
         raise OverflowRisk(f"worst case {report.bound} does not fit the int32 output")
     mts = transforms.cached_modular_transforms(tile_m, spec.r, system.moduli)
+    n = tile_m + spec.r - 1
+    crt_rows = crt_route(system, n)
+    if crt_rows is not None:
+        crt_at = [c * mt.at.astype(np.float64) for c, mt in zip(system.crt_weights, mts)]
     if timings is None:
         timings = StageTimings()
 
@@ -300,7 +388,6 @@ def winograd_layer_conv(
     if filters is None:
         filters = precompute_filter_transforms(weights, mts)
     else:
-        n = tile_m + spec.r - 1
         for mt in mts:
             f = filters.get(mt.modulus)
             if f is None or f.shape != (n, n, spec.c, spec.k):
@@ -324,7 +411,10 @@ def winograd_layer_conv(
         rows = blk.shape[2]
         blk = blk.reshape(n, n, rows * tw, c)
         t.tiling += time.perf_counter() - t0
-        res = [_modulus_pass(blk, filters[mt.modulus], mt, t) for mt in mts]
+        res = [_modulus_pass(blk, filters[mt.modulus], mt, crt_rows, t) for mt in mts]
+        if crt_rows is not None:
+            _crt_scatter(res, crt_at, system.dynamic_range, canvas[r0 : r0 + rows], t)
+            return t
         t0 = time.perf_counter()
         y = residue.mrc_reconstruct_arrays(res, system)
         t1 = time.perf_counter()
@@ -443,6 +533,9 @@ def read_tensor(path) -> np.ndarray:
             f"{path}: header truncated at {len(raw)} bytes, rank {rank} needs {off + 1}"
         )
     dims = struct.unpack_from(f"<{rank}i", raw, 6)
+    for axis, dim in enumerate(dims):
+        if dim < 0:
+            raise ValueError(f"{path}: negative dimension {dim} on axis {axis}")
     bits = raw[off]
     off += 1
     if bits not in _QTNS_DTYPES:

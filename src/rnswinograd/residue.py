@@ -2,9 +2,14 @@
 
 Everything in this module is exact integer arithmetic.  Residues are kept in
 the symmetric range [-(m-1)/2, (m-1)/2] for an odd modulus m, so signed values
-survive encode/decode without a separate sign channel.  Reconstruction uses
-mixed radix conversion, which only ever needs arithmetic modulo the individual
-moduli plus one final weighted sum.
+survive encode/decode without a separate sign channel.
+
+Two reconstructions are kept.  The Chinese Remainder Theorem (CRT) weights
+c_i = M_i * (M_i^-1 mod m_i), M_i = M / m_i, taken balanced, rebuild x as
+sum_i c_i * x_i folded once mod M, for any representatives x_i; the fast path
+carries them into its last float64 GEMM while RnsSystem.crt_fits holds.
+Mixed radix conversion needs only arithmetic modulo the individual moduli
+plus one final weighted sum, and serves every system past that bound.
 """
 
 from __future__ import annotations
@@ -31,13 +36,16 @@ def check_modulus(m: int) -> int:
     return int(m)
 
 
+def _balanced(x: int, m: int) -> int:
+    """x mod m in [-(m-1)/2, (m-1)/2] for any odd m, past 15 bits too."""
+    r = x % m
+    return r - m if r > m // 2 else r
+
+
 def mod_reduce(x: int, m: int) -> int:
     """Reduce x modulo m into the symmetric range [-(m-1)/2, (m-1)/2]."""
     check_modulus(m)
-    r = x % m
-    if r > (m - 1) // 2:
-        r -= m
-    return r
+    return _balanced(x, m)
 
 
 def mod_inverse(x: int, m: int) -> int:
@@ -57,8 +65,9 @@ def mod_inverse(x: int, m: int) -> int:
 class RnsSystem:
     """A fixed set of pairwise-coprime odd moduli.
 
-    Precomputes the inverses needed for mixed radix reconstruction.  Instances
-    are immutable after construction and safe to share across threads.
+    Precomputes the inverses needed for mixed radix reconstruction and the
+    balanced CRT weights.  Instances are immutable after construction and
+    safe to share across threads.
     """
 
     def __init__(self, moduli: Sequence[int]):
@@ -84,6 +93,30 @@ class RnsSystem:
             self._mrc_weights.append(
                 (scale, [mod_reduce(math.prod(moduli[:i]) * scale, m) for i in range(j)])
             )
+        # c_i = 1 mod m_i and 0 mod every other modulus; balanced, |c_i| < M/2
+        big = self.dynamic_range
+        self.crt_weights = tuple(
+            _balanced(big // m * pow(big // m, -1, m), big) for m in moduli
+        )
+
+    def crt_bound(self, depth: int, folded: bool = True) -> int:
+        """Largest |partial sum| of sum_i (c_i A_i) @ t_i at contraction depth n.
+
+        A_i holds residues mod m_i, at most h_i = (m_i - 1) / 2 in magnitude,
+        and t_i = A_i @ p_i is the backward transform's first GEMM over
+        residues |p_i| <= h_i: at most h_i when folded mod m_i and n * h_i**2
+        when not.  Every partial sum of the weighted products then stays
+        within sum_i |c_i| * n * h_i * max|t_i|.
+        """
+        return sum(
+            abs(c) * depth * h * (h if folded else depth * h * h)
+            for c, h in zip(self.crt_weights, ((m - 1) // 2 for m in self.moduli))
+        )
+
+    def crt_fits(self, depth: int, folded: bool = True) -> bool:
+        """Whether that CRT sum is exact in float64 and folds in one pass
+        mod M (gemm.FLOAT64_FOLD)."""
+        return self.crt_bound(depth, folded) <= gemm.FLOAT64_FOLD
 
     def __len__(self) -> int:
         return len(self.moduli)

@@ -256,6 +256,26 @@ def test_verify_file_mode_argument_errors(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_verify_file_mode_rejects_negative_dimensions(tmp_path, capsys):
+    wp = tmp_path / "w.qtns"
+    layer.write_tensor(wp, np.zeros((3, 3, 1, 1), np.int8))
+    xp = tmp_path / "x.qtns"
+    for dims, payload, named in (
+        ((-1, -2, -3, 1), 6, "-1 on axis 0"),
+        ((-2, -1), 2, "-2 on axis 0"),
+        ((0, -5), 0, "-5 on axis 1"),
+    ):
+        head = b"QTNS" + bytes([1, len(dims)])
+        head += b"".join(d.to_bytes(4, "little", signed=True) for d in dims)
+        xp.write_bytes(head + bytes([8]) + bytes(payload))
+        code, out, err = run_cli(
+            capsys, "verify", "--input", str(xp), "--weights", str(wp), "--tile", "4"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and f"x.qtns: negative dimension {named}" in err
+        assert "Traceback" not in err
+
+
 def test_verify_file_mode_rejects_bound_below_one(tmp_path, capsys):
     rng = np.random.default_rng(57)
     xp, wp = tmp_path / "x.qtns", tmp_path / "w.qtns"
@@ -325,6 +345,35 @@ def test_bench_iteration_and_seed_overrides(tmp_path, capsys):
     )
     assert code == 0
     assert "seed=123" in out and "iterations=2" in out
+
+
+def test_bench_header_names_the_reconstruction(tmp_path, capsys):
+    # tile_m=4 and r=3: n=6.  (251, 241, 239) sums unfolded rows within
+    # 36 * (1324777 * 125**3 + 719868 * 120**3 + 604910 * 119**3) = 2**47.3;
+    # (4001, 4331) folded ones within 6 * (8454112 * 2000**2 + 8454113 * 2165**2)
+    path = write_small_bench_config(tmp_path)
+    code, out, _ = run_cli(capsys, "bench", "--config", str(path))
+    assert code == 0
+    head = out.splitlines()[0]
+    assert head.startswith("rns=(251, 241, 239)  tile_m=4")
+    assert head.endswith("reconstruction=CRT, unfolded rows (bound 2**47.3 <= 2**51 at n=6)")
+    cfg = json.loads(path.read_text())
+    for rns, route in (
+        ([4001, 4331], "CRT (bound 2**48.6 <= 2**51 at n=6)"),
+        ([32749, 32719], "MRC (CRT bound 2**60.1 > 2**51 at n=6)"),
+    ):
+        cfg["rns"] = rns
+        path.write_text(json.dumps(cfg))
+        code, out, _ = run_cli(capsys, "bench", "--config", str(path))
+        assert code == 0
+        assert out.splitlines()[0].endswith(f"reconstruction={route}")
+
+
+def test_standard_systems_take_the_fused_route():
+    # verify's whole sweep runs on the CRT route
+    for moduli in cli.STANDARD_SYSTEMS:
+        system = residue.RnsSystem(moduli)
+        assert all(system.crt_fits(m + r - 1) for m, r in cli.VERIFY_TILES), moduli
 
 
 def test_bench_config_declared_bound_is_parsed_and_checked(tmp_path, capsys):

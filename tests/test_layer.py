@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rnswinograd import gemm, layer, residue, transforms
+from rnswinograd import gemm, kernel, layer, residue, transforms
 from rnswinograd.errors import (
     DynamicRangeExceeded,
     OverflowRisk,
@@ -289,20 +289,136 @@ def test_block_workers_under_fast_switching_match_direct(monkeypatch):
     assert np.array_equal(got, layer.direct_conv(spec, weights, x))
 
 
+def count_calls(monkeypatch, module, name, calls):
+    """Wrap module.name so each call appends name to calls."""
+    wrapped = getattr(module, name)
+
+    def counted(*args):
+        calls.append(name)
+        return wrapped(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+# a system per reconstruction route: the CRT sum over unfolded or folded
+# first backward GEMMs, and mixed radix conversion past the CRT bound
+ROUTES = (
+    (SYS8, "backward_rows"),
+    (SYS16, "backward_rows_mod"),
+    (residue.RnsSystem((32749, 32719)), "mrc_reconstruct_arrays"),
+)
+
+
 def test_stage_timings_accumulate(monkeypatch):
-    # several blocks on two workers: every stage a block runs is counted
+    # several blocks on two workers: every stage a block runs is counted, on
+    # each route; two blocks make two calls per modulus (CRT) or per block
     monkeypatch.setattr(layer, "_BLOCK_BYTES", 1)
     monkeypatch.setenv("RNSW_THREADS", "2")
+    calls = []
+    for name in ("backward_rows", "backward_rows_mod"):
+        count_calls(monkeypatch, kernel, name, calls)
+    count_calls(monkeypatch, residue, "mrc_reconstruct_arrays", calls)
     spec = layer.LayerSpec(h=8, w=8, c=2, k=2, r=3, padding=1, tile_m=4)
     weights, x = random_operands(spec, 8)
-    t = layer.StageTimings()
-    layer.winograd_layer_conv(spec, weights, x, SYS8, timings=t)
-    for stage in ("tiling", "input_transform", "gemm", "backward_transform", "mrc", "scatter"):
-        assert getattr(t, stage) > 0, stage
-    assert t.total() == pytest.approx(
-        t.tiling + t.filter_transform + t.input_transform + t.gemm
-        + t.backward_transform + t.mrc + t.scatter
-    )
+    for system, route in ROUTES:
+        calls.clear()
+        t = layer.StageTimings()
+        got = layer.winograd_layer_conv(spec, weights, x, system, timings=t)
+        assert np.array_equal(got, layer.direct_conv(spec, weights, x))
+        per_block = 1 if route == "mrc_reconstruct_arrays" else len(system)
+        assert calls == [route] * 2 * per_block, system
+        for stage in ("tiling", "input_transform", "gemm", "backward_transform", "mrc", "scatter"):
+            assert getattr(t, stage) > 0, (system, stage)
+        assert t.total() == pytest.approx(
+            t.tiling + t.filter_transform + t.input_transform + t.gemm
+            + t.backward_transform + t.mrc + t.scatter
+        )
+
+
+def test_crt_route_follows_the_bound():
+    assert layer.crt_route(SYS8, 16) is kernel.backward_rows
+    assert layer.crt_route(SYS8, 22) is kernel.backward_rows_mod  # unfolded: > 2**51
+    assert layer.crt_route(SYS16, 16) is kernel.backward_rows_mod
+    assert layer.crt_route(residue.RnsSystem((32749, 32719)), 4) is None
+    assert layer.crt_route(residue.RnsSystem((32749, 32719, 32717)), 4) is None
+
+
+def test_fused_route_never_calls_mrc(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("mrc_reconstruct_arrays called")
+
+    monkeypatch.setattr(residue, "mrc_reconstruct_arrays", refuse)
+    spec = layer.LayerSpec(h=12, w=12, c=3, k=2, r=3, padding=1, tile_m=4)
+    weights, x = random_operands(spec, 12)
+    for system, _ in ROUTES[:2]:
+        got = layer.winograd_layer_conv(spec, weights, x, system)
+        assert np.array_equal(got, layer.direct_conv(spec, weights, x))
+    # the patch is live: a system past the CRT bound still takes MRC
+    with pytest.raises(AssertionError, match="mrc_reconstruct_arrays called"):
+        layer.winograd_layer_conv(spec, weights, x, ROUTES[2][0])
+
+
+@pytest.mark.parametrize(
+    "system,folded",
+    # the nearest standard systems to the float64 fold's 2**51 at
+    # F(14x14, 3x3): (4001, 4331) folded at 2**50.1, (251, 241, 239)
+    # unfolded at 2**50.1
+    [(SYS16, True), (SYS8, False)],
+)
+def test_crt_sum_exact_at_its_worst_case(system, folded):
+    # drive output row a, column a to the largest sum the CRT weights allow
+    # (|t_i| at its bound, signs matching c_i * A_i[a]), and its negation in
+    # a second channel, and compare with integer arithmetic
+    n, side = 16, 14
+    mts = transforms.cached_modular_transforms(14, 3, system.moduli)
+    rows, peaks = [], np.zeros(side, np.int64)
+    for c, mt in zip(system.crt_weights, mts):
+        h = (mt.modulus - 1) // 2
+        top = h if folded else n * h * h
+        signs = np.sign(c * mt.at.astype(np.int64))  # (side, n)
+        t = np.empty((n, side, 2), np.float32)
+        t[:, :, 0] = top * signs.T
+        t[:, :, 1] = -top * signs.T
+        rows.append(t)
+        peaks += top * np.abs(c * mt.at.astype(np.int64)).sum(axis=1)
+    # the reduced A_i reach about 40% of the bound's n * h_i per row
+    assert 2**48.5 < peaks.max() <= system.crt_bound(n, folded) <= gemm.FLOAT64_FOLD
+    crt_at = [c * mt.at.astype(np.float64) for c, mt in zip(system.crt_weights, mts)]
+    out = np.empty((1, side, 1, side, 2), np.int32)
+    layer._crt_scatter(rows, crt_at, system.dynamic_range, out, layer.StageTimings())
+    big = system.dynamic_range
+    for a in range(side):
+        for b in range(side):
+            for ch in range(2):
+                total = sum(
+                    c * int(mt.at[b, j]) * int(t[j, a, ch])
+                    for c, mt, t in zip(system.crt_weights, mts, rows)
+                    for j in range(n)
+                )
+                want = (total + big // 2) % big - big // 2
+                assert out[0, a, 0, b, ch] == want, (a, b, ch)
+
+
+@pytest.mark.parametrize(
+    "system,c_fit",
+    # all -128 at F(14x14, 3x3): 9 * c * 128**2 against the signed bound,
+    # (4001, 4331): 8,552,448 <= 8,664,165; (251, 241, 239): 7,225,344 <= 7,228,674
+    [(SYS16, 58), (SYS8, 49)],
+)
+def test_fused_route_at_the_dynamic_range_edge(system, c_fit):
+    def minimum_layer(c):
+        spec = layer.LayerSpec(h=20, w=20, c=c, k=2, r=3, padding=1, tile_m=14)
+        full = np.full(spec.weight_shape(), -128, np.int8)
+        return spec, full, np.full(spec.input_shape(), -128, np.int8)
+
+    assert layer.crt_route(system, 16) is not None
+    spec, weights, x = minimum_layer(c_fit)
+    got = layer.winograd_layer_conv(spec, weights, x, system)
+    assert int(got.max()) == 9 * c_fit * 128**2 <= system.signed_bound
+    assert np.array_equal(got, layer.direct_conv(spec, weights, x))
+    spec, weights, x = minimum_layer(c_fit + 1)
+    with pytest.raises(DynamicRangeExceeded):
+        layer.winograd_layer_conv(spec, weights, x, system)
 
 
 # ---------------------------------------------------------------------------
@@ -468,4 +584,30 @@ def test_tensor_rejects_bad_files(tmp_path):
             layer.read_tensor(p)
     with pytest.raises(ShapeMismatch):
         layer.write_tensor(p, np.zeros((2, 2), np.float32))
+
+
+def qtns_bytes(dims, payload: int) -> bytes:
+    """A QTNS int8 file with the given (possibly negative) dims."""
+    head = b"QTNS" + bytes([1, len(dims)])
+    head += b"".join(int(d).to_bytes(4, "little", signed=True) for d in dims)
+    return head + bytes([8]) + bytes(payload)
+
+
+# (dims, payload bytes, the negative dimension the error must name); these
+# were refused as a payload mismatch or failed inside numpy's reshape
+NEGATIVE_DIMS = (
+    ((-1, -2, -3, 1), 6, "-1 on axis 0"),
+    ((-2, -1), 2, "-2 on axis 0"),
+    ((0, -5), 0, "-5 on axis 1"),
+)
+
+
+def test_tensor_rejects_negative_dimensions(tmp_path):
+    p = tmp_path / "neg.qtns"
+    for dims, payload, named in NEGATIVE_DIMS:
+        p.write_bytes(qtns_bytes(dims, payload))
+        with pytest.raises(ValueError, match=f"neg.qtns: negative dimension {named}"):
+            layer.read_tensor(p)
+    p.write_bytes(qtns_bytes((0, 5), 0))  # an empty tensor is still fine
+    assert layer.read_tensor(p).shape == (0, 5)
 

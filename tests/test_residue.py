@@ -293,6 +293,60 @@ def test_mrc_rejects_range_beyond_int64():
         residue.mrc_reconstruct_arrays(parts, system)
 
 
+# ---------------------------------------------------------------------------
+# CRT weights and the fused route's float64 bound
+
+
+def test_crt_weights_hand_values():
+    # (7, 9): 9 * (9^-1 mod 7) = 9 * 4 = 36 -> -27; 7 * (7^-1 mod 9) = 28
+    assert residue.RnsSystem((7, 9)).crt_weights == (-27, 28)
+    assert residue.RnsSystem((7,)).crt_weights == (1,)
+    assert residue.RnsSystem((4001, 4331)).crt_weights == (-8454112, 8454113)
+
+
+@pytest.mark.parametrize(
+    "moduli",
+    [(7, 9, 11), (251, 241, 239), (253, 251, 247), (4001, 4331), (32749, 32719, 32717)],
+)
+def test_crt_weights_select_one_modulus(moduli):
+    system = residue.RnsSystem(moduli)
+    total = math.prod(moduli)
+    for i, c in enumerate(system.crt_weights):
+        assert 2 * abs(c) <= total
+        for j, m in enumerate(moduli):
+            assert c % m == (1 if i == j else 0)
+
+
+def test_crt_bound_picks_the_route():
+    # folded rows: sum_i |c_i| * n * h_i**2 against 2**51 (gemm.FLOAT64_FOLD)
+    for moduli in [(251, 241, 239), (253, 251, 247), (4001, 4331)]:
+        system = residue.RnsSystem(moduli)
+        assert all(system.crt_fits(n) for n in range(2, 19)), moduli
+    for moduli in [(32749, 32719), (32749, 32719, 32717)]:
+        system = residue.RnsSystem(moduli)
+        assert not any(system.crt_fits(n) for n in range(2, 19)), moduli
+    system = residue.RnsSystem((4001, 4331))
+    per_depth = 8454112 * 2000**2 + 8454113 * 2165**2
+    assert system.crt_bound(16) == 16 * per_depth  # about 2**50.1
+    edge = 2**51 // per_depth  # 30: the deepest sum that still folds exactly
+    assert system.crt_fits(edge) and not system.crt_fits(edge + 1)
+    assert residue.RnsSystem((251, 241, 239)).crt_bound(16) < 2**39.3
+
+
+def test_crt_bound_of_unfolded_rows():
+    # unfolded rows reach n * h_i**2, so the bound is n**2 * sum_i |c_i| * h_i**3
+    system = residue.RnsSystem((251, 241, 239))
+    per_depth2 = 1324777 * 125**3 + 719868 * 120**3 + 604910 * 119**3
+    assert system.crt_bound(16, folded=False) == 256 * per_depth2  # 2**50.1
+    assert system.crt_fits(21, folded=False)  # 2,139,183,622,151,415
+    assert not system.crt_fits(22, folded=False)  # 2,347,766,152,202,460 > 2**51
+    assert system.crt_fits(22)
+    # wider moduli keep their rows folded at the vgg16 tile
+    for moduli in [(253, 251, 247), (4001, 4331)]:
+        wide = residue.RnsSystem(moduli)
+        assert wide.crt_fits(16) and not wide.crt_fits(16, folded=False), moduli
+
+
 def test_range_checks_survive_optimized_mode(tmp_path):
     # python -O strips assert statements; these checks must still raise
     short = tmp_path / "short.qtns"

@@ -1,9 +1,9 @@
 """Exact integer Winograd convolution over residue number systems.
 
 Low-precision convolution computed tile by tile in transform domain, one
-residue channel per modulus, reconstructed by mixed radix conversion.  Every
-path is bit-exact against direct convolution whenever the layer's dynamic
-range fits the chosen moduli.
+residue channel per modulus, reconstructed by the Chinese Remainder Theorem
+with cofactor weights.  Every path is bit-exact against direct convolution
+whenever the layer's dynamic range fits the chosen moduli.
 """
 
 from .errors import (

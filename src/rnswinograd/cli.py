@@ -434,6 +434,12 @@ class BenchRow:
         return self.direct_ms / self.rns_ms if self.rns_ms else float("nan")
 
 
+def bench_algorithm(ent: LayerEntry) -> str:
+    """The algorithm bench runs a layer with: the fast path covers unit
+    stride only, so a strided layer runs direct."""
+    return ent.algorithm if ent.spec.stride == 1 else "direct"
+
+
 def run_bench(cfg: BenchConfig) -> list[BenchRow]:
     system = residue.RnsSystem(cfg.rns)
     rows = []
@@ -458,7 +464,8 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
         direct_ms, want = best_ms(direct)
         # stage times summed over the iterations; only their shares are shown
         timings = layer.StageTimings()
-        if ent.algorithm == "direct":
+        algorithm = bench_algorithm(ent)
+        if algorithm == "direct":
             rns_ms, got = best_ms(direct)
         else:
             # Filter transforms depend only on the weights, so inference reuses
@@ -472,7 +479,7 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
                 filters=filters, timings=timings,
             ))
         reduction = layer.count_operations(ent.spec, system).reduction_ratio
-        rows.append(BenchRow(ent.name, ent.algorithm, ent.spec, direct_ms, rns_ms, timings,
+        rows.append(BenchRow(ent.name, algorithm, ent.spec, direct_ms, rns_ms, timings,
                              reduction, bool(np.array_equal(want, got))))
     return rows
 
@@ -490,7 +497,7 @@ BENCH_COLUMNS = (
     ("input_transform_pct", "inp%", ">6.1f", ".2f"),
     ("gemm_pct", "gemm%", ">6.1f", ".2f"),
     ("backward_pct", "bwd%", ">6.1f", ".2f"),
-    ("mrc_pct", "mrc%", ">6.1f", ".2f"),
+    ("crt_pct", "crt%", ">6.1f", ".2f"),
     ("scatter_pct", "scat%", ">6.1f", ".2f"),
     ("exact", "exact", "", "d"),
 )
@@ -504,7 +511,7 @@ def _bench_fields(row: BenchRow) -> list:
     """
     s, t = row.spec, row.timings
     total = t.total()
-    stages = (t.tiling, t.input_transform, t.gemm, t.backward_transform, t.mrc, t.scatter)
+    stages = (t.tiling, t.input_transform, t.gemm, t.backward_transform, t.crt, t.scatter)
     figures = [float(row.reduction)] + [100.0 * v / total if total > 0 else 0.0 for v in stages]
     if row.algorithm == "direct":
         figures = [None] * len(figures)
@@ -518,14 +525,14 @@ def _cell(value, spec: str) -> str:
 
 
 def reconstruction_route(system: residue.RnsSystem, n: int) -> str:
-    """How a layer of transform size n rebuilds its outputs (layer.crt_route),
+    """How a layer of transform size n rebuilds its outputs: the CRT sum in
+    float64 over unfolded or folded rows (layer.crt_route), or in int64,
     with the bound that picked the route."""
-    rows = layer.crt_route(system, n)
-    folded = rows is not kernel.backward_rows
+    folded = layer.crt_route(system, n) is not kernel.backward_rows
     bound = f"2**{math.log2(system.crt_bound(n, folded)):.1f}"
     edge = f"2**{math.log2(gemm.FLOAT64_FOLD):.0f}"
-    if rows is None:
-        return f"MRC (CRT bound {bound} > {edge} at n={n})"
+    if not system.crt_fits(n):
+        return f"CRT in int64 (float64 bound {bound} > {edge} at n={n})"
     route = "CRT" if folded else "CRT, unfolded rows"
     return f"{route} (bound {bound} <= {edge} at n={n})"
 
@@ -539,10 +546,12 @@ def cmd_bench(args) -> int:
         cfg = replace(cfg, seed=args.seed)
     rows = run_bench(cfg)
 
-    n = cfg.tile_m + max(ent.spec.r for ent in cfg.layers) - 1
-    route = reconstruction_route(residue.RnsSystem(cfg.rns), n)
+    system = residue.RnsSystem(cfg.rns)
+    sizes = sorted({ent.spec.tile_m + ent.spec.r - 1
+                    for ent in cfg.layers if bench_algorithm(ent) == "winograd"})
+    routes = "; ".join(reconstruction_route(system, n) for n in sizes) or "none"
     print(f"rns={cfg.rns}  tile_m={cfg.tile_m}  seed={cfg.seed}  "
-          f"iterations={cfg.iterations}  reconstruction={route}")
+          f"iterations={cfg.iterations}  reconstruction={routes}")
     print("filter transforms are precomputed per layer and excluded from rns ms")
     header = " ".join(format(head, fmt.split(".")[0]) for _, head, fmt, _ in BENCH_COLUMNS if head)
     print(header)

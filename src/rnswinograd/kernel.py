@@ -6,10 +6,10 @@ index, so a whole layer's tiles and channels go through two batched GEMMs,
 both exact on float BLAS (gemm.exact_matmul) with a symmetric fold after
 each.  Stage inputs are int8 values (|x| <= 128, not reduced) or residues
 mod m, integer or float; outputs are the float32 residues exact_matmul
-returns, so a chain of stages never leaves float.  backward_rows_mod stops
-after the backward transform's first GEMM, for the layer to finish it inside
-its CRT reconstruction, and backward_rows leaves that GEMM unfolded where the
-CRT bound allows.
+returns, so a chain of stages never leaves float.  The backward transform
+runs only its first GEMM here (backward_rows_mod, or backward_rows unfolded
+where the CRT bound allows); the layer finishes it inside its CRT
+reconstruction.
 """
 
 from __future__ import annotations
@@ -66,19 +66,13 @@ def input_transform_mod(d: np.ndarray, mt: ModularTransformSet) -> np.ndarray:
     return _transform(mt.bt, d, mt.modulus)
 
 
-def backward_transform_mod(t: np.ndarray, mt: ModularTransformSet) -> np.ndarray:
-    """A^T t A mod m, collapsing (n, n, ...) products to (m_out, m_out, ...)."""
-    _check_tile(t, mt.n, "product tile")
-    return _transform(mt.at, t, mt.modulus)
-
-
 def backward_rows_mod(t: np.ndarray, mt: ModularTransformSet) -> np.ndarray:
     """A^T t mod m alone, the backward transform's first GEMM.
 
     Returns (n, m_out, rest) float32 residues for (n, n, ...) products, rest
     the trailing axes flattened: entry [j, a] is output row a at product
     column j, so row a of A^T t A is mt.at @ [:, a] mod m.  The layer
-    finishes the transform inside its CRT sum.
+    finishes the transform inside its CRT reconstruction.
     """
     _check_tile(t, mt.n, "product tile")
     return _rows(mt.at, t, mt.modulus)
@@ -90,7 +84,8 @@ def backward_rows(t: np.ndarray, mt: ModularTransformSet) -> np.ndarray:
     t holds residues mod m (|t| <= h = (m - 1) / 2), so every entry and
     partial sum is within n * h**2 and the product runs in the narrowest
     float that holds that (gemm.exact_float_dtype), float32 for 8-bit moduli.
-    For a CRT sum whose bound admits unfolded rows (RnsSystem.crt_fits).
+    For a float64 CRT sum whose bound admits unfolded rows
+    (RnsSystem.crt_fits).
     """
     _check_tile(t, mt.n, "product tile")
     n = mt.n

@@ -7,18 +7,20 @@ patches go to (n, n, tiles, c_in) once, as raw int8 shared by all moduli;
 per modulus they are transformed, multiplied by the (n, n, c_in, c_out)
 filters in one (tiles x c_in) @ (c_in x c_out) GEMM per position, and
 taken through the backward transform's first GEMM, the residues staying in
-float, the type BLAS computes in, from stage to stage.  The second GEMM
-carries each modulus's Chinese Remainder Theorem weight: one float64 sum
-over the moduli, folded once mod the dynamic range, gives the int32 outputs
-(_crt_scatter), which reach NHWC by reshape, transpose and crop.  Where that
-sum's bound allows, the first GEMM is not folded either (crt_route).  A
-residue system too wide for the sum finishes the backward transform per
-modulus and rebuilds the outputs by mixed radix conversion.
-The work runs in blocks of tile rows, each block taken through every
-modulus, reconstruction and scatter by one worker.  Every matrix product is
-exact on float BLAS (gemm.exact_matmul, or the CRT bound for the last).
-Outputs are bit-identical to direct_conv whenever the layer passes
-range_check.
+float, the type BLAS computes in, from stage to stage.  One reconstruction
+follows, the Chinese Remainder Theorem (CRT) with cofactor weights: the
+second GEMM of modulus m_i runs on a_i = (M_i^-1 mod m_i) * A_i^T mod m_i,
+and sum_i M_i * (a_i @ t_i), folded mod the dynamic range M, gives the
+int32 outputs, which reach NHWC by reshape, transpose and crop.  Within
+RnsSystem.crt_fits that sum runs in float64 on the weights M_i * a_i
+(_crt_scatter), and where its bound allows the first GEMM is not folded
+either (crt_route); past it each channel folds a_i @ t_i mod m_i and the
+sum runs in int64, folded mod M after every channel (_crt_int64), for any
+M below 2**63.  The work runs in blocks of tile rows, each block taken
+through every modulus, reconstruction and scatter by one worker.  Every
+matrix product is exact on float BLAS (gemm.exact_matmul, or the CRT bound
+for the float64 sum).  Outputs are bit-identical to direct_conv whenever
+the layer passes range_check.
 """
 
 from __future__ import annotations
@@ -198,7 +200,7 @@ class StageTimings:
     input_transform: float = 0.0
     gemm: float = 0.0
     backward_transform: float = 0.0
-    mrc: float = 0.0
+    crt: float = 0.0
     scatter: float = 0.0
 
     def total(self) -> float:
@@ -230,18 +232,15 @@ def _modulus_pass(
     d: np.ndarray,
     u: np.ndarray,
     mt: transforms.ModularTransformSet,
-    crt_rows: Callable | None,
+    rows: Callable,
     t: StageTimings,
 ) -> np.ndarray:
-    """Input transform, per-position GEMM and backward transform, one modulus.
+    """Input transform, per-position GEMM and backward rows, one modulus.
 
-    d: (n, n, tiles, c) raw int8 patches, u: (n, n, c, k) filter residues.
-    On the CRT route crt_rows is kernel.backward_rows_mod or backward_rows,
-    the backward transform's first GEMM folded or not, and its
-    (n, m, tiles * k) float result goes to _crt_scatter; without it the
-    (m, m, tiles, k) output residues come back in the modulus's narrow dtype
-    for mixed radix conversion.  The residues stay in float from the input
-    transform on.
+    d: (n, n, tiles, c) raw int8 patches, u: (n, n, c, k) filter residues,
+    rows: the backward transform's first GEMM crt_route picks.  Returns its
+    (n, m, tiles * k) float result for the CRT reconstruction; the residues
+    stay in float from the input transform on.
     """
     n, _, p, c = d.shape
     k = u.shape[3]
@@ -255,30 +254,20 @@ def _modulus_pass(
     )
     del v  # each stage's input goes before the next stage allocates
     t2 = time.perf_counter()
-    if crt_rows is None:
-        y = kernel.backward_transform_mod(prod.reshape(n, n, p, k), mt)
-        del prod
-        y = y.astype(gemm.dtype_for_modulus(mt.modulus))
-    else:
-        y = crt_rows(prod.reshape(n, n, p, k), mt)
+    y = rows(prod.reshape(n, n, p, k), mt)
     t.input_transform += t1 - t0
     t.gemm += t2 - t1
     t.backward_transform += time.perf_counter() - t2
     return y
 
 
-def crt_route(system: residue.RnsSystem, n: int) -> Callable | None:
-    """The first backward GEMM the CRT sum takes at transform size n.
-
-    kernel.backward_rows, unfolded, where RnsSystem.crt_fits admits that;
-    kernel.backward_rows_mod where only the folded bound holds; None for a
-    system past both, whose outputs mixed radix conversion rebuilds.
-    """
+def crt_route(system: residue.RnsSystem, n: int) -> Callable:
+    """The first backward GEMM the CRT takes at transform size n:
+    kernel.backward_rows, unfolded, where RnsSystem.crt_fits admits that,
+    kernel.backward_rows_mod otherwise."""
     if system.crt_fits(n, folded=False):
         return kernel.backward_rows
-    if system.crt_fits(n):
-        return kernel.backward_rows_mod
-    return None
+    return kernel.backward_rows_mod
 
 
 # Bytes of the float64 sum _crt_scatter holds at once: a few output rows.
@@ -287,23 +276,23 @@ _CRT_CHUNK_BYTES = 1 << 18
 
 def _crt_scatter(
     ts: Sequence[np.ndarray],
-    crt_at: Sequence[np.ndarray],
-    dynamic_range: int,
+    weights: Sequence[np.ndarray],
+    system: residue.RnsSystem,
     out: np.ndarray,
     t: StageTimings,
 ) -> None:
     """Finish the backward transforms and rebuild the outputs by the CRT.
 
     ts: per modulus the (n, m, tiles * k) first backward GEMM t_i, folded or
-    not (kernel.backward_rows_mod, backward_rows); crt_at: per modulus
-    c_i * A_i^T in float64, c_i its CRT weight; out: the block's
-    (tile rows, m, tw, m, k) int32 canvas.  Output row a is
-    sum_i crt_at[i] @ t_i[:, a], congruent to the true output mod every m_i,
-    so one fold mod the dynamic range yields it; every partial sum is an
-    integer within RnsSystem.crt_bound, which the layer keeps within the
-    float64 fold's reach (gemm.FLOAT64_FOLD).  It runs a few output rows at
-    a time in three reused buffers: the sum, its float64 operand and the
-    other terms, which then hold the fold's quotient.
+    not (kernel.backward_rows_mod, backward_rows); weights: per modulus
+    M_i * a_i in float64; out: the block's (tile rows, m, tw, m, k) int32
+    canvas.  Output row a is sum_i weights[i] @ t_i[:, a], congruent to the
+    true output mod every m_i, so one fold mod the dynamic range yields it;
+    every partial sum is an integer within RnsSystem.crt_bound, which the
+    layer keeps within the float64 fold's reach (gemm.FLOAT64_FOLD).  It
+    runs a few output rows at a time in three reused buffers: the sum, its
+    float64 operand and the other terms, which then hold the fold's
+    quotient.
     """
     n, side, rest = ts[0].shape
     rows, _, tw, _, k = out.shape
@@ -314,7 +303,7 @@ def _crt_scatter(
     for a in range(0, side, step):
         t0 = time.perf_counter()
         ya, qa, ta = acc[: side - a], q[: side - a], term[: side - a]
-        for i, (w, ti) in enumerate(zip(crt_at, ts)):
+        for i, (w, ti) in enumerate(zip(weights, ts)):
             np.copyto(ta, ti[:, a : a + step].transpose(1, 0, 2))
             if i == 0:
                 np.matmul(w, ta, out=ya)
@@ -322,15 +311,45 @@ def _crt_scatter(
                 np.matmul(w, ta, out=qa)
                 ya += qa
         # gemm.reduce_mod_inplace's one-pass float fold, into qa
-        np.multiply(ya, 1.0 / dynamic_range, out=qa)
+        np.multiply(ya, 1.0 / system.dynamic_range, out=qa)
         np.rint(qa, out=qa)
-        qa *= dynamic_range
+        qa *= system.dynamic_range
         ya -= qa
         t1 = time.perf_counter()
         ya = ya.reshape(len(ya), side, rows, tw, k).transpose(2, 0, 3, 1, 4)
         np.copyto(out[:, a : a + step], ya, casting="unsafe")
-        t.mrc += t1 - t0
+        t.crt += t1 - t0
         t.scatter += time.perf_counter() - t1
+
+
+def _crt_int64(
+    ts: Sequence[np.ndarray],
+    weights: Sequence[np.ndarray],
+    system: residue.RnsSystem,
+    out: np.ndarray,
+    t: StageTimings,
+) -> None:
+    """_crt_scatter for a system past the float64 bound, summing in int64.
+
+    ts: per modulus the folded first backward GEMM t_i, weights: per
+    modulus a_i.  Each channel finishes y_i = a_i @ t_i mod m_i, and
+    M_i * y_i, below M/2 in magnitude, joins a sum folded mod M after every
+    channel, so no partial sum reaches M, which the layer keeps below 2**63.
+    """
+    n, side, rest = ts[0].shape
+    rows, _, tw, _, k = out.shape
+    t0 = time.perf_counter()
+    acc = np.zeros((side, side * rest), np.int64)
+    for c, a, ti, m in zip(system.cofactors, weights, ts, system.moduli):
+        half = (m - 1) // 2
+        y = gemm.exact_matmul(a, ti.reshape(n, side * rest), half, half, m)
+        acc += c * y.astype(np.int64)
+        gemm.reduce_mod_inplace(acc, system.dynamic_range)
+    t1 = time.perf_counter()
+    acc = acc.reshape(side, side, rows, tw, k).transpose(2, 1, 3, 0, 4)
+    np.copyto(out, acc, casting="unsafe")
+    t.crt += t1 - t0
+    t.scatter += time.perf_counter() - t1
 
 
 def winograd_layer_conv(
@@ -349,15 +368,16 @@ def winograd_layer_conv(
     reuse the same weights, exactly as repeated inference does.
 
     The tile rows are cut into blocks, and each block goes through every
-    modulus, the reconstruction (the CRT sum, or mixed radix conversion past
-    its bound) and the scatter into its own output rows; a pool of up to
+    modulus, the CRT reconstruction (in float64, or in int64 past the
+    float64 bound) and the scatter into its own output rows; a pool of up to
     RNSW_THREADS workers (default: the usable cores) takes the blocks, and a
     layer of one block runs inline.
 
     Raises DynamicRangeExceeded when range_check fails, OverflowRisk when
-    the bound it uses exceeds int32 (the output dtype), and UnsupportedStride
-    for stride > 1 (the tiling only covers unit stride; callers wanting a
-    silent fallback use layer_conv).
+    the bound it uses exceeds int32 (the output dtype) or when a system past
+    the float64 CRT bound has a dynamic range of 2**63 or more (the int64
+    sum's reach), and UnsupportedStride for stride > 1 (the tiling only
+    covers unit stride; callers wanting a silent fallback use layer_conv).
     """
     _check_operands(spec, weights, x)
     if spec.stride != 1:
@@ -372,11 +392,20 @@ def winograd_layer_conv(
         )
     if report.bound > gemm.INT32_MAX:
         raise OverflowRisk(f"worst case {report.bound} does not fit the int32 output")
-    mts = transforms.cached_modular_transforms(tile_m, spec.r, system.moduli)
     n = tile_m + spec.r - 1
-    crt_rows = crt_route(system, n)
-    if crt_rows is not None:
-        crt_at = [c * mt.at.astype(np.float64) for c, mt in zip(system.crt_weights, mts)]
+    fused = system.crt_fits(n)
+    if not fused and system.dynamic_range >= 1 << 63:
+        raise OverflowRisk(f"dynamic range of {system} does not fit the int64 CRT sum")
+    mts = transforms.cached_modular_transforms(tile_m, spec.r, system.moduli)
+    backward_rows = crt_route(system, n)
+    # a_i = (M_i^-1 mod m_i) * A_i^T mod m_i; the float64 sum takes M_i * a_i
+    shares = [
+        gemm.reduce_mod_inplace(inv * mt.at.astype(np.int64), mt.modulus)
+        for inv, mt in zip(system.inverses, mts)
+    ]
+    if fused:
+        shares = [c * a.astype(np.float64) for c, a in zip(system.cofactors, shares)]
+    reconstruct = _crt_scatter if fused else _crt_int64
     if timings is None:
         timings = StageTimings()
 
@@ -411,17 +440,8 @@ def winograd_layer_conv(
         rows = blk.shape[2]
         blk = blk.reshape(n, n, rows * tw, c)
         t.tiling += time.perf_counter() - t0
-        res = [_modulus_pass(blk, filters[mt.modulus], mt, crt_rows, t) for mt in mts]
-        if crt_rows is not None:
-            _crt_scatter(res, crt_at, system.dynamic_range, canvas[r0 : r0 + rows], t)
-            return t
-        t0 = time.perf_counter()
-        y = residue.mrc_reconstruct_arrays(res, system)
-        t1 = time.perf_counter()
-        y = y.reshape(tile_m, tile_m, rows, tw, k)
-        canvas[r0 : r0 + rows] = y.transpose(2, 0, 3, 1, 4)
-        t.mrc += t1 - t0
-        t.scatter += time.perf_counter() - t1
+        res = [_modulus_pass(blk, filters[mt.modulus], mt, backward_rows, t) for mt in mts]
+        reconstruct(res, shares, system, canvas[r0 : r0 + rows], t)
         return t
 
     starts = range(0, b * th, step)

@@ -4,12 +4,12 @@ Everything in this module is exact integer arithmetic.  Residues are kept in
 the symmetric range [-(m-1)/2, (m-1)/2] for an odd modulus m, so signed values
 survive encode/decode without a separate sign channel.
 
-Two reconstructions are kept.  The Chinese Remainder Theorem (CRT) weights
-c_i = M_i * (M_i^-1 mod m_i), M_i = M / m_i, taken balanced, rebuild x as
-sum_i c_i * x_i folded once mod M, for any representatives x_i; the fast path
-carries them into its last float64 GEMM while RnsSystem.crt_fits holds.
-Mixed radix conversion needs only arithmetic modulo the individual moduli
-plus one final weighted sum, and serves every system past that bound.
+One reconstruction serves every route: the Chinese Remainder Theorem (CRT)
+with cofactor weights.  With M the product of the moduli and M_i = M / m_i,
+x = sum_i M_i * (x_i * inv_i mod m_i), folded mod M, for any representatives
+x_i, inv_i = M_i^-1 mod m_i.  The fast path folds inv_i into each channel's
+backward transform and sums in float64 while RnsSystem.crt_fits holds, in
+int64 otherwise.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gemm
-from .errors import NotCoprime, OutOfRange, OverflowRisk, SystemMismatch
+from .errors import NotCoprime, OutOfRange, SystemMismatch
 
 # Residues must fit a signed 16-bit word, so moduli are capped at 15 bits.
 MAX_MODULUS = (1 << 15) - 1
@@ -65,9 +65,9 @@ def mod_inverse(x: int, m: int) -> int:
 class RnsSystem:
     """A fixed set of pairwise-coprime odd moduli.
 
-    Precomputes the inverses needed for mixed radix reconstruction and the
-    balanced CRT weights.  Instances are immutable after construction and
-    safe to share across threads.
+    Precomputes the CRT cofactors M_i = M / m_i and their balanced inverses
+    mod m_i.  Instances are immutable after construction and safe to share
+    across threads.
     """
 
     def __init__(self, moduli: Sequence[int]):
@@ -84,33 +84,21 @@ class RnsSystem:
         self.moduli = moduli
         self.dynamic_range = math.prod(moduli)
         self.signed_bound = (self.dynamic_range - 1) // 2
-        # Digit j of x = sum_i W_i d_i, W_i = moduli[0] * ... * moduli[i-1], is
-        # d_j = r_j * W_j^-1 - sum_{i<j} d_i * W_i * W_j^-1 mod moduli[j];
-        # _mrc_weights[j] = (W_j^-1, [W_i * W_j^-1 for i < j]) mod moduli[j].
-        self._mrc_weights = []
-        for j, m in enumerate(moduli):
-            scale = mod_inverse(math.prod(moduli[:j]) % m, m)
-            self._mrc_weights.append(
-                (scale, [mod_reduce(math.prod(moduli[:i]) * scale, m) for i in range(j)])
-            )
-        # c_i = 1 mod m_i and 0 mod every other modulus; balanced, |c_i| < M/2
-        big = self.dynamic_range
-        self.crt_weights = tuple(
-            _balanced(big // m * pow(big // m, -1, m), big) for m in moduli
-        )
+        self.cofactors = tuple(self.dynamic_range // m for m in moduli)
+        self.inverses = tuple(mod_inverse(c % m, m) for c, m in zip(self.cofactors, moduli))
 
     def crt_bound(self, depth: int, folded: bool = True) -> int:
-        """Largest |partial sum| of sum_i (c_i A_i) @ t_i at contraction depth n.
+        """Largest |partial sum| of sum_i (M_i a_i) @ t_i at contraction depth n.
 
-        A_i holds residues mod m_i, at most h_i = (m_i - 1) / 2 in magnitude,
-        and t_i = A_i @ p_i is the backward transform's first GEMM over
-        residues |p_i| <= h_i: at most h_i when folded mod m_i and n * h_i**2
-        when not.  Every partial sum of the weighted products then stays
-        within sum_i |c_i| * n * h_i * max|t_i|.
+        a_i = inv_i * A_i mod m_i holds residues, at most h_i = (m_i - 1) / 2
+        in magnitude, and t_i = A_i @ p_i is the backward transform's first
+        GEMM over residues |p_i| <= h_i: at most h_i when folded mod m_i and
+        n * h_i**2 when not.  Every partial sum of the weighted products then
+        stays within sum_i M_i * n * h_i * max|t_i|.
         """
         return sum(
-            abs(c) * depth * h * (h if folded else depth * h * h)
-            for c, h in zip(self.crt_weights, ((m - 1) // 2 for m in self.moduli))
+            c * depth * h * (h if folded else depth * h * h)
+            for c, h in zip(self.cofactors, ((m - 1) // 2 for m in self.moduli))
         )
 
     def crt_fits(self, depth: int, folded: bool = True) -> bool:
@@ -139,7 +127,7 @@ class RnsSystem:
         return RnsVector(tuple(mod_reduce(x, m) for m in self.moduli), self)
 
     def reconstruct(self, residues) -> int:
-        """Mixed radix conversion of a residue vector back to a signed integer.
+        """CRT reconstruction of a residue vector as a signed integer.
 
         Accepts an RnsVector or a plain sequence of residues (one per
         modulus, any congruent representatives).
@@ -156,12 +144,11 @@ class RnsSystem:
             raise SystemMismatch(
                 f"expected {len(self.moduli)} residues, got {len(values)}"
             )
-        # x = sum_j W_j d_j with balanced digits lies in the signed range
-        x, radix = 0, 1
-        for v, m, (scale, _) in zip(values, self.moduli, self._mrc_weights):
-            x += radix * mod_reduce((v - x) * scale, m)
-            radix *= m
-        return x
+        x = sum(
+            c * _balanced(v * inv, m)
+            for v, m, c, inv in zip(values, self.moduli, self.cofactors, self.inverses)
+        )
+        return _balanced(x, self.dynamic_range)
 
 
 @dataclass(frozen=True)
@@ -206,42 +193,3 @@ class RnsVector:
 
     def __int__(self) -> int:
         return self.system.reconstruct(self)
-
-
-def mrc_reconstruct_arrays(
-    residues: Sequence[np.ndarray], system: RnsSystem
-) -> np.ndarray:
-    """Vectorized mixed radix conversion.
-
-    residues holds one integer array per modulus (matching shapes, residues of
-    the same tensor, any congruent representatives).  Returns an int64 array
-    of the reconstructed signed integers.  The digits are computed in int32
-    in the symmetric range, each as one weighted sum reduced once; residues
-    of at most 16 bits are used as they are, wider ones are reduced first.
-    Balanced digits of odd radices span exactly the signed range, so the
-    weighted sum of the digits needs no final correction.  The dynamic range
-    must fit int64 with room for one digit-times-radix product.
-    """
-    if len(residues) != len(system.moduli):
-        raise SystemMismatch(
-            f"expected {len(system.moduli)} residue arrays, got {len(residues)}"
-        )
-    if system.dynamic_range >= 1 << 62:
-        raise OverflowRisk(f"dynamic range of {system} does not fit int64 reconstruction")
-    # |sum| <= h_j * (2**16 + sum_{i<j} h_i), h = (m - 1) / 2: below 2**31
-    # for moduli of at most 15 bits whose product is below 2**62
-    digits = []
-    for j, m in enumerate(system.moduli):
-        r = np.asarray(residues[j])
-        if r.dtype.itemsize > 2:
-            r = gemm.reduce_mod_inplace(r.copy(), m)
-        scale, weights = system._mrc_weights[j]
-        t = np.multiply(r, scale, dtype=np.int32)
-        for d, w in zip(digits, weights):
-            t -= d * w
-        digits.append(gemm.reduce_mod_inplace(t, m))
-    x = digits[-1].astype(np.int64)
-    for j in range(len(digits) - 2, -1, -1):
-        x *= system.moduli[j]
-        x += digits[j]
-    return x

@@ -349,24 +349,72 @@ def test_bench_iteration_and_seed_overrides(tmp_path, capsys):
 
 def test_bench_header_names_the_reconstruction(tmp_path, capsys):
     # tile_m=4 and r=3: n=6.  (251, 241, 239) sums unfolded rows within
-    # 36 * (1324777 * 125**3 + 719868 * 120**3 + 604910 * 119**3) = 2**47.3;
-    # (4001, 4331) folded ones within 6 * (8454112 * 2000**2 + 8454113 * 2165**2)
+    # 36 * (57599 * 125**3 + 59989 * 120**3 + 60491 * 119**3) = 2**43.4;
+    # (4001, 4331) folded ones within 6 * (4331 * 2000**2 + 4001 * 2165**2)
     path = write_small_bench_config(tmp_path)
     code, out, _ = run_cli(capsys, "bench", "--config", str(path))
     assert code == 0
     head = out.splitlines()[0]
     assert head.startswith("rns=(251, 241, 239)  tile_m=4")
-    assert head.endswith("reconstruction=CRT, unfolded rows (bound 2**47.3 <= 2**51 at n=6)")
+    assert head.endswith("reconstruction=CRT, unfolded rows (bound 2**43.4 <= 2**51 at n=6)")
     cfg = json.loads(path.read_text())
     for rns, route in (
-        ([4001, 4331], "CRT (bound 2**48.6 <= 2**51 at n=6)"),
-        ([32749, 32719], "MRC (CRT bound 2**60.1 > 2**51 at n=6)"),
+        ([4001, 4331], "CRT (bound 2**37.7 <= 2**51 at n=6)"),
+        ([32749, 32719], "CRT (bound 2**46.6 <= 2**51 at n=6)"),
+        ([32749, 32719, 32717], "CRT in int64 (float64 bound 2**62.2 > 2**51 at n=6)"),
     ):
         cfg["rns"] = rns
         path.write_text(json.dumps(cfg))
         code, out, _ = run_cli(capsys, "bench", "--config", str(path))
         assert code == 0
         assert out.splitlines()[0].endswith(f"reconstruction={route}")
+
+
+def test_bench_header_names_each_transform_size(tmp_path, capsys):
+    # a per-layer tile_m sets that layer's n; layers run direct have none.
+    # (4001, 4331) sums unfolded rows at n=4 and folded ones at n=16
+    cfg = {
+        "rns": [4001, 4331],
+        "tile_m": 2,
+        "layers": [
+            {"name": "small", "h": 8, "w": 8, "c": 2, "k": 2, "r": 3, "padding": 1},
+            {"name": "big", "h": 16, "w": 16, "c": 2, "k": 2, "r": 3, "tile_m": 14},
+            {"name": "plain", "h": 8, "w": 8, "c": 2, "k": 2, "r": 5, "algorithm": "direct"},
+        ],
+    }
+    path = tmp_path / "sizes.json"
+    path.write_text(json.dumps(cfg))
+    code, out, _ = run_cli(capsys, "bench", "--config", str(path))
+    assert code == 0
+    assert out.splitlines()[0].endswith(
+        "reconstruction=CRT, unfolded rows (bound 2**50.1 <= 2**51 at n=4); "
+        "CRT (bound 2**39.1 <= 2**51 at n=16)"
+    )
+
+
+def test_bench_runs_strided_layers_direct(tmp_path, capsys):
+    # the fast path covers unit stride; bench runs a strided layer direct,
+    # as verify does through layer_conv
+    cfg = {
+        "rns": [251, 241, 239],
+        "tile_m": 4,
+        "layers": [
+            {"name": "strided", "h": 12, "w": 12, "c": 3, "k": 2, "r": 3, "stride": 2},
+        ],
+    }
+    path = tmp_path / "strided.json"
+    path.write_text(json.dumps(cfg))
+    csv_path = tmp_path / "rows.csv"
+    code, out, _ = run_cli(capsys, "bench", "--config", str(path), "--csv", str(csv_path))
+    assert code == 0
+    assert out.splitlines()[0].endswith("reconstruction=none")
+    row = next(l for l in out.splitlines() if l.startswith("strided")).split()
+    assert row[1] == "direct" and row[-1] == "True" and len(row) == 6
+    with open(csv_path, newline="") as f:
+        (rec,) = csv.DictReader(f)
+    assert rec["algorithm"] == "direct" and rec["crt_pct"] == "" and rec["exact"] == "1"
+    code, out, _ = run_cli(capsys, "verify", "--config", str(path))
+    assert code == 0 and "1/1 cases passed" in out
 
 
 def test_standard_systems_take_the_fused_route():
@@ -458,7 +506,7 @@ def test_bench_leaves_fast_path_figures_blank_for_direct_layers(tmp_path, capsys
     with open(csv_path, newline="") as f:
         rows = {r["layer"]: r for r in csv.DictReader(f)}
     figures = ["mult_reduction", "tiling_pct", "input_transform_pct", "gemm_pct",
-               "backward_pct", "mrc_pct", "scatter_pct"]
+               "backward_pct", "crt_pct", "scatter_pct"]
     assert all(rows["plain"][k] == "" for k in figures)
     assert all(rows["tiny"][k] != "" for k in figures)
     assert rows["plain"]["exact"] == "1"

@@ -61,11 +61,14 @@ def test_stage_transforms_match_int64_sandwich(modulus):
     assert np.array_equal(got.astype(np.int64), want)
     assert np.abs(got.astype(np.int64)).max() <= half
 
+    # the backward transform's first GEMM: entry [j, a] is (A^T t)[a, j]
     t = sym_reduce(rng.integers(-(2**20), 2**20, (6, 6)), modulus).astype(mt.at.dtype)
-    got = kernel.backward_transform_mod(t, mt)
-    want = sym_reduce(mt.at.astype(np.int64) @ t @ mt.at.T.astype(np.int64), modulus)
-    assert got.shape == (4, 4)
-    assert np.array_equal(got.astype(np.int64), want)
+    want = mt.at.astype(np.int64) @ t
+    got = kernel.backward_rows_mod(t, mt)
+    assert got.shape == (6, 4, 1)
+    assert np.array_equal(got[:, :, 0].T.astype(np.int64), sym_reduce(want, modulus))
+    got = kernel.backward_rows(t, mt)
+    assert np.array_equal(got[:, :, 0].T.astype(np.int64), want)
 
 
 def test_stage_transforms_reject_wrong_tile_shape():
@@ -75,7 +78,9 @@ def test_stage_transforms_reject_wrong_tile_shape():
     with pytest.raises(ShapeMismatch):
         kernel.input_transform_mod(np.zeros((5, 5), np.int8), mt)
     with pytest.raises(ShapeMismatch):
-        kernel.backward_transform_mod(np.zeros(6, np.int8), mt)
+        kernel.backward_rows_mod(np.zeros(6, np.int8), mt)
+    with pytest.raises(ShapeMismatch):
+        kernel.backward_rows(np.zeros((4, 6), np.int8), mt)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +177,7 @@ def test_tile_conv_is_linear_in_the_filter():
 
 
 # ---------------------------------------------------------------------------
-# full RNS tiles: exact integers through mixed radix conversion
+# full RNS tiles: exact integers through the CRT
 
 
 @pytest.mark.parametrize(

@@ -300,103 +300,160 @@ def count_calls(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counted)
 
 
-# a system per reconstruction route: the CRT sum over unfolded or folded
-# first backward GEMMs, and mixed radix conversion past the CRT bound
+# a system per reconstruction route: the float64 CRT sum over unfolded or
+# folded first backward GEMMs, and the int64 sum past its bound
+SYS3X15 = residue.RnsSystem((32749, 32719, 32717))
 ROUTES = (
-    (SYS8, "backward_rows"),
-    (SYS16, "backward_rows_mod"),
-    (residue.RnsSystem((32749, 32719)), "mrc_reconstruct_arrays"),
+    (SYS8, "backward_rows", "_crt_scatter"),
+    (SYS16, "backward_rows_mod", "_crt_scatter"),
+    (SYS3X15, "backward_rows_mod", "_crt_int64"),
 )
 
 
 def test_stage_timings_accumulate(monkeypatch):
     # several blocks on two workers: every stage a block runs is counted, on
-    # each route; two blocks make two calls per modulus (CRT) or per block
+    # each route; two blocks make two calls per modulus and two reconstructions
     monkeypatch.setattr(layer, "_BLOCK_BYTES", 1)
     monkeypatch.setenv("RNSW_THREADS", "2")
     calls = []
     for name in ("backward_rows", "backward_rows_mod"):
         count_calls(monkeypatch, kernel, name, calls)
-    count_calls(monkeypatch, residue, "mrc_reconstruct_arrays", calls)
+    for name in ("_crt_scatter", "_crt_int64"):
+        count_calls(monkeypatch, layer, name, calls)
     spec = layer.LayerSpec(h=8, w=8, c=2, k=2, r=3, padding=1, tile_m=4)
     weights, x = random_operands(spec, 8)
-    for system, route in ROUTES:
+    for system, rows, reconstruct in ROUTES:
         calls.clear()
         t = layer.StageTimings()
         got = layer.winograd_layer_conv(spec, weights, x, system, timings=t)
         assert np.array_equal(got, layer.direct_conv(spec, weights, x))
-        per_block = 1 if route == "mrc_reconstruct_arrays" else len(system)
-        assert calls == [route] * 2 * per_block, system
-        for stage in ("tiling", "input_transform", "gemm", "backward_transform", "mrc", "scatter"):
+        assert sorted(calls) == sorted([rows] * 2 * len(system) + [reconstruct] * 2), system
+        for stage in ("tiling", "input_transform", "gemm", "backward_transform", "crt", "scatter"):
             assert getattr(t, stage) > 0, (system, stage)
         assert t.total() == pytest.approx(
             t.tiling + t.filter_transform + t.input_transform + t.gemm
-            + t.backward_transform + t.mrc + t.scatter
+            + t.backward_transform + t.crt + t.scatter
         )
 
 
 def test_crt_route_follows_the_bound():
     assert layer.crt_route(SYS8, 16) is kernel.backward_rows
-    assert layer.crt_route(SYS8, 22) is kernel.backward_rows_mod  # unfolded: > 2**51
+    assert layer.crt_route(SYS8, 84) is kernel.backward_rows
+    assert layer.crt_route(SYS8, 85) is kernel.backward_rows_mod  # unfolded: > 2**51
+    assert layer.crt_route(SYS16, 5) is kernel.backward_rows
     assert layer.crt_route(SYS16, 16) is kernel.backward_rows_mod
-    assert layer.crt_route(residue.RnsSystem((32749, 32719)), 4) is None
-    assert layer.crt_route(residue.RnsSystem((32749, 32719, 32717)), 4) is None
+    assert layer.crt_route(residue.RnsSystem((32749, 32719)), 4) is kernel.backward_rows_mod
+    assert layer.crt_route(SYS3X15, 4) is kernel.backward_rows_mod
 
 
-def test_fused_route_never_calls_mrc(monkeypatch):
+def test_fused_route_never_takes_the_int64_sum(monkeypatch):
     def refuse(*args):
-        raise AssertionError("mrc_reconstruct_arrays called")
+        raise AssertionError("_crt_int64 called")
 
-    monkeypatch.setattr(residue, "mrc_reconstruct_arrays", refuse)
+    monkeypatch.setattr(layer, "_crt_int64", refuse)
     spec = layer.LayerSpec(h=12, w=12, c=3, k=2, r=3, padding=1, tile_m=4)
     weights, x = random_operands(spec, 12)
-    for system, _ in ROUTES[:2]:
+    for system in (SYS8, SYS16, residue.RnsSystem((32749, 32719))):
         got = layer.winograd_layer_conv(spec, weights, x, system)
         assert np.array_equal(got, layer.direct_conv(spec, weights, x))
-    # the patch is live: a system past the CRT bound still takes MRC
-    with pytest.raises(AssertionError, match="mrc_reconstruct_arrays called"):
-        layer.winograd_layer_conv(spec, weights, x, ROUTES[2][0])
+    # the patch is live: a system past the float64 bound takes the int64 sum
+    with pytest.raises(AssertionError, match="_crt_int64 called"):
+        layer.winograd_layer_conv(spec, weights, x, SYS3X15)
 
 
 @pytest.mark.parametrize(
     "system,folded",
-    # the nearest standard systems to the float64 fold's 2**51 at
-    # F(14x14, 3x3): (4001, 4331) folded at 2**50.1, (251, 241, 239)
-    # unfolded at 2**50.1
-    [(SYS16, True), (SYS8, False)],
+    # at the deepest n each route admits: (32749, 32719) folded at n = 128
+    # and (251, 241, 239) unfolded at n = 84, both within 2**51 by 0.3%
+    [(residue.RnsSystem((32749, 32719)), True), (SYS8, False)],
 )
 def test_crt_sum_exact_at_its_worst_case(system, folded):
-    # drive output row a, column a to the largest sum the CRT weights allow
-    # (|t_i| at its bound, signs matching c_i * A_i[a]), and its negation in
-    # a second channel, and compare with integer arithmetic
-    n, side = 16, 14
-    mts = transforms.cached_modular_transforms(14, 3, system.moduli)
-    rows, peaks = [], np.zeros(side, np.int64)
-    for c, mt in zip(system.crt_weights, mts):
-        h = (mt.modulus - 1) // 2
+    # every weight M_i * a_i at its largest, |a_i| = h_i, and every |t_i| at
+    # its bound with signs matching a_i, so each output sums to exactly
+    # +-crt_bound; compared with integer arithmetic
+    n = max(d for d in range(2, 200) if system.crt_fits(d, folded))
+    assert not system.crt_fits(n + 1, folded)
+    side = 3
+    signs = np.where(np.random.default_rng(n).random(n) < 0.5, -1, 1)
+    rows, shares = [], []
+    for m in system.moduli:
+        h = (m - 1) // 2
         top = h if folded else n * h * h
-        signs = np.sign(c * mt.at.astype(np.int64))  # (side, n)
+        shares.append(np.tile(h * signs, (side, 1)))  # (side, n)
         t = np.empty((n, side, 2), np.float32)
-        t[:, :, 0] = top * signs.T
-        t[:, :, 1] = -top * signs.T
+        t[:, :, 0] = top * signs[:, None]
+        t[:, :, 1] = -top * signs[:, None]
         rows.append(t)
-        peaks += top * np.abs(c * mt.at.astype(np.int64)).sum(axis=1)
-    # the reduced A_i reach about 40% of the bound's n * h_i per row
-    assert 2**48.5 < peaks.max() <= system.crt_bound(n, folded) <= gemm.FLOAT64_FOLD
-    crt_at = [c * mt.at.astype(np.float64) for c, mt in zip(system.crt_weights, mts)]
+    weights = [c * a.astype(np.float64) for c, a in zip(system.cofactors, shares)]
     out = np.empty((1, side, 1, side, 2), np.int32)
-    layer._crt_scatter(rows, crt_at, system.dynamic_range, out, layer.StageTimings())
+    layer._crt_scatter(rows, weights, system, out, layer.StageTimings())
     big = system.dynamic_range
-    for a in range(side):
-        for b in range(side):
-            for ch in range(2):
-                total = sum(
-                    c * int(mt.at[b, j]) * int(t[j, a, ch])
-                    for c, mt, t in zip(system.crt_weights, mts, rows)
-                    for j in range(n)
-                )
-                want = (total + big // 2) % big - big // 2
-                assert out[0, a, 0, b, ch] == want, (a, b, ch)
+    for ch, sign in ((0, 1), (1, -1)):
+        total = sign * system.crt_bound(n, folded)
+        assert total == sum(
+            c * int(a[0, j]) * int(t[j, 0, ch])
+            for c, a, t in zip(system.cofactors, shares, rows)
+            for j in range(n)
+        )
+        want = (total + big // 2) % big - big // 2
+        assert np.all(out[0, :, 0, :, ch] == want), ch
+
+
+def test_int64_sum_folds_near_its_range():
+    # channel terms M_i * y_i up to M/2 in magnitude on a system of M just
+    # below 2**63: int32 outputs x rebuilt from y_i = x * inv_i mod m_i, with
+    # partial sums passing 0.99 M before their fold
+    system = residue.RnsSystem((32749, 32719, 32717, 503, 523))
+    big = system.dynamic_range
+    assert 2**63 - 2**50 < big < 2**63
+    rng = np.random.default_rng(63)
+    x = rng.integers(-(2**31) + 1, 2**31, 4000)
+    x[:3] = (gemm.INT32_MAX, -gemm.INT32_MAX, 0)
+    ts, shares = [], []
+    for m, inv in zip(system.moduli, system.inverses):
+        r = np.mod(x, m)
+        ts.append(np.where(r > m // 2, r - m, r).astype(np.float32).reshape(1, 1, -1))
+        shares.append(np.array([[inv]], np.int64))
+    out = np.empty((1, 1, 1, 1, x.size), np.int32)
+    layer._crt_int64(ts, shares, system, out, layer.StageTimings())
+    assert np.array_equal(out.ravel(), x)
+    peak = 0
+    for v in x.tolist():
+        acc = 0
+        for c, inv, m in zip(system.cofactors, system.inverses, system.moduli):
+            acc += c * residue.mod_reduce(v * inv, m)
+            peak = max(peak, abs(acc))
+            acc = (acc + big // 2) % big - big // 2
+    assert 0.99 * big < peak < big
+
+
+@pytest.mark.parametrize(
+    "moduli",
+    [
+        (32749, 32719, 32717),  # 2**45
+        (32749, 32719, 32717, 32713),  # 2**60
+        (32749, 32719, 32717, 503, 523),  # 2**63 - 2**49.9
+    ],
+)
+def test_int64_route_matches_direct_conv(moduli):
+    system = residue.RnsSystem(moduli)
+    assert not system.crt_fits(6)
+    spec = layer.LayerSpec(h=13, w=11, c=6, k=3, r=3, padding=1, batch=2, tile_m=4)
+    weights, x = random_operands(spec, len(moduli))
+    weights[0, 0], x[0, :4, :4] = -128, -128
+    got = layer.winograd_layer_conv(spec, weights, x, system)
+    assert np.array_equal(got, layer.direct_conv(spec, weights, x))
+
+
+def test_int64_route_refuses_a_range_past_int64():
+    # 2**63 + 2**44.3: the int64 sum cannot hold a term below M/2 plus a
+    # folded sum; refused before any work
+    system = residue.RnsSystem((32749, 32719, 32717, 307, 857))
+    assert system.dynamic_range >= 2**63
+    spec = layer.LayerSpec(h=8, w=8, c=2, k=1, r=3, tile_m=4)
+    weights, x = random_operands(spec, 5)
+    with pytest.raises(OverflowRisk, match="int64"):
+        layer.winograd_layer_conv(spec, weights, x, system)
 
 
 @pytest.mark.parametrize(
@@ -411,7 +468,7 @@ def test_fused_route_at_the_dynamic_range_edge(system, c_fit):
         full = np.full(spec.weight_shape(), -128, np.int8)
         return spec, full, np.full(spec.input_shape(), -128, np.int8)
 
-    assert layer.crt_route(system, 16) is not None
+    assert system.crt_fits(16)
     spec, weights, x = minimum_layer(c_fit)
     got = layer.winograd_layer_conv(spec, weights, x, system)
     assert int(got.max()) == 9 * c_fit * 128**2 <= system.signed_bound

@@ -5,19 +5,19 @@ brute force search over the full dynamic range, never by calling the code
 under test twice.
 """
 
+import itertools
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnswinograd import residue
-from rnswinograd.errors import NotCoprime, OutOfRange, OverflowRisk, SystemMismatch
+from rnswinograd.errors import NotCoprime, OutOfRange, SystemMismatch
 
 
 def brute_force_reconstruct(values, moduli):
@@ -211,97 +211,36 @@ def test_vector_system_mismatch():
         a + b
 
 
-# ---------------------------------------------------------------------------
-# array reconstruction
-
-
-def symmetric_residues(x, m):
-    r = np.mod(x, m)
-    r[r > (m - 1) // 2] -= m
-    return r
-
-
 @pytest.mark.parametrize(
-    "moduli", [(7, 9), (7, 9, 11), (253, 251, 247), (4001, 4331)]
+    "moduli", [(7, 9, 11), (251, 241, 239), (4001, 4331), (32749, 32719, 32717, 32713)]
 )
-def test_mrc_reconstruct_arrays_random(moduli):
+def test_reconstruct_at_symmetric_range_edges(moduli):
+    # every combination of residues -(m-1)/2, 0 and (m-1)/2, the CRT sum's
+    # widest terms, and the same residues one modulus further out
     system = residue.RnsSystem(moduli)
-    rng = np.random.default_rng(20_08_14)
-    x = rng.integers(-system.signed_bound, system.signed_bound + 1, size=(5, 17))
-    x[0, 0] = system.signed_bound
-    x[0, 1] = -system.signed_bound
-    x[0, 2] = 0
-    parts = [symmetric_residues(x.copy(), m) for m in moduli]
-    got = residue.mrc_reconstruct_arrays(parts, system)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, x)
-
-
-def test_mrc_reconstruct_arrays_wrong_arity():
-    system = residue.RnsSystem((7, 9))
-    with pytest.raises(SystemMismatch):
-        residue.mrc_reconstruct_arrays([np.zeros(3, np.int64)], system)
-
-
-def test_mrc_matches_scalar_reconstruct():
-    system = residue.RnsSystem((251, 241, 239))
-    values = [-7_228_674, -123_456, -1, 0, 1, 99_999, 7_228_674]
-    parts = [
-        np.array([residue.mod_reduce(v, m) for v in values]) for m in system.moduli
-    ]
-    got = residue.mrc_reconstruct_arrays(parts, system)
-    assert got.tolist() == values
-    for v in values:
-        assert system.reconstruct([residue.mod_reduce(v, m) for m in system.moduli]) == v
-
-
-@pytest.mark.parametrize("moduli", [(7, 9, 11), (251, 241, 239), (4001, 4331)])
-def test_mrc_at_symmetric_range_edges(moduli):
-    # every combination of residues -(m-1)/2, 0 and (m-1)/2
-    system = residue.RnsSystem(moduli)
-    grids = np.meshgrid(*[[-(m - 1) // 2, 0, (m - 1) // 2] for m in moduli], indexing="ij")
-    parts = [g.ravel() for g in grids]
-    got = residue.mrc_reconstruct_arrays(parts, system)
-    assert np.all(np.abs(got) <= system.signed_bound)
-    # congruent to every residue inside the signed range: the unique preimage
-    for j, m in enumerate(moduli):
-        assert np.all((got - parts[j]) % m == 0)
-
-
-def test_mrc_wide_representatives_on_widest_15bit_system():
-    # four 15-bit moduli (range ~2**60) with int16 representatives as far
-    # from the symmetric range as int16 allows (the digit sums' worst case),
-    # and int32 ones near the int32 limit, which must be reduced first
-    system = residue.RnsSystem((32749, 32719, 32717, 32713))
-    rng = np.random.default_rng(60)
-    x = rng.integers(-system.signed_bound, system.signed_bound + 1, size=200)
-    x[:2] = (system.signed_bound, -system.signed_bound)
-    narrow, wide = [], []
-    for m in system.moduli:
-        r = symmetric_residues(x.copy(), m)
-        narrow.append(np.where(r > 0, r - m, r + m).astype(np.int16))
-        wide.append((r + m * 65000).astype(np.int32))
-    assert all(int(np.abs(p.astype(np.int64)).max()) > 32000 for p in narrow)
-    assert np.array_equal(residue.mrc_reconstruct_arrays(narrow, system), x)
-    assert np.array_equal(residue.mrc_reconstruct_arrays(wide, system), x)
-
-
-def test_mrc_rejects_range_beyond_int64():
-    system = residue.RnsSystem((32749, 32719, 32717, 32713, 32707))
-    parts = [np.zeros(2, np.int32)] * 5
-    with pytest.raises(OverflowRisk):
-        residue.mrc_reconstruct_arrays(parts, system)
+    for combo in itertools.product(*[(-(m - 1) // 2, 0, (m - 1) // 2) for m in moduli]):
+        x = system.reconstruct(combo)
+        assert abs(x) <= system.signed_bound
+        assert all((x - v) % m == 0 for v, m in zip(combo, moduli))
+        assert system.reconstruct([v - m if v > 0 else v + m for v, m in zip(combo, moduli)]) == x
 
 
 # ---------------------------------------------------------------------------
-# CRT weights and the fused route's float64 bound
+# CRT cofactors and the fused route's float64 bound
+
+
+def crt_weights(system):
+    """c_i = M_i * (M_i^-1 mod m_i), the weight that selects channel i."""
+    return tuple(c * inv for c, inv in zip(system.cofactors, system.inverses))
 
 
 def test_crt_weights_hand_values():
-    # (7, 9): 9 * (9^-1 mod 7) = 9 * 4 = 36 -> -27; 7 * (7^-1 mod 9) = 28
-    assert residue.RnsSystem((7, 9)).crt_weights == (-27, 28)
-    assert residue.RnsSystem((7,)).crt_weights == (1,)
-    assert residue.RnsSystem((4001, 4331)).crt_weights == (-8454112, 8454113)
+    # (7, 9): 9 * (9^-1 mod 7 = 4, balanced -3) = -27; 7 * (7^-1 mod 9) = 7 * 4 = 28
+    sys79 = residue.RnsSystem((7, 9))
+    assert sys79.cofactors == (9, 7) and sys79.inverses == (-3, 4)
+    assert crt_weights(sys79) == (-27, 28)
+    assert crt_weights(residue.RnsSystem((7,))) == (1,)
+    assert crt_weights(residue.RnsSystem((4001, 4331))) == (-8454112, 8454113)
 
 
 @pytest.mark.parametrize(
@@ -311,40 +250,42 @@ def test_crt_weights_hand_values():
 def test_crt_weights_select_one_modulus(moduli):
     system = residue.RnsSystem(moduli)
     total = math.prod(moduli)
-    for i, c in enumerate(system.crt_weights):
+    for i, c in enumerate(crt_weights(system)):
+        assert system.cofactors[i] * moduli[i] == total
+        assert 2 * abs(system.inverses[i]) < moduli[i]
         assert 2 * abs(c) <= total
         for j, m in enumerate(moduli):
             assert c % m == (1 if i == j else 0)
 
 
 def test_crt_bound_picks_the_route():
-    # folded rows: sum_i |c_i| * n * h_i**2 against 2**51 (gemm.FLOAT64_FOLD)
-    for moduli in [(251, 241, 239), (253, 251, 247), (4001, 4331)]:
+    # folded rows: sum_i M_i * n * h_i**2 against 2**51 (gemm.FLOAT64_FOLD)
+    for moduli in [(251, 241, 239), (253, 251, 247), (4001, 4331), (32749, 32719)]:
         system = residue.RnsSystem(moduli)
         assert all(system.crt_fits(n) for n in range(2, 19)), moduli
-    for moduli in [(32749, 32719), (32749, 32719, 32717)]:
-        system = residue.RnsSystem(moduli)
-        assert not any(system.crt_fits(n) for n in range(2, 19)), moduli
+    system = residue.RnsSystem((32749, 32719, 32717))
+    assert not any(system.crt_fits(n) for n in range(2, 19))
     system = residue.RnsSystem((4001, 4331))
-    per_depth = 8454112 * 2000**2 + 8454113 * 2165**2
-    assert system.crt_bound(16) == 16 * per_depth  # about 2**50.1
-    edge = 2**51 // per_depth  # 30: the deepest sum that still folds exactly
-    assert system.crt_fits(edge) and not system.crt_fits(edge + 1)
-    assert residue.RnsSystem((251, 241, 239)).crt_bound(16) < 2**39.3
+    assert system.crt_bound(16) == 16 * (4331 * 2000**2 + 4001 * 2165**2)  # 2**39.1
+    system = residue.RnsSystem((32749, 32719))
+    per_depth = 32719 * 16374**2 + 32749 * 16359**2
+    assert system.crt_bound(16) == 16 * per_depth  # 2**48.0
+    assert system.crt_fits(128)  # 2,244,660,074,331,264
+    assert not system.crt_fits(129)  # 2,262,196,481,161,977 > 2**51
 
 
 def test_crt_bound_of_unfolded_rows():
-    # unfolded rows reach n * h_i**2, so the bound is n**2 * sum_i |c_i| * h_i**3
+    # unfolded rows reach n * h_i**2, so the bound is n**2 * sum_i M_i * h_i**3
     system = residue.RnsSystem((251, 241, 239))
-    per_depth2 = 1324777 * 125**3 + 719868 * 120**3 + 604910 * 119**3
-    assert system.crt_bound(16, folded=False) == 256 * per_depth2  # 2**50.1
-    assert system.crt_fits(21, folded=False)  # 2,139,183,622,151,415
-    assert not system.crt_fits(22, folded=False)  # 2,347,766,152,202,460 > 2**51
-    assert system.crt_fits(22)
-    # wider moduli keep their rows folded at the vgg16 tile
-    for moduli in [(253, 251, 247), (4001, 4331)]:
-        wide = residue.RnsSystem(moduli)
-        assert wide.crt_fits(16) and not wide.crt_fits(16, folded=False), moduli
+    per_depth2 = 241 * 239 * 125**3 + 251 * 239 * 120**3 + 251 * 241 * 119**3
+    assert system.crt_bound(16, folded=False) == 256 * per_depth2  # 2**46.2
+    assert system.crt_fits(84, folded=False)  # 2,244,485,319,156,864
+    assert not system.crt_fits(85, folded=False)  # 2,298,243,541,795,400 > 2**51
+    assert system.crt_fits(85)
+    # (4001, 4331) keeps its rows folded at the vgg16 tile, unfolded up to n = 5
+    wide = residue.RnsSystem((4001, 4331))
+    assert wide.crt_fits(16) and not wide.crt_fits(16, folded=False)
+    assert wide.crt_fits(5, folded=False) and not wide.crt_fits(6, folded=False)
 
 
 def test_range_checks_survive_optimized_mode(tmp_path):
@@ -361,14 +302,16 @@ def test_range_checks_survive_optimized_mode(tmp_path):
         "    raise SystemExit('RnsVector accepted an out-of-range residue')\n"
         "except OutOfRange:\n"
         "    pass\n"
-        "wide = residue.RnsSystem((32749, 32719, 32717, 32713, 32707))\n"
-        "try:\n"
-        "    residue.mrc_reconstruct_arrays([np.zeros(1, np.int32)] * 5, wide)\n"
-        "    raise SystemExit('reconstruction accepted a range beyond int64')\n"
-        "except OverflowRisk:\n"
-        "    pass\n"
         "from rnswinograd import layer\n"
         "spec = layer.LayerSpec(h=8, w=8, c=2, k=1, r=3, tile_m=4)\n"
+        "x = np.zeros(spec.input_shape(), np.int8)\n"
+        "w = np.zeros(spec.weight_shape(), np.int8)\n"
+        "wide = residue.RnsSystem((32749, 32719, 32717, 307, 857))\n"
+        "try:\n"
+        "    layer.winograd_layer_conv(spec, w, x, wide)\n"
+        "    raise SystemExit('reconstruction accepted a range past int64')\n"
+        "except OverflowRisk:\n"
+        "    pass\n"
         "try:\n"
         "    layer.range_check(spec, residue.RnsSystem((251, 241, 239)), -5)\n"
         "    raise SystemExit('range_check accepted a declared bound below 1')\n"

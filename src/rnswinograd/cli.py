@@ -527,9 +527,13 @@ def _cell(value, spec: str) -> str:
 def reconstruction_route(system: residue.RnsSystem, n: int) -> str:
     """How a layer of transform size n rebuilds its outputs: the CRT sum in
     float64 over unfolded or folded rows (layer.crt_route), or in int64,
-    with the bound that picked the route."""
+    with the bound that picked the route.  The bound's log2 shows three
+    decimals, rounded down within 2**51 and up past it, so the printed
+    comparison holds and the two sides of the edge never print alike."""
     folded = layer.crt_route(system, n) is not kernel.backward_rows
-    bound = f"2**{math.log2(system.crt_bound(n, folded)):.1f}"
+    bound = system.crt_bound(n, folded)
+    milli = math.floor(math.log2(bound) * 1000) + (bound > gemm.FLOAT64_FOLD)
+    bound = f"2**{milli / 1000:.3f}"
     edge = f"2**{math.log2(gemm.FLOAT64_FOLD):.0f}"
     if not system.crt_fits(n):
         return f"CRT in int64 (float64 bound {bound} > {edge} at n={n})"

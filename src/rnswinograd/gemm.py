@@ -5,7 +5,9 @@ partial sum within d * amax * bmax, so float BLAS computes it exactly in
 float32 when that is at most 2**24 and in float64 up to 2**53 (the idea
 behind the Ozaki scheme).  A modular product stays in that float and is
 folded there with one multiply-round pass, exact up to 2**22 in float32 and
-2**51 in float64.
+2**51 in float64.  The fold is lazy: a product whose consumer is itself a
+modular product may hand it the exact unfolded integers instead, where
+defer_fold admits them, and the consumer's own fold reduces both.
 """
 
 from __future__ import annotations
@@ -45,6 +47,19 @@ def exact_float_dtype(depth: int, amax: int, bmax: int) -> np.dtype:
     )
 
 
+def defer_fold(depth: int, h: int, bound: int) -> bool:
+    """Whether a residue product bounded by bound may skip its fold mod m.
+
+    Its consumer is a modular product of that depth against residues mod m,
+    |left| <= h = (m - 1) / 2, on this product's output.  The fold may wait
+    when the consumer runs in float64 even on a folded operand (depth * h * h
+    above FLOAT32_FOLD), so skipping it never promotes a float32 stage, and
+    the consumer's bound on the unfolded one, depth * h * bound, stays within
+    FLOAT64_FOLD, where the consumer's own one-pass fold is still exact.
+    """
+    return depth * h * h > FLOAT32_FOLD and depth * h * bound <= FLOAT64_FOLD
+
+
 def _product_shape(a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeMismatch(f"need at least 2-D operands, got {a.shape} and {b.shape}")
@@ -58,7 +73,12 @@ def _product_shape(a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
 
 
 def exact_matmul(
-    a: np.ndarray, b: np.ndarray, amax: int, bmax: int, m: int | None = None
+    a: np.ndarray,
+    b: np.ndarray,
+    amax: int,
+    bmax: int,
+    m: int | None = None,
+    fold: bool = True,
 ) -> np.ndarray:
     """a @ b of integer arrays, exactly, through float BLAS.
 
@@ -67,7 +87,9 @@ def exact_matmul(
     modulus m the product runs in float32 while its bound is at most 2**22
     and in float64 above, and the symmetric residues are returned as float32,
     which holds them exactly for any m up to 2**24 (float64 beyond); an
-    operand may be such a float result of an earlier modular product.
+    operand may be such a float result of an earlier modular product.  With
+    fold=False (where defer_fold admits it) the residue product is returned
+    unfolded: the exact integers, computed and stored in exact_float_dtype.
     OverflowRisk otherwise.  Operands broadcast like matmul; the result is
     computed and folded in slices along its leading axis, converting an
     operand that does not run along it only once.
@@ -88,6 +110,8 @@ def exact_matmul(
                 f"dot length {depth} with operand bounds {amax}*{bmax} can overflow int32"
             )
         out = np.empty(shape, dtype=np.int32)
+    elif not fold:
+        out = np.empty(shape, dtype=ft)
     else:
         if bound > FLOAT32_FOLD:
             ft = np.dtype(np.float64)
@@ -108,6 +132,8 @@ def exact_matmul(
             np.copyto(out[s], np.matmul(x, y), casting="unsafe")
             continue
         prod = np.matmul(x, y, out=out[s] if ft == out.dtype else None)
+        if not fold:
+            continue
         if bound > FLOAT64_FOLD:
             # past the one-pass edge; fmod is exact and leaves |x| below m
             np.fmod(prod, m, out=prod)

@@ -7,7 +7,11 @@ patches go to (n, n, tiles, c_in) once, as raw int8 shared by all moduli;
 per modulus they are transformed, multiplied by the (n, n, c_in, c_out)
 filters in one (tiles x c_in) @ (c_in x c_out) GEMM per position, and
 taken through the backward transform's first GEMM, the residues staying in
-float, the type BLAS computes in, from stage to stage.  One reconstruction
+float, the type BLAS computes in, from stage to stage.  A stage folds its
+output mod m only where the next product's exactness bound needs it
+(gemm.defer_fold): on moduli whose products already run in float64 the
+input transform's first GEMM and the position GEMM hand on exact unfolded
+integers, and their consumers' folds reduce them.  One reconstruction
 follows, the Chinese Remainder Theorem (CRT) with cofactor weights: the
 second GEMM of modulus m_i runs on a_i = (M_i^-1 mod m_i) * A_i^T mod m_i,
 and sum_i M_i * (a_i @ t_i), folded mod the dynamic range M, gives the
@@ -240,21 +244,26 @@ def _modulus_pass(
     d: (n, n, tiles, c) raw int8 patches, u: (n, n, c, k) filter residues,
     rows: the backward transform's first GEMM crt_route picks.  Returns its
     (n, m, tiles * k) float result for the CRT reconstruction; the residues
-    stay in float from the input transform on.
+    stay in float from the input transform on.  Where rows is the folding
+    backward_rows_mod and gemm.defer_fold admits the position GEMM's bound
+    c * h**2, that GEMM hands it the exact unfolded products.
     """
     n, _, p, c = d.shape
     k = u.shape[3]
     half = (mt.modulus - 1) // 2
+    pmax = c * half * half
+    lazy = rows is kernel.backward_rows_mod and gemm.defer_fold(n, half, pmax)
 
     t0 = time.perf_counter()
     v = kernel.input_transform_mod(d, mt)
     t1 = time.perf_counter()
     prod = gemm.exact_matmul(
-        v.reshape(n * n, p, c), u.reshape(n * n, c, k), half, half, mt.modulus
+        v.reshape(n * n, p, c), u.reshape(n * n, c, k), half, half, mt.modulus, not lazy
     )
     del v  # each stage's input goes before the next stage allocates
     t2 = time.perf_counter()
-    y = rows(prod.reshape(n, n, p, k), mt)
+    prod = prod.reshape(n, n, p, k)
+    y = kernel.backward_rows_mod(prod, mt, pmax) if lazy else rows(prod, mt)
     t.input_transform += t1 - t0
     t.gemm += t2 - t1
     t.backward_transform += time.perf_counter() - t2

@@ -349,25 +349,35 @@ def test_bench_iteration_and_seed_overrides(tmp_path, capsys):
 
 def test_bench_header_names_the_reconstruction(tmp_path, capsys):
     # tile_m=4 and r=3: n=6.  (251, 241, 239) sums unfolded rows within
-    # 36 * (57599 * 125**3 + 59989 * 120**3 + 60491 * 119**3) = 2**43.4;
+    # 36 * (57599 * 125**3 + 59989 * 120**3 + 60491 * 119**3) = 2**43.380;
     # (4001, 4331) folded ones within 6 * (4331 * 2000**2 + 4001 * 2165**2)
     path = write_small_bench_config(tmp_path)
     code, out, _ = run_cli(capsys, "bench", "--config", str(path))
     assert code == 0
     head = out.splitlines()[0]
     assert head.startswith("rns=(251, 241, 239)  tile_m=4")
-    assert head.endswith("reconstruction=CRT, unfolded rows (bound 2**43.4 <= 2**51 at n=6)")
+    assert head.endswith("reconstruction=CRT, unfolded rows (bound 2**43.380 <= 2**51 at n=6)")
     cfg = json.loads(path.read_text())
     for rns, route in (
-        ([4001, 4331], "CRT (bound 2**37.7 <= 2**51 at n=6)"),
-        ([32749, 32719], "CRT (bound 2**46.6 <= 2**51 at n=6)"),
-        ([32749, 32719, 32717], "CRT in int64 (float64 bound 2**62.2 > 2**51 at n=6)"),
+        ([4001, 4331], "CRT (bound 2**37.655 <= 2**51 at n=6)"),
+        ([32749, 32719], "CRT (bound 2**46.580 <= 2**51 at n=6)"),
+        ([32749, 32719, 32717], "CRT in int64 (float64 bound 2**62.163 > 2**51 at n=6)"),
     ):
         cfg["rns"] = rns
         path.write_text(json.dumps(cfg))
         code, out, _ = run_cli(capsys, "bench", "--config", str(path))
         assert code == 0
         assert out.splitlines()[0].endswith(f"reconstruction={route}")
+
+
+def test_reconstruction_route_prints_apart_at_the_edge():
+    # (32749, 32719) folded: 2**50.9954 at n = 128, 2**51.0066 at n = 129;
+    # one decimal printed 2**51.0 on both sides
+    system = residue.RnsSystem((32749, 32719))
+    assert cli.reconstruction_route(system, 128) == "CRT (bound 2**50.995 <= 2**51 at n=128)"
+    assert cli.reconstruction_route(system, 129) == (
+        "CRT in int64 (float64 bound 2**51.007 > 2**51 at n=129)"
+    )
 
 
 def test_bench_header_names_each_transform_size(tmp_path, capsys):
@@ -387,8 +397,8 @@ def test_bench_header_names_each_transform_size(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "bench", "--config", str(path))
     assert code == 0
     assert out.splitlines()[0].endswith(
-        "reconstruction=CRT, unfolded rows (bound 2**50.1 <= 2**51 at n=4); "
-        "CRT (bound 2**39.1 <= 2**51 at n=16)"
+        "reconstruction=CRT, unfolded rows (bound 2**50.096 <= 2**51 at n=4); "
+        "CRT (bound 2**39.070 <= 2**51 at n=16)"
     )
 
 

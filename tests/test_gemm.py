@@ -136,6 +136,36 @@ def test_exact_matmul_float64_edge_counts_int8_minimum():
         gemm.exact_matmul(a, at_edge + 1, amax, 2**46 + 1, m)
 
 
+def test_defer_fold_at_its_edges():
+    # the consumer's bound on the unfolded operand against 2**51, exactly:
+    # depth 16 on (32749 - 1) / 2, the position GEMM's consumer at F(14x14, 3x3)
+    h = 16374
+    top = gemm.FLOAT64_FOLD // (16 * h)
+    assert gemm.defer_fold(16, h, top)
+    assert not gemm.defer_fold(16, h, top + 1)
+    # the consumer must already run in float64 on a folded operand:
+    # 16 * 512**2 = 2**22 keeps a float32 consumer, 16 * 513**2 does not
+    assert 16 * 512 * 512 == gemm.FLOAT32_FOLD
+    assert not gemm.defer_fold(16, 512, 16 * 512 * 128)
+    assert gemm.defer_fold(16, 513, 16 * 513 * 128)
+
+
+@pytest.mark.parametrize(
+    "depth,bmax,dtype",
+    # 1024 * 128 * 128 = 2**24 stays float32; 673 * 97 * 257 = 2**24 + 1
+    [(1024, 128, np.float32), (673, 257, np.float64)],
+)
+def test_unfolded_product_is_exact_in_the_narrowest_float(depth, bmax, dtype):
+    amax = gemm.INT8_ABS_PEAK if bmax == 128 else 97
+    a = np.full((2, depth), -amax, np.int16)
+    b = np.full((depth, 3), -bmax, np.int16)
+    b[:, 1] = bmax
+    got = gemm.exact_matmul(a, b, amax, bmax, 251, fold=False)
+    assert got.dtype == dtype
+    assert np.array_equal(got, np.matmul(a.astype(np.int64), b.astype(np.int64)))
+    assert got[0, 0] == depth * amax * bmax
+
+
 def test_exact_matmul_without_modulus_must_fit_int32():
     a = np.full((1, 2), 32767, np.int16)
     got = gemm.exact_matmul(a, a.T.copy(), 32767, 32767)

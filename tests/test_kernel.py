@@ -8,7 +8,7 @@ a layer call whose input is a single tile must recover the exact integers.
 import numpy as np
 import pytest
 
-from rnswinograd import cli, kernel, layer, residue, transforms
+from rnswinograd import cli, gemm, kernel, layer, residue, transforms
 from rnswinograd.errors import DynamicRangeExceeded, ShapeMismatch
 
 
@@ -69,6 +69,43 @@ def test_stage_transforms_match_int64_sandwich(modulus):
     assert np.array_equal(got[:, :, 0].T.astype(np.int64), sym_reduce(want, modulus))
     got = kernel.backward_rows(t, mt)
     assert np.array_equal(got[:, :, 0].T.astype(np.int64), want)
+
+
+@pytest.mark.parametrize(
+    "modulus,lazy,dtype",
+    [
+        (251, False, np.float32),  # 16 * 125**2 <= 2**22: the second GEMM runs in float32
+        (1021, False, np.float32),  # 16 * 510**2 <= 2**22 by 0.8%
+        (1031, True, np.float32),  # past it by 1.2%; 16 * 515 * 128 <= 2**24
+        (4331, True, np.float32),  # 16 * 2165 * 128 <= 2**24
+        (32749, True, np.float64),
+    ],
+)
+def test_transform_first_gemm_unfolded_at_its_worst_case(monkeypatch, modulus, lazy, dtype):
+    # every entry of left at +-h with one sign per row, every input at -128:
+    # the first GEMM reaches n * h * 128 and the second n * h times that,
+    # each partial sum growing in magnitude; compared with integer arithmetic
+    n, h = 16, (modulus - 1) // 2
+    signs = np.where(np.random.default_rng(modulus).random(n) < 0.5, -1, 1)
+    left = np.repeat(h * signs[:, None], n, axis=1).astype(np.int16)
+    x = np.full((n, n, 3), -128, np.int8)
+    calls = []
+    matmul = gemm.exact_matmul
+
+    def spy(a, b, amax, bmax, m=None, fold=True):
+        calls.append((bmax, fold, matmul(a, b, amax, bmax, m, fold)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(gemm, "exact_matmul", spy)
+    got = kernel._transform(left, x, modulus)
+    (_, fold, t), (bmax, _, _) = calls
+    assert t.dtype == dtype
+    if lazy:
+        assert not fold and np.abs(t).max() == bmax == n * h * 128
+    else:
+        assert fold and np.abs(t).max() <= bmax == h
+    want = -128 * n * n * h * h * np.outer(signs, signs)
+    assert np.array_equal(got[:, :, 0].astype(np.int64), sym_reduce(want, modulus))
 
 
 def test_stage_transforms_reject_wrong_tile_shape():

@@ -427,6 +427,129 @@ def test_int64_sum_folds_near_its_range():
     assert 0.99 * big < peak < big
 
 
+# ---------------------------------------------------------------------------
+# lazy folds: a product hands its consumer exact unfolded integers where
+# gemm.defer_fold admits them
+
+
+def spy_backward_rows(monkeypatch):
+    """Record (modulus, tmax, t.dtype) of every kernel.backward_rows_mod call."""
+    seen = []
+    wrapped = kernel.backward_rows_mod
+
+    def spy(t, mt, tmax=None):
+        seen.append((mt.modulus, tmax, t.dtype))
+        return wrapped(t, mt, tmax)
+
+    monkeypatch.setattr(kernel, "backward_rows_mod", spy)
+    return seen
+
+
+# At F(14x14, 3x3) the position GEMM's products, at most c * h**2, stay
+# unfolded while backward_rows_mod's bound on them, 16 * c * h**3, is within
+# 2**51; they are stored in the float dtype given per modulus (None: folded).
+POSITION_EDGES = [
+    # within 2**51 by 0.18% and 0.46%
+    ((32749, 32719), 32, (np.float64, np.float64)),
+    # past it by 2.9% and 2.7%
+    ((32749, 32719), 33, (None, None)),
+    # within by 0.05%, past by 0.06%
+    ((32429, 32441), 33, (np.float64, None)),
+    # c * h**2 against 2**24 picks the dtype: 12,000,000 and 14,061,675
+    ((4001, 4331), 3, (np.float32, np.float32)),
+    # 16,000,000 and 18,748,900
+    ((4001, 4331), 4, (np.float32, np.float64)),
+]
+
+
+@pytest.mark.parametrize("moduli,c,stored", POSITION_EDGES)
+def test_position_gemm_fold_waits_up_to_its_edge(monkeypatch, moduli, c, stored):
+    seen = spy_backward_rows(monkeypatch)
+    spec = layer.LayerSpec(h=20, w=20, c=c, k=2, r=3, padding=1, tile_m=14)
+    weights, x = random_operands(spec, c)
+    got = layer.winograd_layer_conv(spec, weights, x, residue.RnsSystem(moduli))
+    assert np.array_equal(got, layer.direct_conv(spec, weights, x))
+    assert sorted({m for m, _, _ in seen}) == sorted(moduli)
+    for m, tmax, dtype in seen:
+        h = (m - 1) // 2
+        want = stored[moduli.index(m)]
+        assert (tmax, dtype) == ((None, np.float32) if want is None else (c * h * h, want))
+
+
+@pytest.mark.parametrize("moduli,c,stored", POSITION_EDGES)
+def test_position_gemm_unfolded_at_its_worst_case(monkeypatch, moduli, c, stored):
+    # synthetic residues at +-h with signs that line up, through one
+    # modulus pass: every position product reaches c * h**2 and every
+    # partial sum of backward_rows_mod's GEMM n * c * h**3, the bound the
+    # edge is drawn at; compared with integer arithmetic
+    n, p, k, side = 16, 2, 2, 3
+    seen = spy_backward_rows(monkeypatch)
+    for m, want in zip(moduli, stored):
+        h = (m - 1) // 2
+        rng = np.random.default_rng(m + c)
+        sp, sc, sv, su, sa = (np.where(rng.random(s) < 0.5, -1, 1) for s in (n, c, p, k, side))
+        v = h * sp[:, None, None, None] * sv[None, None, :, None] * sc
+        v = np.broadcast_to(v, (n, n, p, c)).astype(np.float32)
+        u = np.broadcast_to(h * np.outer(sc, su), (n, n, c, k)).astype(np.int16)
+        at = (h * np.outer(sa, sp)).astype(np.int16)
+        mt = transforms.ModularTransformSet(
+            m, at, np.zeros((n, 3), np.int16), np.zeros((n, n), np.int16)
+        )
+        monkeypatch.setattr(kernel, "input_transform_mod", lambda d, mt: v)
+        seen.clear()
+        d = np.zeros((n, n, p, c), np.int8)
+        y = layer._modulus_pass(d, u, mt, kernel.backward_rows, layer.StageTimings())
+        assert seen == []  # unfolded CRT rows need folded products
+        y = layer._modulus_pass(d, u, mt, kernel.backward_rows_mod, layer.StageTimings())
+        assert seen == [(m, None, np.float32) if want is None else (m, c * h * h, want)]
+        top = residue.mod_reduce(n * c * h**3, m)
+        signs = sa[:, None] * np.outer(sv, su).ravel()
+        assert np.array_equal(y.astype(np.int64), np.broadcast_to(top * signs, y.shape))
+
+
+@pytest.mark.parametrize(
+    "moduli,per_block",
+    [
+        ((251, 241, 239), (3, 3, 3)),
+        # 16 * h**2 against 2**22 on the input transform's first GEMM's
+        # consumer: within by 0.8%, past by 1.2%
+        ((1021, 1031), (3, 2)),
+        ((4001, 4331), (2, 2)),
+        ((32749, 32719, 32717), (3, 3, 3)),
+    ],
+)
+def test_folds_per_block_by_route(monkeypatch, moduli, per_block):
+    # reduce_mod_inplace calls of a two-block layer at F(14x14, 3x3), filters
+    # precomputed: each modulus folds its CRT share once, then per block the
+    # input transform's two GEMMs, the position GEMM, and backward_rows_mod
+    # and the int64 route's second backward GEMM where they run, each GEMM
+    # one slice; the int64 sum folds mod M once per channel.  Without lazy
+    # folds (251, 241, 239) and (1021, 1031) take 3, (4001, 4331) 4 and
+    # (32749, 32719, 32717) 5 per modulus and block
+    monkeypatch.setattr(layer, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(gemm, "_SLICE_BYTES", 1 << 30)
+    monkeypatch.setenv("RNSW_THREADS", "1")
+    system = residue.RnsSystem(moduli)
+    spec = layer.LayerSpec(h=20, w=20, c=3, k=2, r=3, padding=1, tile_m=14)
+    weights, x = random_operands(spec, 20)
+    mts = transforms.cached_modular_transforms(14, 3, moduli)
+    filters = layer.precompute_filter_transforms(weights, mts)
+    folds = []
+    wrapped = gemm.reduce_mod_inplace
+
+    def counted(acc, m):
+        folds.append(m)
+        return wrapped(acc, m)
+
+    monkeypatch.setattr(gemm, "reduce_mod_inplace", counted)
+    got = layer.winograd_layer_conv(spec, weights, x, system, filters=filters)
+    assert np.array_equal(got, layer.direct_conv(spec, weights, x))
+    want = {m: 1 + 2 * f for m, f in zip(moduli, per_block)}
+    if not system.crt_fits(16):
+        want[system.dynamic_range] = 2 * len(moduli)
+    assert {m: folds.count(m) for m in set(folds)} == want
+
+
 @pytest.mark.parametrize(
     "moduli",
     [

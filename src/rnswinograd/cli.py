@@ -24,7 +24,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import gemm, kernel, layer, residue, transforms
+from . import gemm, layer, residue, transforms
 from .errors import DynamicRangeExceeded, RnsError
 
 DEFAULT_SEED = 2020
@@ -147,35 +147,49 @@ def _check_keys(obj, allowed: frozenset, what: str) -> None:
         raise ConfigError(f"{what}: unknown key {unknown[0]!r}")
 
 
+def _int(value, what: str) -> int:
+    """A config integer: a JSON integer or a decimal string.  A float or a
+    bool is refused, not truncated or coerced."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
 def config_from_dict(doc: dict, where: str = "config") -> BenchConfig:
     _check_keys(doc, CONFIG_KEYS, where)
     try:
-        rns = tuple(int(m) for m in doc["rns"])
-        tile_m = int(doc.get("tile_m", 14))
-        batch = int(doc.get("batch", 1))
-        seed = int(doc.get("seed", DEFAULT_SEED))
-        iterations = int(doc.get("iterations", 1))
+        if not isinstance(doc["rns"], list):
+            raise ConfigError(f"{where}: rns must be a list, got {doc['rns']!r}")
+        rns = tuple(_int(m, f"{where}: rns entry") for m in doc["rns"])
+        tile_m = _int(doc.get("tile_m", 14), f"{where}: tile_m")
+        batch = _int(doc.get("batch", 1), f"{where}: batch")
+        seed = _int(doc.get("seed", DEFAULT_SEED), f"{where}: seed")
+        iterations = _int(doc.get("iterations", 1), f"{where}: iterations")
         top_bound = doc.get("declared_bound")
         entries = []
         for ent in doc["layers"]:
             _check_keys(ent, LAYER_KEYS, f"{where}: layer {len(entries)}")
+            name = str(ent.get("name", f"layer{len(entries)}"))
+            here = f"{where}: layer {name!r}:"
             spec = layer.LayerSpec(
-                *(int(ent[key]) for key in ("h", "w", "c", "k", "r")),
-                batch=int(ent.get("batch", batch)),
-                padding=int(ent.get("padding", 0)),
-                stride=int(ent.get("stride", 1)),
-                tile_m=int(ent.get("tile_m", tile_m)),
+                *(_int(ent[key], f"{here} {key}") for key in ("h", "w", "c", "k", "r")),
+                batch=_int(ent.get("batch", batch), f"{here} batch"),
+                padding=_int(ent.get("padding", 0), f"{here} padding"),
+                stride=_int(ent.get("stride", 1), f"{here} stride"),
+                tile_m=_int(ent.get("tile_m", tile_m), f"{here} tile_m"),
             )
             algorithm = ent.get("algorithm", "winograd")
             if algorithm not in ("winograd", "direct"):
-                raise ConfigError(
-                    f"{where}: layer {ent.get('name')!r} has unknown algorithm {algorithm!r}"
-                )
-            name = str(ent.get("name", f"layer{len(entries)}"))
+                raise ConfigError(f"{here} unknown algorithm {algorithm!r}")
             bound = ent.get("declared_bound", top_bound)
-            bound = None if bound is None else int(bound)
+            bound = None if bound is None else _int(bound, f"{here} declared_bound")
             if bound is not None and bound < 1:
-                raise ConfigError(f"{where}: layer {name!r}: declared_bound {bound} < 1")
+                raise ConfigError(f"{here} declared_bound {bound} < 1")
             entries.append(LayerEntry(name, spec, algorithm, bound))
     except ConfigError:
         raise
@@ -526,11 +540,12 @@ def _cell(value, spec: str) -> str:
 
 def reconstruction_route(system: residue.RnsSystem, n: int) -> str:
     """How a layer of transform size n rebuilds its outputs: the CRT sum in
-    float64 over unfolded or folded rows (layer.crt_route), or in int64,
+    float64 over unfolded rows where RnsSystem.crt_fits admits them, over
+    folded rows where only the folded bound holds, or in int64 past both,
     with the bound that picked the route.  The bound's log2 shows three
     decimals, rounded down within 2**51 and up past it, so the printed
     comparison holds and the two sides of the edge never print alike."""
-    folded = layer.crt_route(system, n) is not kernel.backward_rows
+    folded = not system.crt_fits(n, folded=False)
     bound = system.crt_bound(n, folded)
     milli = math.floor(math.log2(bound) * 1000) + (bound > gemm.FLOAT64_FOLD)
     bound = f"2**{milli / 1000:.3f}"
@@ -545,6 +560,8 @@ def cmd_bench(args) -> int:
     path = args.config if args.config else default_bench_config_path()
     cfg = load_config(path)
     if args.iterations is not None:
+        if args.iterations < 1:
+            raise ConfigError(f"--iterations must be >= 1, got {args.iterations}")
         cfg = replace(cfg, iterations=args.iterations)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)

@@ -9,10 +9,10 @@ it the exact integers, stored in the narrowest float that holds them,
 where gemm.defer_fold admits their bound.  Stage inputs are int8 values
 (|x| <= 128, not reduced), residues mod m, integer or float, or an
 unfolded product with its bound; folded outputs are the float32 residues
-exact_matmul returns, so a chain of stages never leaves float.  The backward transform runs only
-its first GEMM here (backward_rows_mod, or backward_rows unfolded where
-the CRT bound allows); the layer finishes it inside its CRT
-reconstruction.
+exact_matmul returns, so a chain of stages never leaves float.  The
+backward transform runs only its first GEMM here (backward_rows_mod, folded
+or, where the layer's CRT bound admits it, not); the layer finishes it
+inside its CRT reconstruction.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def input_transform_mod(d: np.ndarray, mt: ModularTransformSet) -> np.ndarray:
 
 
 def backward_rows_mod(
-    t: np.ndarray, mt: ModularTransformSet, tmax: int | None = None
+    t: np.ndarray, mt: ModularTransformSet, tmax: int | None = None, fold: bool = True
 ) -> np.ndarray:
     """A^T t mod m alone, the backward transform's first GEMM.
 
@@ -87,27 +87,13 @@ def backward_rows_mod(
     otherwise t holds int8 data or residues.  Returns (n, m_out, rest)
     float32 residues for (n, n, ...) products, rest the trailing axes
     flattened: entry [j, a] is output row a at product column j, so row a of
-    A^T t A is mt.at @ [:, a] mod m.  The layer finishes the transform
-    inside its CRT reconstruction.
+    A^T t A is mt.at @ [:, a] mod m.  fold=False returns the exact integer
+    products instead, in gemm.exact_float_dtype (float32 for 8-bit moduli
+    on residues), for a float64 CRT sum whose bound admits them
+    (RnsSystem.crt_fits).  The layer finishes the transform inside its CRT
+    reconstruction.
     """
     _check_tile(t, mt.n, "product tile")
     if tmax is None:
         tmax = _input_bound(t, (mt.modulus - 1) // 2)
-    return _rows(mt.at, t, mt.modulus, tmax)
-
-
-def backward_rows(t: np.ndarray, mt: ModularTransformSet) -> np.ndarray:
-    """backward_rows_mod without the fold: the exact integer products.
-
-    t holds residues mod m (|t| <= h = (m - 1) / 2), so every entry and
-    partial sum is within n * h**2 and the product runs in the narrowest
-    float that holds that (gemm.exact_float_dtype), float32 for 8-bit moduli.
-    For a float64 CRT sum whose bound admits unfolded rows
-    (RnsSystem.crt_fits).
-    """
-    _check_tile(t, mt.n, "product tile")
-    n = mt.n
-    half = (mt.modulus - 1) // 2
-    ft = gemm.exact_float_dtype(n, half, half)
-    x = t.reshape(n, n, t[0, 0].size).transpose(1, 0, 2).astype(ft, copy=False)
-    return np.matmul(mt.at.astype(ft), x)
+    return _rows(mt.at, t, mt.modulus, tmax, fold)

@@ -17,14 +17,14 @@ second GEMM of modulus m_i runs on a_i = (M_i^-1 mod m_i) * A_i^T mod m_i,
 and sum_i M_i * (a_i @ t_i), folded mod the dynamic range M, gives the
 int32 outputs, which reach NHWC by reshape, transpose and crop.  Within
 RnsSystem.crt_fits that sum runs in float64 on the weights M_i * a_i
-(_crt_scatter), and where its bound allows the first GEMM is not folded
-either (crt_route); past it each channel folds a_i @ t_i mod m_i and the
-sum runs in int64, folded mod M after every channel (_crt_int64), for any
-M below 2**63.  The work runs in blocks of tile rows, each block taken
-through every modulus, reconstruction and scatter by one worker.  Every
-matrix product is exact on float BLAS (gemm.exact_matmul, or the CRT bound
-for the float64 sum).  Outputs are bit-identical to direct_conv whenever
-the layer passes range_check.
+(_crt_scatter), and where its bound on unfolded t_i allows, the first GEMM
+skips its fold too, the CRT sum being its consumer; past it each channel
+folds a_i @ t_i mod m_i and the sum runs in int64, folded mod M after every
+channel (_crt_int64), for any M below 2**63.  The work runs in blocks of
+tile rows, each block taken through every modulus, reconstruction and
+scatter by one worker.  Every matrix product is exact on float BLAS
+(gemm.exact_matmul, or the CRT bound for the float64 sum).  Outputs are
+bit-identical to direct_conv whenever the layer passes range_check.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from math import ceil
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -236,23 +236,24 @@ def _modulus_pass(
     d: np.ndarray,
     u: np.ndarray,
     mt: transforms.ModularTransformSet,
-    rows: Callable,
+    fold_rows: bool,
     t: StageTimings,
 ) -> np.ndarray:
     """Input transform, per-position GEMM and backward rows, one modulus.
 
-    d: (n, n, tiles, c) raw int8 patches, u: (n, n, c, k) filter residues,
-    rows: the backward transform's first GEMM crt_route picks.  Returns its
-    (n, m, tiles * k) float result for the CRT reconstruction; the residues
-    stay in float from the input transform on.  Where rows is the folding
-    backward_rows_mod and gemm.defer_fold admits the position GEMM's bound
-    c * h**2, that GEMM hands it the exact unfolded products.
+    d: (n, n, tiles, c) raw int8 patches, u: (n, n, c, k) filter residues.
+    Returns the (n, m, tiles * k) float result of the backward transform's
+    first GEMM (kernel.backward_rows_mod), folded where fold_rows says so,
+    for the CRT reconstruction; the residues stay in float from the input
+    transform on.  Where the rows fold and gemm.defer_fold admits the
+    position GEMM's bound c * h**2, that GEMM hands them the exact unfolded
+    products.
     """
     n, _, p, c = d.shape
     k = u.shape[3]
     half = (mt.modulus - 1) // 2
     pmax = c * half * half
-    lazy = rows is kernel.backward_rows_mod and gemm.defer_fold(n, half, pmax)
+    lazy = fold_rows and gemm.defer_fold(n, half, pmax)
 
     t0 = time.perf_counter()
     v = kernel.input_transform_mod(d, mt)
@@ -263,20 +264,11 @@ def _modulus_pass(
     del v  # each stage's input goes before the next stage allocates
     t2 = time.perf_counter()
     prod = prod.reshape(n, n, p, k)
-    y = kernel.backward_rows_mod(prod, mt, pmax) if lazy else rows(prod, mt)
+    y = kernel.backward_rows_mod(prod, mt, pmax if lazy else None, fold_rows)
     t.input_transform += t1 - t0
     t.gemm += t2 - t1
     t.backward_transform += time.perf_counter() - t2
     return y
-
-
-def crt_route(system: residue.RnsSystem, n: int) -> Callable:
-    """The first backward GEMM the CRT takes at transform size n:
-    kernel.backward_rows, unfolded, where RnsSystem.crt_fits admits that,
-    kernel.backward_rows_mod otherwise."""
-    if system.crt_fits(n, folded=False):
-        return kernel.backward_rows
-    return kernel.backward_rows_mod
 
 
 # Bytes of the float64 sum _crt_scatter holds at once: a few output rows.
@@ -293,7 +285,7 @@ def _crt_scatter(
     """Finish the backward transforms and rebuild the outputs by the CRT.
 
     ts: per modulus the (n, m, tiles * k) first backward GEMM t_i, folded or
-    not (kernel.backward_rows_mod, backward_rows); weights: per modulus
+    not (kernel.backward_rows_mod); weights: per modulus
     M_i * a_i in float64; out: the block's (tile rows, m, tw, m, k) int32
     canvas.  Output row a is sum_i weights[i] @ t_i[:, a], congruent to the
     true output mod every m_i, so one fold mod the dynamic range yields it;
@@ -406,7 +398,8 @@ def winograd_layer_conv(
     if not fused and system.dynamic_range >= 1 << 63:
         raise OverflowRisk(f"dynamic range of {system} does not fit the int64 CRT sum")
     mts = transforms.cached_modular_transforms(tile_m, spec.r, system.moduli)
-    backward_rows = crt_route(system, n)
+    # the rows skip their fold where the CRT sum's bound admits unfolded t_i
+    fold_rows = not system.crt_fits(n, folded=False)
     # a_i = (M_i^-1 mod m_i) * A_i^T mod m_i; the float64 sum takes M_i * a_i
     shares = [
         gemm.reduce_mod_inplace(inv * mt.at.astype(np.int64), mt.modulus)
@@ -449,7 +442,7 @@ def winograd_layer_conv(
         rows = blk.shape[2]
         blk = blk.reshape(n, n, rows * tw, c)
         t.tiling += time.perf_counter() - t0
-        res = [_modulus_pass(blk, filters[mt.modulus], mt, backward_rows, t) for mt in mts]
+        res = [_modulus_pass(blk, filters[mt.modulus], mt, fold_rows, t) for mt in mts]
         reconstruct(res, shares, system, canvas[r0 : r0 + rows], t)
         return t
 

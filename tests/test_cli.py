@@ -347,6 +347,15 @@ def test_bench_iteration_and_seed_overrides(tmp_path, capsys):
     assert "seed=123" in out and "iterations=2" in out
 
 
+@pytest.mark.parametrize("iterations", ["0", "-2"])
+def test_bench_rejects_iterations_below_one(tmp_path, capsys, iterations):
+    # the flag overrides the config's own iterations >= 1 check
+    path = write_small_bench_config(tmp_path)
+    code, out, err = run_cli(capsys, "bench", "--config", str(path), "--iterations", iterations)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --iterations") and "Traceback" not in err
+
+
 def test_bench_header_names_the_reconstruction(tmp_path, capsys):
     # tile_m=4 and r=3: n=6.  (251, 241, 239) sums unfolded rows within
     # 36 * (57599 * 125**3 + 59989 * 120**3 + 60491 * 119**3) = 2**43.380;
@@ -479,6 +488,49 @@ def test_config_from_dict_errors():
             {"rns": [251], "iterations": 0,
              "layers": [{"h": 8, "w": 8, "c": 1, "k": 1, "r": 3}]}
         )
+
+
+SMALL_LAYER = {"name": "small", "h": 8, "w": 8, "c": 1, "k": 1, "r": 3}
+
+
+@pytest.mark.parametrize(
+    "top,ent,names",
+    [
+        # each was once truncated or coerced: an 8-row layer, tile 4, 2
+        # iterations, c = 1 and the system (3, 5, 7)
+        ({}, {"h": 8.9}, ("'small'", "h", "8.9")),
+        ({}, {"tile_m": 4.5}, ("'small'", "tile_m", "4.5")),
+        ({"iterations": 2.9}, {}, ("iterations", "2.9")),
+        ({}, {"c": True}, ("'small'", "c", "True")),
+        ({"rns": "357"}, {}, ("rns", "'357'")),
+        ({"rns": [251.0]}, {}, ("rns", "251.0")),
+        ({}, {"declared_bound": 1e5}, ("'small'", "declared_bound", "100000.0")),
+        ({}, {"padding": "1.5"}, ("'small'", "padding", "'1.5'")),
+    ],
+)
+def test_config_refuses_inexact_integers(top, ent, names):
+    doc = dict({"rns": [251], "layers": [dict(SMALL_LAYER, **ent)]}, **top)
+    with pytest.raises(ConfigError) as info:
+        cli.config_from_dict(doc)
+    assert all(name in str(info.value) for name in names), str(info.value)
+
+
+def test_config_keeps_decimal_strings():
+    doc = {"rns": ["251", 241], "iterations": "2",
+           "layers": [dict(SMALL_LAYER, h="9", declared_bound="300000")]}
+    cfg = cli.config_from_dict(doc)
+    assert cfg.rns == (251, 241) and cfg.iterations == 2
+    assert cfg.layers[0].spec.h == 9 and cfg.layers[0].declared_bound == 300000
+
+
+def test_verify_config_refuses_a_float_integer(tmp_path, capsys):
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps({"rns": [251, 241, 239], "tile_m": 4,
+                                "layers": [dict(SMALL_LAYER, h=8.9)]}))
+    code, out, err = run_cli(capsys, "verify", "--config", str(path))
+    assert code == 1 and "cases passed" not in out
+    assert err.startswith("error:") and "'small'" in err and "8.9" in err
+    assert "Traceback" not in err
 
 
 def test_config_rejects_unknown_keys_naming_them():

@@ -67,7 +67,9 @@ def test_stage_transforms_match_int64_sandwich(modulus):
     got = kernel.backward_rows_mod(t, mt)
     assert got.shape == (6, 4, 1)
     assert np.array_equal(got[:, :, 0].T.astype(np.int64), sym_reduce(want, modulus))
-    got = kernel.backward_rows(t, mt)
+    # unfolded: the exact integer products, in the float that holds them
+    got = kernel.backward_rows_mod(t, mt, fold=False)
+    assert got.dtype == gemm.exact_float_dtype(6, half, half)
     assert np.array_equal(got[:, :, 0].T.astype(np.int64), want)
 
 
@@ -117,7 +119,7 @@ def test_stage_transforms_reject_wrong_tile_shape():
     with pytest.raises(ShapeMismatch):
         kernel.backward_rows_mod(np.zeros(6, np.int8), mt)
     with pytest.raises(ShapeMismatch):
-        kernel.backward_rows(np.zeros((4, 6), np.int8), mt)
+        kernel.backward_rows_mod(np.zeros((4, 6), np.int8), mt, fold=False)
 
 
 # ---------------------------------------------------------------------------

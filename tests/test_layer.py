@@ -5,6 +5,7 @@ a different decomposition from both the im2col reference and the tiled fast
 path, so agreement of all three is meaningful.
 """
 
+import os
 import sys
 from dataclasses import replace
 
@@ -272,6 +273,19 @@ def test_thread_count_does_not_change_results(monkeypatch):
     assert np.array_equal(serial, threaded)
 
 
+def test_thread_cap_parsing(monkeypatch):
+    # RNSW_THREADS caps the workers at the task count; what is not an
+    # integer falls back to the usable cores, and 0 or below means one
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    for value, want in (("3", 3), ("abc", cores), ("", cores), ("0", 1), ("-3", 1)):
+        monkeypatch.setenv("RNSW_THREADS", value)
+        assert layer._worker_count(1000) == want, value
+    monkeypatch.delenv("RNSW_THREADS")
+    assert layer._worker_count(1000) == cores
+    monkeypatch.setenv("RNSW_THREADS", "8")
+    assert layer._worker_count(2) == 2
+
+
 def test_block_workers_under_fast_switching_match_direct(monkeypatch):
     # more workers than cores, one tile row per block and a thread switch
     # every few microseconds: a lost or misplaced block row shows as a
@@ -300,13 +314,14 @@ def count_calls(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counted)
 
 
-# a system per reconstruction route: the float64 CRT sum over unfolded or
-# folded first backward GEMMs, and the int64 sum past its bound
+# a system per reconstruction route at n = 6: the float64 CRT sum over
+# unfolded or folded first backward GEMMs (whether kernel.backward_rows_mod
+# folds), and the int64 sum past its bound
 SYS3X15 = residue.RnsSystem((32749, 32719, 32717))
 ROUTES = (
-    (SYS8, "backward_rows", "_crt_scatter"),
-    (SYS16, "backward_rows_mod", "_crt_scatter"),
-    (SYS3X15, "backward_rows_mod", "_crt_int64"),
+    (SYS8, "backward_rows_mod fold=False", "_crt_scatter"),
+    (SYS16, "backward_rows_mod fold=True", "_crt_scatter"),
+    (SYS3X15, "backward_rows_mod fold=True", "_crt_int64"),
 )
 
 
@@ -316,8 +331,13 @@ def test_stage_timings_accumulate(monkeypatch):
     monkeypatch.setattr(layer, "_BLOCK_BYTES", 1)
     monkeypatch.setenv("RNSW_THREADS", "2")
     calls = []
-    for name in ("backward_rows", "backward_rows_mod"):
-        count_calls(monkeypatch, kernel, name, calls)
+    rows_mod = kernel.backward_rows_mod
+
+    def rows_counted(t, mt, tmax=None, fold=True):
+        calls.append(f"backward_rows_mod fold={fold}")
+        return rows_mod(t, mt, tmax, fold)
+
+    monkeypatch.setattr(kernel, "backward_rows_mod", rows_counted)
     for name in ("_crt_scatter", "_crt_int64"):
         count_calls(monkeypatch, layer, name, calls)
     spec = layer.LayerSpec(h=8, w=8, c=2, k=2, r=3, padding=1, tile_m=4)
@@ -334,16 +354,6 @@ def test_stage_timings_accumulate(monkeypatch):
             t.tiling + t.filter_transform + t.input_transform + t.gemm
             + t.backward_transform + t.crt + t.scatter
         )
-
-
-def test_crt_route_follows_the_bound():
-    assert layer.crt_route(SYS8, 16) is kernel.backward_rows
-    assert layer.crt_route(SYS8, 84) is kernel.backward_rows
-    assert layer.crt_route(SYS8, 85) is kernel.backward_rows_mod  # unfolded: > 2**51
-    assert layer.crt_route(SYS16, 5) is kernel.backward_rows
-    assert layer.crt_route(SYS16, 16) is kernel.backward_rows_mod
-    assert layer.crt_route(residue.RnsSystem((32749, 32719)), 4) is kernel.backward_rows_mod
-    assert layer.crt_route(SYS3X15, 4) is kernel.backward_rows_mod
 
 
 def test_fused_route_never_takes_the_int64_sum(monkeypatch):
@@ -433,13 +443,15 @@ def test_int64_sum_folds_near_its_range():
 
 
 def spy_backward_rows(monkeypatch):
-    """Record (modulus, tmax, t.dtype) of every kernel.backward_rows_mod call."""
+    """Record (modulus, tmax, t.dtype) of every folding kernel.backward_rows_mod
+    call."""
     seen = []
     wrapped = kernel.backward_rows_mod
 
-    def spy(t, mt, tmax=None):
-        seen.append((mt.modulus, tmax, t.dtype))
-        return wrapped(t, mt, tmax)
+    def spy(t, mt, tmax=None, fold=True):
+        if fold:
+            seen.append((mt.modulus, tmax, t.dtype))
+        return wrapped(t, mt, tmax, fold)
 
     monkeypatch.setattr(kernel, "backward_rows_mod", spy)
     return seen
@@ -498,12 +510,15 @@ def test_position_gemm_unfolded_at_its_worst_case(monkeypatch, moduli, c, stored
         monkeypatch.setattr(kernel, "input_transform_mod", lambda d, mt: v)
         seen.clear()
         d = np.zeros((n, n, p, c), np.int8)
-        y = layer._modulus_pass(d, u, mt, kernel.backward_rows, layer.StageTimings())
-        assert seen == []  # unfolded CRT rows need folded products
-        y = layer._modulus_pass(d, u, mt, kernel.backward_rows_mod, layer.StageTimings())
+        signs = sa[:, None] * np.outer(sv, su).ravel()
+        # unfolded CRT rows need folded products: n * h times their residue
+        y = layer._modulus_pass(d, u, mt, False, layer.StageTimings())
+        assert seen == []
+        top = n * h * residue.mod_reduce(c * h * h, m)
+        assert np.array_equal(y.astype(np.int64), np.broadcast_to(top * signs, y.shape))
+        y = layer._modulus_pass(d, u, mt, True, layer.StageTimings())
         assert seen == [(m, None, np.float32) if want is None else (m, c * h * h, want)]
         top = residue.mod_reduce(n * c * h**3, m)
-        signs = sa[:, None] * np.outer(sv, su).ravel()
         assert np.array_equal(y.astype(np.int64), np.broadcast_to(top * signs, y.shape))
 
 

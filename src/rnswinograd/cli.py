@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
@@ -105,6 +106,9 @@ def random_int8(rng: np.random.Generator, shape) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LayerEntry:
+    """One config layer.  algorithm is "direct" where the config says so or
+    the stride is above 1, as the fast path covers unit stride only."""
+
     name: str
     spec: layer.LayerSpec
     algorithm: str = "winograd"
@@ -139,12 +143,12 @@ LAYER_KEYS = frozenset(
 )
 
 
-def _check_keys(obj, allowed: frozenset, what: str) -> None:
+def _check_keys(obj, allowed: frozenset) -> None:
     if not isinstance(obj, dict):
-        raise ConfigError(f"{what} must be a JSON object")
+        raise ConfigError("not a JSON object")
     unknown = sorted(set(obj) - allowed)
     if unknown:
-        raise ConfigError(f"{what}: unknown key {unknown[0]!r}")
+        raise ConfigError(f"unknown key {unknown[0]!r}")
 
 
 def _int(value, what: str) -> int:
@@ -160,45 +164,56 @@ def _int(value, what: str) -> int:
     raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
-def config_from_dict(doc: dict, where: str = "config") -> BenchConfig:
-    _check_keys(doc, CONFIG_KEYS, where)
+@contextmanager
+def _named(where: str):
+    """Raise any error of the block as a ConfigError that starts with where
+    in the config it arose; a missing key reads as one."""
     try:
+        yield
+    except KeyError as e:
+        raise ConfigError(f"{where}: missing key {e.args[0]!r}") from None
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{where}: {e}") from None
+
+
+def config_from_dict(doc: dict, where: str = "config") -> BenchConfig:
+    with _named(where):
+        _check_keys(doc, CONFIG_KEYS)
         if not isinstance(doc["rns"], list):
-            raise ConfigError(f"{where}: rns must be a list, got {doc['rns']!r}")
-        rns = tuple(_int(m, f"{where}: rns entry") for m in doc["rns"])
-        tile_m = _int(doc.get("tile_m", 14), f"{where}: tile_m")
-        batch = _int(doc.get("batch", 1), f"{where}: batch")
-        seed = _int(doc.get("seed", DEFAULT_SEED), f"{where}: seed")
-        iterations = _int(doc.get("iterations", 1), f"{where}: iterations")
-        top_bound = doc.get("declared_bound")
-        entries = []
-        for ent in doc["layers"]:
-            _check_keys(ent, LAYER_KEYS, f"{where}: layer {len(entries)}")
-            name = str(ent.get("name", f"layer{len(entries)}"))
-            here = f"{where}: layer {name!r}:"
+            raise ConfigError(f"rns must be a list, got {doc['rns']!r}")
+        rns = tuple(_int(m, "rns entry") for m in doc["rns"])
+        tile_m = _int(doc.get("tile_m", 14), "tile_m")
+        batch = _int(doc.get("batch", 1), "batch")
+        seed = _int(doc.get("seed", DEFAULT_SEED), "seed")
+        iterations = _int(doc.get("iterations", 1), "iterations")
+        if iterations < 1:
+            raise ConfigError("iterations must be >= 1")
+        if not isinstance(doc["layers"], list):
+            raise ConfigError(f"layers must be a list, got {doc['layers']!r}")
+        if not doc["layers"]:
+            raise ConfigError("no layers")
+    entries = []
+    for i, ent in enumerate(doc["layers"]):
+        name = str(ent.get("name", f"layer{i}")) if isinstance(ent, dict) else f"layer{i}"
+        with _named(f"{where}: layer {name!r}"):
+            _check_keys(ent, LAYER_KEYS)
             spec = layer.LayerSpec(
-                *(_int(ent[key], f"{here} {key}") for key in ("h", "w", "c", "k", "r")),
-                batch=_int(ent.get("batch", batch), f"{here} batch"),
-                padding=_int(ent.get("padding", 0), f"{here} padding"),
-                stride=_int(ent.get("stride", 1), f"{here} stride"),
-                tile_m=_int(ent.get("tile_m", tile_m), f"{here} tile_m"),
+                *(_int(ent[key], key) for key in ("h", "w", "c", "k", "r")),
+                batch=_int(ent.get("batch", batch), "batch"),
+                padding=_int(ent.get("padding", 0), "padding"),
+                stride=_int(ent.get("stride", 1), "stride"),
+                tile_m=_int(ent.get("tile_m", tile_m), "tile_m"),
             )
             algorithm = ent.get("algorithm", "winograd")
             if algorithm not in ("winograd", "direct"):
-                raise ConfigError(f"{here} unknown algorithm {algorithm!r}")
-            bound = ent.get("declared_bound", top_bound)
-            bound = None if bound is None else _int(bound, f"{here} declared_bound")
+                raise ConfigError(f"unknown algorithm {algorithm!r}")
+            bound = ent.get("declared_bound", doc.get("declared_bound"))
+            bound = None if bound is None else _int(bound, "declared_bound")
             if bound is not None and bound < 1:
-                raise ConfigError(f"{here} declared_bound {bound} < 1")
-            entries.append(LayerEntry(name, spec, algorithm, bound))
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"{where}: {e!r}") from None
-    if not entries:
-        raise ConfigError(f"{where}: no layers")
-    if iterations < 1:
-        raise ConfigError(f"{where}: iterations must be >= 1")
+                raise ConfigError(f"declared_bound {bound} < 1")
+        if spec.stride > 1:
+            algorithm = "direct"
+        entries.append(LayerEntry(name, spec, algorithm, bound))
     return BenchConfig(rns, tile_m, seed, iterations, tuple(entries))
 
 
@@ -328,17 +343,25 @@ def oracle_conv(spec: layer.LayerSpec, weights: np.ndarray, x: np.ndarray) -> np
     return np.einsum("bhwcij,ijck->bhwk", win, weights.astype(np.int64))
 
 
-def _compare(label: str, spec, weights, x, got: np.ndarray) -> tuple[bool, str]:
-    """Check got against oracle_conv; returns (passed, report line)."""
+def _verify_layer(label: str, spec, weights, x, system, declared_bound=None):
+    """Run one layer on the fast path and check it against oracle_conv.
+
+    Returns (passed, report line, output); a layer the range check refuses
+    has no output, and its FAIL line names the bounds.
+    """
+    try:
+        got = layer.winograd_layer_conv(spec, weights, x, system, declared_bound)
+    except DynamicRangeExceeded as e:
+        return False, f"FAIL {label} dynamic range: {e}", None
     want = oracle_conv(spec, weights, x)
     if np.array_equal(want, got):
-        return True, f"PASS {label}"
+        return True, f"PASS {label}", got
     bad = np.argwhere(want != got)
     first = tuple(int(v) for v in bad[0])
     return False, (
         f"FAIL {label} mismatches={len(bad)} first at {first}: "
         f"got {int(got[first])}, want {int(want[first])}"
-    )
+    ), got
 
 
 def run_verify_case(case: VerifyCase) -> tuple[bool, str]:
@@ -347,10 +370,8 @@ def run_verify_case(case: VerifyCase) -> tuple[bool, str]:
     weights = random_int8(rng, case.spec.weight_shape())
     x = random_int8(rng, case.spec.input_shape())
     system = residue.RnsSystem(case.moduli)
-    got = layer.layer_conv(
-        case.spec, weights, x, system, declared_bound=case.declared_bound
-    )
-    return _compare(case.label, case.spec, weights, x, got)
+    ok, line, _ = _verify_layer(case.label, case.spec, weights, x, system, case.declared_bound)
+    return ok, line
 
 
 def cmd_verify(args) -> int:
@@ -360,19 +381,12 @@ def cmd_verify(args) -> int:
         return _verify_files(args)
     if args.config:
         cfg = load_config(args.config)
-        cases = []
-        for ent in cfg.layers:
-            if ent.algorithm != "winograd":
-                continue
-            cases.append(
-                VerifyCase(
-                    label=f"{ent.name} rns={cfg.rns}",
-                    spec=ent.spec,
-                    moduli=cfg.rns,
-                    entropy=(args.seed if args.seed is not None else cfg.seed, ent.name),
-                    declared_bound=ent.declared_bound,
-                )
-            )
+        seed = args.seed if args.seed is not None else cfg.seed
+        cases = [
+            VerifyCase(f"{ent.name} rns={cfg.rns}", ent.spec, cfg.rns, (seed, ent.name),
+                       ent.declared_bound)
+            for ent in cfg.layers if ent.algorithm == "winograd"
+        ]
         if not cases:
             raise ConfigError(f"{args.config}: no winograd layers to verify")
     else:
@@ -380,18 +394,7 @@ def cmd_verify(args) -> int:
 
     failures = 0
     for case in cases:
-        try:
-            ok, line = run_verify_case(case)
-        except DynamicRangeExceeded as e:
-            system = residue.RnsSystem(case.moduli)
-            report = layer.range_check(case.spec, system, case.declared_bound)
-            print(f"FAIL {case.label} dynamic range: {e}")
-            print(
-                f"     static bound {report.static_bound}, declared "
-                f"{report.declared_bound}, signed bound {report.signed_bound}"
-            )
-            failures += 1
-            continue
+        ok, line = run_verify_case(case)
         print(line)
         failures += 0 if ok else 1
     print(f"{len(cases) - failures}/{len(cases)} cases passed")
@@ -418,12 +421,11 @@ def _verify_files(args) -> int:
         batch=x.shape[0], padding=args.padding, tile_m=args.tile,
     )
     system = residue.RnsSystem(parse_moduli(args.moduli))
-    got = layer.winograd_layer_conv(
-        spec, weights, x, system, declared_bound=args.declared_bound
+    ok, line, got = _verify_layer(
+        f"{args.input} * {args.weights}", spec, weights, x, system, args.declared_bound
     )
-    if args.output:
+    if args.output and got is not None:
         layer.write_tensor(args.output, got)
-    ok, line = _compare(f"{args.input} * {args.weights}", spec, weights, x, got)
     print(line)
     return 0 if ok else 2
 
@@ -448,12 +450,6 @@ class BenchRow:
         return self.direct_ms / self.rns_ms if self.rns_ms else float("nan")
 
 
-def bench_algorithm(ent: LayerEntry) -> str:
-    """The algorithm bench runs a layer with: the fast path covers unit
-    stride only, so a strided layer runs direct."""
-    return ent.algorithm if ent.spec.stride == 1 else "direct"
-
-
 def run_bench(cfg: BenchConfig) -> list[BenchRow]:
     system = residue.RnsSystem(cfg.rns)
     rows = []
@@ -472,15 +468,11 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
                 best = min(best, time.perf_counter() - t0)
             return best * 1e3, out
 
-        def direct():
-            return layer.direct_conv(ent.spec, weights, x)
-
-        direct_ms, want = best_ms(direct)
+        direct_ms, want = best_ms(lambda: layer.direct_conv(ent.spec, weights, x))
         # stage times summed over the iterations; only their shares are shown
         timings = layer.StageTimings()
-        algorithm = bench_algorithm(ent)
-        if algorithm == "direct":
-            rns_ms, got = best_ms(direct)
+        if ent.algorithm == "direct":
+            rns_ms, got = direct_ms, want
         else:
             # Filter transforms depend only on the weights, so inference reuses
             # them across every input; precompute outside the timed region.
@@ -493,7 +485,7 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
                 filters=filters, timings=timings,
             ))
         reduction = layer.count_operations(ent.spec, system).reduction_ratio
-        rows.append(BenchRow(ent.name, algorithm, ent.spec, direct_ms, rns_ms, timings,
+        rows.append(BenchRow(ent.name, ent.algorithm, ent.spec, direct_ms, rns_ms, timings,
                              reduction, bool(np.array_equal(want, got))))
     return rows
 
@@ -569,7 +561,7 @@ def cmd_bench(args) -> int:
 
     system = residue.RnsSystem(cfg.rns)
     sizes = sorted({ent.spec.tile_m + ent.spec.r - 1
-                    for ent in cfg.layers if bench_algorithm(ent) == "winograd"})
+                    for ent in cfg.layers if ent.algorithm == "winograd"})
     routes = "; ".join(reconstruction_route(system, n) for n in sizes) or "none"
     print(f"rns={cfg.rns}  tile_m={cfg.tile_m}  seed={cfg.seed}  "
           f"iterations={cfg.iterations}  reconstruction={routes}")

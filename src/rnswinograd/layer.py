@@ -374,11 +374,11 @@ def winograd_layer_conv(
     RNSW_THREADS workers (default: the usable cores) takes the blocks, and a
     layer of one block runs inline.
 
-    Raises DynamicRangeExceeded when range_check fails, OverflowRisk when
-    the bound it uses exceeds int32 (the output dtype) or when a system past
-    the float64 CRT bound has a dynamic range of 2**63 or more (the int64
-    sum's reach), and UnsupportedStride for stride > 1 (the tiling only
-    covers unit stride; callers wanting a silent fallback use layer_conv).
+    Raises DynamicRangeExceeded, naming the static, declared and signed
+    bounds, when range_check fails, OverflowRisk when the bound it uses
+    exceeds int32 (the output dtype) or when a system past the float64 CRT
+    bound has a dynamic range of 2**63 or more (the int64 sum's reach), and
+    UnsupportedStride for stride > 1 (the tiling only covers unit stride).
     """
     _check_operands(spec, weights, x)
     if spec.stride != 1:
@@ -389,7 +389,8 @@ def winograd_layer_conv(
     report = range_check(spec, system, declared_bound)
     if not report.fits:
         raise DynamicRangeExceeded(
-            f"worst case {report.bound} exceeds signed bound {report.signed_bound}"
+            f"worst case {report.bound} exceeds signed bound {report.signed_bound} "
+            f"(static bound {report.static_bound}, declared {report.declared_bound})"
         )
     if report.bound > gemm.INT32_MAX:
         raise OverflowRisk(f"worst case {report.bound} does not fit the int32 output")
@@ -470,7 +471,8 @@ def layer_conv(
     system: residue.RnsSystem,
     declared_bound: int | None = None,
 ) -> np.ndarray:
-    """winograd_layer_conv with a direct fallback for strided layers."""
+    """winograd_layer_conv with a direct fallback for strided layers, kept
+    for callers outside the package (the CLI's config runs those direct)."""
     if spec.stride != 1:
         return direct_conv(spec, weights, x)
     return winograd_layer_conv(spec, weights, x, system, declared_bound=declared_bound)

@@ -305,8 +305,9 @@ def test_criterion_8_bench_vgg16():
     reported = ", ".join(f"{r.name} {r.speedup:.2f}x" for r in rows)
     record_acceptance(
         f"criterion 8: PASS ({elapsed:.0f}s) all 13 published layer shapes "
-        f"bit-exact end to end; measured ratios (reported, not asserted, "
-        f"single numpy core): total {total_direct / total_rns:.2f}x; {reported}"
+        f"bit-exact end to end; measured ratios (reported, not asserted; one "
+        f"block worker per usable core, OpenBLAS threaded): "
+        f"total {total_direct / total_rns:.2f}x; {reported}"
     )
 
 

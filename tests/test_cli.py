@@ -294,6 +294,24 @@ def test_verify_file_mode_rejects_bound_below_one(tmp_path, capsys):
     assert code == 0 and out.startswith("PASS")
 
 
+def test_verify_file_mode_range_failure(tmp_path, capsys):
+    # the sweep's FAIL line with the bounds, and no output written
+    rng = np.random.default_rng(58)
+    xp, wp, op = tmp_path / "x.qtns", tmp_path / "w.qtns", tmp_path / "y.qtns"
+    layer.write_tensor(xp, rng.integers(-128, 128, (1, 8, 8, 512)).astype(np.int8))
+    layer.write_tensor(wp, rng.integers(-128, 128, (3, 3, 512, 2)).astype(np.int8))
+    code, out, err = run_cli(
+        capsys, "verify", "--input", str(xp), "--weights", str(wp),
+        "--tile", "4", "--padding", "1", "--output", str(op),
+    )
+    assert code == 2 and err == ""
+    (line,) = out.splitlines()
+    assert line.startswith(f"FAIL {xp} * {wp} dynamic range: ")
+    assert "static bound 75497472" in line  # 9 * 512 * 128**2
+    assert "signed bound 7228674" in line
+    assert not op.exists()
+
+
 def test_random_int8_reaches_both_extremes():
     x = cli.random_int8(np.random.default_rng(3), 4096)
     assert x.dtype == np.int8
@@ -412,8 +430,8 @@ def test_bench_header_names_each_transform_size(tmp_path, capsys):
 
 
 def test_bench_runs_strided_layers_direct(tmp_path, capsys):
-    # the fast path covers unit stride; bench runs a strided layer direct,
-    # as verify does through layer_conv
+    # the fast path covers unit stride; the config marks a strided layer
+    # direct, so bench runs it direct and verify does not count it
     cfg = {
         "rns": [251, 241, 239],
         "tile_m": 4,
@@ -432,8 +450,12 @@ def test_bench_runs_strided_layers_direct(tmp_path, capsys):
     with open(csv_path, newline="") as f:
         (rec,) = csv.DictReader(f)
     assert rec["algorithm"] == "direct" and rec["crt_pct"] == "" and rec["exact"] == "1"
+    cfg["layers"].append({"name": "unit", "h": 12, "w": 12, "c": 3, "k": 2, "r": 3})
+    path.write_text(json.dumps(cfg))
+    assert [ent.algorithm for ent in cli.load_config(path).layers] == ["direct", "winograd"]
     code, out, _ = run_cli(capsys, "verify", "--config", str(path))
-    assert code == 0 and "1/1 cases passed" in out
+    assert code == 0 and out.strip().endswith("1/1 cases passed")
+    assert "PASS unit" in out and "strided" not in out
 
 
 def test_standard_systems_take_the_fused_route():
@@ -491,6 +513,43 @@ def test_config_from_dict_errors():
 
 
 SMALL_LAYER = {"name": "small", "h": 8, "w": 8, "c": 1, "k": 1, "r": 3}
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"rns": [251]}, "missing key 'layers'"),
+        ({"layers": [SMALL_LAYER]}, "missing key 'rns'"),
+        ({"rns": [251], "layers": SMALL_LAYER}, "layers must be a list, got {"),
+        ({"rns": [251], "layers": [dict(name="a", h=8, c=1, k=1, r=3)]},
+         "layer 'a': missing key 'w'"),
+        ({"rns": [251], "layers": [dict(SMALL_LAYER, name="a", padding=-1)]},
+         "layer 'a': padding must be a non-negative integer, got -1"),
+        ({"rns": [251], "layers": [dict(SMALL_LAYER, name="a", tile_m=0)]},
+         "layer 'a': tile_m must be a positive integer, got 0"),
+        ({"rns": [251], "layers": [dict(SMALL_LAYER, name="a", h=2)]},
+         "layer 'a': padded input smaller than the filter"),
+        ({"rns": [251], "layers": [dict(SMALL_LAYER, name="a", mode="direct")]},
+         "layer 'a': unknown key 'mode'"),
+        # a layer without a name goes by its position
+        ({"rns": [251], "layers": [SMALL_LAYER, {"h": 8, "w": 8, "c": 1, "k": 1}]},
+         "layer 'layer1': missing key 'r'"),
+        ({"rns": [251], "layers": [[8, 8, 1, 1, 3]]}, "layer 'layer0': not a JSON object"),
+    ],
+)
+def test_config_errors_name_the_layer_and_the_key(doc, message):
+    with pytest.raises(ConfigError) as info:
+        cli.config_from_dict(doc)
+    assert str(info.value).startswith(f"config: {message}"), str(info.value)
+
+
+def test_bench_config_error_names_the_layer(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    layer_ent = {k: v for k, v in SMALL_LAYER.items() if k != "w"}
+    path.write_text(json.dumps({"rns": [251], "layers": [layer_ent]}))
+    code, out, err = run_cli(capsys, "bench", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: layer 'small': missing key 'w'\n"
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,8 @@ class OutOfRange(RnsError):
 
 
 class DynamicRangeExceeded(RnsError):
-    """A convolution's worst-case output exceeds the RNS dynamic range."""
+    """A layer's output bound cannot be held: it exceeds the RNS signed range
+    or the int32 output, or a declared bound is below 1."""
 
 
 class ShapeMismatch(RnsError):

@@ -163,36 +163,30 @@ def precompute_filter_transforms(
     }
 
 
-@dataclass(frozen=True)
-class RangeReport:
-    """Outcome of the pre-flight dynamic range check."""
-
-    static_bound: int
-    declared_bound: int | None
-    bound: int
-    signed_bound: int
-
-    @property
-    def fits(self) -> bool:
-        return self.bound <= self.signed_bound
-
-
 def range_check(
     spec: LayerSpec, system: residue.RnsSystem, declared_bound: int | None = None
-) -> RangeReport:
-    """Compare the layer's worst-case output against the RNS dynamic range.
+) -> int:
+    """The bound a layer's outputs are trusted up to; the one refusal of it.
 
     The static bound assumes every product reaches 128 * 128, as int8 holds
     -128; callers that know their data (quantized networks in particular
     stay orders of magnitude below worst case) may declare a tighter bound,
-    which is then what the reconstruction is trusted up to.  A declared
-    bound below 1 holds for no output and raises ValueError.
+    which is then trusted in its place.  A trusted bound below 1 (it holds
+    for no output) or above the signed bound or gemm.INT32_MAX (the output
+    dtype) raises DynamicRangeExceeded, naming the limit it broke and the
+    static, declared and signed bounds.
     """
-    if declared_bound is not None and declared_bound < 1:
-        raise ValueError(f"declared bound {declared_bound} < 1 holds for no output")
     static = spec.r * spec.r * spec.c * gemm.INT8_ABS_PEAK**2
     bound = static if declared_bound is None else declared_bound
-    return RangeReport(static, declared_bound, bound, system.signed_bound)
+    limit = min(system.signed_bound, gemm.INT32_MAX)
+    if 1 <= bound <= limit:
+        return bound
+    named = "the int32 maximum " if limit == gemm.INT32_MAX else ""
+    broke = "is below 1" if bound < 1 else f"exceeds {named}{limit}"
+    raise DynamicRangeExceeded(
+        f"worst case {bound} {broke} (static bound {static}, "
+        f"declared {declared_bound}, signed bound {system.signed_bound})"
+    )
 
 
 @dataclass
@@ -374,11 +368,11 @@ def winograd_layer_conv(
     RNSW_THREADS workers (default: the usable cores) takes the blocks, and a
     layer of one block runs inline.
 
-    Raises DynamicRangeExceeded, naming the static, declared and signed
-    bounds, when range_check fails, OverflowRisk when the bound it uses
-    exceeds int32 (the output dtype) or when a system past the float64 CRT
-    bound has a dynamic range of 2**63 or more (the int64 sum's reach), and
-    UnsupportedStride for stride > 1 (the tiling only covers unit stride).
+    Raises DynamicRangeExceeded when range_check refuses the output bound
+    (below 1, past the signed bound or past int32, the output dtype),
+    OverflowRisk when a system past the float64 CRT bound has a dynamic
+    range of 2**63 or more (the int64 sum's reach), and UnsupportedStride
+    for stride > 1 (the tiling only covers unit stride).
     """
     _check_operands(spec, weights, x)
     if spec.stride != 1:
@@ -386,14 +380,7 @@ def winograd_layer_conv(
     tile_m = spec.tile_m
     if tile_m is None:
         raise ValueError("spec.tile_m must be set for the fast path")
-    report = range_check(spec, system, declared_bound)
-    if not report.fits:
-        raise DynamicRangeExceeded(
-            f"worst case {report.bound} exceeds signed bound {report.signed_bound} "
-            f"(static bound {report.static_bound}, declared {report.declared_bound})"
-        )
-    if report.bound > gemm.INT32_MAX:
-        raise OverflowRisk(f"worst case {report.bound} does not fit the int32 output")
+    range_check(spec, system, declared_bound)
     n = tile_m + spec.r - 1
     fused = system.crt_fits(n)
     if not fused and system.dynamic_range >= 1 << 63:

@@ -313,9 +313,14 @@ def _reduce_matrix(rows, m: int, dtype) -> np.ndarray:
 def reduce_transforms_mod(ts: ExactTransformSet, m: int) -> ModularTransformSet:
     """Reduce an exact transform set modulo m.
 
-    Fractions p/q become p * q^-1 mod m; raises NotCoprime when some
-    denominator shares a factor with m (see check_modulus_compatibility).
+    Fractions p/q become p * q^-1 mod m; raises NotCoprime, naming the
+    shared factor, when some denominator shares a factor with m (see
+    check_modulus_compatibility).
     """
+    den = denominator_lcm(ts)
+    if (shared := math.gcd(m, den)) != 1:
+        raise NotCoprime(f"modulus {m} shares factor {shared} with transform "
+                         f"denominator {den}; pick other points or another modulus")
     residue.check_modulus(m)
     from .gemm import dtype_for_modulus
 

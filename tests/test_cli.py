@@ -166,6 +166,28 @@ def test_verify_config_range_failure_exits_2(tmp_path, capsys):
     assert "signed bound 7228674" in out
 
 
+def test_verify_config_reports_an_int32_refusal_and_goes_on(tmp_path, capsys):
+    # 9 * 16000 * 128**2 = 2,359,296,000 fits the signed bound of
+    # (32749, 32719, 32717) but not the int32 output
+    cfg = {
+        "rns": [32749, 32719, 32717],
+        "tile_m": 4,
+        "layers": [
+            {"name": "ok", "h": 8, "w": 8, "c": 4, "k": 2, "r": 3, "padding": 1},
+            {"name": "wide", "h": 4, "w": 4, "c": 16000, "k": 1, "r": 3},
+        ],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "verify", "--config", str(path))
+    assert code == 2 and err == ""
+    ok, wide, total = out.splitlines()
+    assert ok == "PASS ok rns=(32749, 32719, 32717)"
+    assert wide.startswith("FAIL wide rns=(32749, 32719, 32717) dynamic range: ")
+    assert "worst case 2359296000 exceeds the int32 maximum 2147483647" in wide
+    assert total == "1/2 cases passed"
+
+
 def write_bound_config(tmp_path, bound):
     cfg = {
         "rns": [251, 241, 239],
@@ -286,7 +308,11 @@ def test_verify_file_mode_rejects_bound_below_one(tmp_path, capsys):
             capsys, "verify", "--input", str(xp), "--weights", str(wp),
             "--tile", "4", "--declared-bound", bound,
         )
-        assert code == 2 and "--declared-bound" in err and "PASS" not in out
+        assert code == 2 and err == ""
+        assert out == (
+            f"FAIL {xp} * {wp} dynamic range: worst case {bound} is below 1 "
+            f"(static bound 442368, declared {bound}, signed bound 7228674)\n"
+        )
     code, out, _ = run_cli(
         capsys, "verify", "--input", str(xp), "--weights", str(wp),
         "--tile", "4", "--declared-bound", "1000000",
@@ -463,6 +489,94 @@ def test_standard_systems_take_the_fused_route():
     for moduli in cli.STANDARD_SYSTEMS:
         system = residue.RnsSystem(moduli)
         assert all(system.crt_fits(m + r - 1) for m, r in cli.VERIFY_TILES), moduli
+
+
+def write_refused_bench_config(tmp_path):
+    # "big" is refused: 9 * 512 * 128**2 = 75,497,472 past the signed
+    # bound 7,228,674
+    cfg = {
+        "rns": [251, 241, 239],
+        "tile_m": 4,
+        "layers": [
+            {"name": "tiny", "h": 12, "w": 12, "c": 4, "k": 4, "r": 3, "padding": 1},
+            {"name": "big", "h": 8, "w": 8, "c": 512, "k": 2, "r": 3, "padding": 1},
+        ],
+    }
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_bench_reports_a_refused_layer_and_times_the_rest(tmp_path, capsys, monkeypatch):
+    path = write_refused_bench_config(tmp_path)
+    timed = []
+    real = layer.winograd_layer_conv
+    monkeypatch.setattr(layer, "winograd_layer_conv",
+                        lambda spec, *a, **kw: timed.append(spec.c) or real(spec, *a, **kw))
+    code, out, err = run_cli(capsys, "bench", "--config", str(path))
+    assert code == 2 and err == "" and "Traceback" not in out
+    assert timed == [4]  # the refused layer is never run
+    lines = out.splitlines()
+    tiny = next(l for l in lines if l.startswith("tiny"))
+    assert tiny.split()[-1] == "True"
+    assert not any(l.startswith("big") for l in lines)
+    # the line verify --config prints for the same layer
+    _, verified, _ = run_cli(capsys, "verify", "--config", str(path))
+    fail = verified.splitlines()[1]
+    assert fail.startswith("FAIL big rns=(251, 241, 239) dynamic range: ")
+    assert lines[-1] == fail
+    # with every fast-path layer refused, only the empty total is left
+    cfg = json.loads(path.read_text())
+    cfg["layers"] = cfg["layers"][1:]
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "bench", "--config", str(path))
+    assert code == 2 and err == ""
+    assert out.splitlines()[-2:] == ["total                      0.0        0.0      nan", fail]
+
+
+def test_bench_draws_the_operands_verify_checks(tmp_path, capsys, monkeypatch):
+    # two same-shaped layers whose names share their first 8 bytes
+    cfg = {
+        "rns": [251, 241, 239],
+        "tile_m": 4,
+        "seed": 11,
+        "layers": [
+            {"name": name, "h": 10, "w": 10, "c": 3, "k": 2, "r": 3, "padding": 1}
+            for name in ("block1_conv1", "block1_conv2")
+        ],
+    }
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(cfg))
+    seen = []
+    real = layer.winograd_layer_conv
+
+    def record(spec, weights, x, *args, **kwargs):
+        seen.append((weights.copy(), x.copy()))
+        return real(spec, weights, x, *args, **kwargs)
+
+    monkeypatch.setattr(layer, "winograd_layer_conv", record)
+    assert run_cli(capsys, "verify", "--config", str(path))[0] == 0
+    verified, seen[:] = seen[:], []
+    assert run_cli(capsys, "bench", "--config", str(path))[0] == 0
+    assert len(verified) == len(seen) == 2
+    for (vw, vx), (bw, bx) in zip(verified, seen):
+        assert np.array_equal(vw, bw) and np.array_equal(vx, bx)
+    assert not np.array_equal(verified[0][1], verified[1][1])
+
+
+def test_bench_names_a_modulus_that_shares_a_transform_factor(tmp_path, capsys):
+    # the F(14x14, 3x3) transforms have denominator 14! = 87178291200, and
+    # 253 = 11 * 23
+    cfg = {"rns": [253, 251, 247], "tile_m": 14,
+           "layers": [{"name": "a", "h": 16, "w": 16, "c": 2, "k": 2, "r": 3}]}
+    path = tmp_path / "f14.json"
+    path.write_text(json.dumps(cfg))
+    for command in ("bench", "verify"):
+        code, _, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 1 and "Traceback" not in err
+        assert err.startswith(
+            "error: modulus 253 shares factor 11 with transform denominator 87178291200; "
+        ), err
 
 
 def test_bench_config_declared_bound_is_parsed_and_checked(tmp_path, capsys):
@@ -680,6 +794,10 @@ def test_make_rng_deterministic_with_string_salt():
     c = cli.make_rng(7, "inputs").integers(0, 1 << 30, 4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    # labels that share their first 8 bytes still salt apart
+    d = cli.make_rng(2020, "block1_conv1").integers(0, 1 << 30, 4)
+    e = cli.make_rng(2020, "block1_conv2").integers(0, 1 << 30, 4)
+    assert not np.array_equal(d, e)
 
 
 def test_parse_points_and_moduli():

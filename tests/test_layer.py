@@ -622,25 +622,31 @@ def test_fused_route_at_the_dynamic_range_edge(system, c_fit):
 
 def test_range_check_static_bound():
     spec = layer.LayerSpec(h=8, w=8, c=64, k=4, r=3, padding=1, tile_m=4)
-    report = layer.range_check(spec, SYS8)
-    assert report.static_bound == 3 * 3 * 64 * 128 * 128
-    assert report.bound == report.static_bound
-    assert not report.fits  # 9.3M > 7.2M signed bound
-    assert layer.range_check(spec, SYS8, declared_bound=300_000).fits
+    with pytest.raises(DynamicRangeExceeded) as info:  # 9.4M > 7.2M signed bound
+        layer.range_check(spec, SYS8)
+    assert str(info.value) == (
+        "worst case 9437184 exceeds 7228674 (static bound 9437184, "
+        "declared None, signed bound 7228674)"
+    )
+    assert layer.range_check(spec, SYS8, declared_bound=300_000) == 300_000
     small = layer.LayerSpec(h=8, w=8, c=49, k=4, r=3, padding=1, tile_m=4)
-    assert layer.range_check(small, SYS8).fits  # 7.11M just inside
+    assert layer.range_check(small, SYS8) == 3 * 3 * 49 * 128 * 128  # 7.23M just inside
+    # the signed bound itself is trusted, one past it is not
+    assert layer.range_check(spec, SYS8, declared_bound=SYS8.signed_bound) == 7228674
+    with pytest.raises(DynamicRangeExceeded, match="worst case 7228675 exceeds 7228674"):
+        layer.range_check(spec, SYS8, declared_bound=SYS8.signed_bound + 1)
 
 
 def test_range_check_rejects_bound_below_one():
     # a declared bound below 1 holds for no output: it must not "fit"
     spec = layer.LayerSpec(h=8, w=8, c=2, k=1, r=3, tile_m=4)
-    assert layer.range_check(spec, SYS8, declared_bound=1).fits
+    assert layer.range_check(spec, SYS8, declared_bound=1) == 1
     for bound in (0, -5):
-        with pytest.raises(ValueError, match="declared bound"):
+        with pytest.raises(DynamicRangeExceeded, match=f"worst case {bound} is below 1"):
             layer.range_check(spec, SYS8, declared_bound=bound)
     weights = np.full(spec.weight_shape(), 127, np.int8)
     x = np.full(spec.input_shape(), 127, np.int8)
-    with pytest.raises(ValueError, match="declared bound"):
+    with pytest.raises(DynamicRangeExceeded, match="declared -5"):
         layer.winograd_layer_conv(spec, weights, x, SYS8, declared_bound=-5)
 
 
@@ -677,19 +683,22 @@ def test_output_bound_past_int32_raises():
         return spec, full, np.full(spec.input_shape(), -128, np.int8)
 
     spec, weights, x = minimum_layer(14563)  # 2,147,450,880 <= INT32_MAX
+    assert layer.range_check(spec, system) == 9 * 14563 * 128 * 128
     got = layer.winograd_layer_conv(spec, weights, x, system)
     assert np.all(got == 9 * 14563 * 128 * 128)
     assert np.array_equal(got, layer.direct_conv(spec, weights, x))
 
+    # inside the signed bound, past the int32 output: range_check refuses it
     spec, weights, x = minimum_layer(14564)
-    assert layer.range_check(spec, system).fits
-    with pytest.raises(OverflowRisk):
+    assert 9 * 14564 * 128**2 <= system.signed_bound
+    with pytest.raises(DynamicRangeExceeded, match="exceeds the int32 maximum 2147483647"):
         layer.winograd_layer_conv(spec, weights, x, system)
     with pytest.raises(OverflowRisk):
         layer.direct_conv(spec, weights, x)
     small = layer.LayerSpec(h=4, w=4, c=1, k=1, r=3, tile_m=2)
     w1, x1 = random_operands(small, 11)
-    with pytest.raises(OverflowRisk):
+    assert layer.range_check(small, system, declared_bound=gemm.INT32_MAX) == gemm.INT32_MAX
+    with pytest.raises(DynamicRangeExceeded, match="worst case 2147483648 exceeds"):
         layer.winograd_layer_conv(small, w1, x1, system, declared_bound=gemm.INT32_MAX + 1)
 
 

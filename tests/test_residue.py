@@ -295,7 +295,7 @@ def test_range_checks_survive_optimized_mode(tmp_path):
     code = (
         "import numpy as np\n"
         "from rnswinograd import residue\n"
-        "from rnswinograd.errors import OutOfRange, OverflowRisk\n"
+        "from rnswinograd.errors import DynamicRangeExceeded, OutOfRange, OverflowRisk\n"
         "system = residue.RnsSystem((7, 9))\n"
         "try:\n"
         "    residue.RnsVector((5, 0), system)\n"
@@ -315,7 +315,7 @@ def test_range_checks_survive_optimized_mode(tmp_path):
         "try:\n"
         "    layer.range_check(spec, residue.RnsSystem((251, 241, 239)), -5)\n"
         "    raise SystemExit('range_check accepted a declared bound below 1')\n"
-        "except ValueError:\n"
+        "except DynamicRangeExceeded:\n"
         "    pass\n"
         "try:\n"
         f"    layer.read_tensor({str(short)!r})\n"

@@ -26,7 +26,7 @@ from importlib import resources
 import numpy as np
 
 from . import gemm, layer, residue, transforms
-from .errors import DynamicRangeExceeded, RnsError
+from .errors import DynamicRangeExceeded, NotCoprime, RnsError
 
 DEFAULT_SEED = 2020
 
@@ -117,7 +117,7 @@ class LayerEntry:
 
 @dataclass(frozen=True)
 class BenchConfig:
-    rns: tuple[int, ...]
+    rns: residue.RnsSystem
     tile_m: int
     seed: int
     iterations: int
@@ -172,7 +172,7 @@ def _named(where: str):
         yield
     except KeyError as e:
         raise ConfigError(f"{where}: missing key {e.args[0]!r}") from None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, NotCoprime) as e:
         raise ConfigError(f"{where}: {e}") from None
 
 
@@ -181,7 +181,7 @@ def config_from_dict(doc: dict, where: str = "config") -> BenchConfig:
         _check_keys(doc, CONFIG_KEYS)
         if not isinstance(doc["rns"], list):
             raise ConfigError(f"rns must be a list, got {doc['rns']!r}")
-        rns = tuple(_int(m, "rns entry") for m in doc["rns"])
+        rns = residue.RnsSystem([_int(m, "rns entry") for m in doc["rns"]])
         tile_m = _int(doc.get("tile_m", 14), "tile_m")
         batch = _int(doc.get("batch", 1), "batch")
         seed = _int(doc.get("seed", DEFAULT_SEED), "seed")
@@ -379,8 +379,8 @@ def cmd_verify(args) -> int:
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else cfg.seed
         cases = [
-            VerifyCase(f"{ent.name} rns={cfg.rns}", ent.spec, cfg.rns, (seed, ent.name),
-                       ent.declared_bound)
+            VerifyCase(f"{ent.name} rns={cfg.rns.moduli}", ent.spec, cfg.rns.moduli,
+                       (seed, ent.name), ent.declared_bound)
             for ent in cfg.layers if ent.algorithm == "winograd"
         ]
         if not cases:
@@ -444,7 +444,7 @@ class BenchRow:
 
 def run_bench(cfg: BenchConfig) -> list[BenchRow]:
     """Time every layer of cfg on data drawn as verify --config draws it."""
-    system = residue.RnsSystem(cfg.rns)
+    system = cfg.rns
     rows = []
     for ent in cfg.layers:
         rng = make_rng(cfg.seed, ent.name)
@@ -523,21 +523,16 @@ def _cell(value, spec: str) -> str:
 
 
 def reconstruction_route(system: residue.RnsSystem, n: int) -> str:
-    """How a layer of transform size n rebuilds its outputs: the CRT sum in
-    float64 over unfolded rows where RnsSystem.crt_fits admits them, over
-    folded rows where only the folded bound holds, or in int64 past both,
-    with the bound that picked the route.  The bound's log2 shows three
-    decimals, rounded down within 2**51 and up past it, so the printed
-    comparison holds and the two sides of the edge never print alike."""
+    """How a layer of transform size n that range_check admits rebuilds its
+    outputs: the float64 CRT sum over unfolded rows where RnsSystem.crt_fits
+    admits them, over folded rows otherwise, with the bound that picked the
+    route.  The bound's log2 shows three decimals, rounded down, so the
+    printed comparison holds."""
     folded = not system.crt_fits(n, folded=False)
-    bound = system.crt_bound(n, folded)
-    milli = math.floor(math.log2(bound) * 1000) + (bound > gemm.FLOAT64_FOLD)
-    bound = f"2**{milli / 1000:.3f}"
+    bound = math.floor(math.log2(system.crt_bound(n, folded)) * 1000) / 1000
     edge = f"2**{math.log2(gemm.FLOAT64_FOLD):.0f}"
-    if not system.crt_fits(n):
-        return f"CRT in int64 (float64 bound {bound} > {edge} at n={n})"
     route = "CRT" if folded else "CRT, unfolded rows"
-    return f"{route} (bound {bound} <= {edge} at n={n})"
+    return f"{route} (bound 2**{bound:.3f} <= {edge} at n={n})"
 
 
 def cmd_bench(args) -> int:
@@ -549,7 +544,7 @@ def cmd_bench(args) -> int:
         cfg = replace(cfg, iterations=args.iterations)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    system = residue.RnsSystem(cfg.rns)
+    system = cfg.rns
     # a layer's data depend on its name alone, so leaving out the layers
     # range_check refuses leaves every other layer's data as they were
     runnable, refusals = [], []
@@ -559,13 +554,14 @@ def cmd_bench(args) -> int:
                 layer.range_check(ent.spec, system, ent.declared_bound)
             runnable.append(ent)
         except DynamicRangeExceeded as e:
-            refusals.append(range_failure(f"{ent.name} rns={cfg.rns}", e))
+            refusals.append(range_failure(f"{ent.name} rns={system.moduli}", e))
     rows = run_bench(replace(cfg, layers=tuple(runnable)))
 
-    sizes = sorted({ent.spec.tile_m + ent.spec.r - 1
-                    for ent in cfg.layers if ent.algorithm == "winograd"})
+    # routes of the layers that ran: a refused one has none
+    sizes = sorted({row.spec.tile_m + row.spec.r - 1
+                    for row in rows if row.algorithm == "winograd"})
     routes = "; ".join(reconstruction_route(system, n) for n in sizes) or "none"
-    print(f"rns={cfg.rns}  tile_m={cfg.tile_m}  seed={cfg.seed}  "
+    print(f"rns={system.moduli}  tile_m={cfg.tile_m}  seed={cfg.seed}  "
           f"iterations={cfg.iterations}  reconstruction={routes}")
     print("filter transforms are precomputed per layer and excluded from rns ms")
     header = " ".join(format(head, fmt.split(".")[0]) for _, head, fmt, _ in BENCH_COLUMNS if head)

@@ -19,7 +19,8 @@ class OutOfRange(RnsError):
 
 class DynamicRangeExceeded(RnsError):
     """A layer's output bound cannot be held: it exceeds the RNS signed range
-    or the int32 output, or a declared bound is below 1."""
+    or the int32 output, a declared bound is below 1, or the system's CRT sum
+    at the layer's transform size is past the float64 bound."""
 
 
 class ShapeMismatch(RnsError):

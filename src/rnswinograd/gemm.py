@@ -144,26 +144,15 @@ def exact_matmul(
 
 
 def reduce_mod_inplace(acc: np.ndarray, m: int) -> np.ndarray:
-    """Fold an array into the symmetric residue range of m, in place.
+    """Fold a float array into the symmetric residue range of m, in place.
 
-    A float array holds integers with |x| at most FLOAT32_FOLD (float32) or
+    It holds integers with |x| at most FLOAT32_FOLD (float32) or
     FLOAT64_FOLD (float64); one pass x -= m * rint(x * (1/m)) centres them.
-    An integer array of any value takes two floor divisions: acc - m*(acc // m)
-    lies in [0, m), exact even where m*(acc // m) wraps, as the true remainder
-    fits the dtype; the second centres it.
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"modulus must be odd and >= 3, got {m}")
-    if acc.dtype.kind == "f":
-        q = np.multiply(acc, acc.dtype.type(1) / m)
-        np.rint(q, out=q)
-        q *= m
-        acc -= q
-        return acc
-    q = np.floor_divide(acc, m)
-    q *= m
-    acc -= q
-    np.floor_divide(acc, (m + 1) // 2, out=q)
+    q = np.multiply(acc, acc.dtype.type(1) / m)
+    np.rint(q, out=q)
     q *= m
     acc -= q
     return acc

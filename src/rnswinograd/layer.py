@@ -15,16 +15,16 @@ integers, and their consumers' folds reduce them.  One reconstruction
 follows, the Chinese Remainder Theorem (CRT) with cofactor weights: the
 second GEMM of modulus m_i runs on a_i = (M_i^-1 mod m_i) * A_i^T mod m_i,
 and sum_i M_i * (a_i @ t_i), folded mod the dynamic range M, gives the
-int32 outputs, which reach NHWC by reshape, transpose and crop.  Within
-RnsSystem.crt_fits that sum runs in float64 on the weights M_i * a_i
-(_crt_scatter), and where its bound on unfolded t_i allows, the first GEMM
-skips its fold too, the CRT sum being its consumer; past it each channel
-folds a_i @ t_i mod m_i and the sum runs in int64, folded mod M after every
-channel (_crt_int64), for any M below 2**63.  The work runs in blocks of
-tile rows, each block taken through every modulus, reconstruction and
-scatter by one worker.  Every matrix product is exact on float BLAS
-(gemm.exact_matmul, or the CRT bound for the float64 sum).  Outputs are
-bit-identical to direct_conv whenever the layer passes range_check.
+int32 outputs, which reach NHWC by reshape, transpose and crop.  That sum
+runs in float64 on the weights M_i * a_i (_crt_scatter), and where its
+bound on unfolded t_i allows, the first GEMM skips its fold too, the CRT
+sum being its consumer.  range_check refuses a system whose sum is past
+the float64 bound (RnsSystem.crt_fits) at the layer's n; no int32 output
+needs one that wide.  The work runs in blocks of tile rows, each block
+taken through every modulus, reconstruction and scatter by one worker.
+Every matrix product is exact on float BLAS (gemm.exact_matmul, or the CRT
+bound for the float64 sum).  Outputs are bit-identical to direct_conv
+whenever the layer passes range_check.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gemm, kernel, residue, transforms
-from .errors import DynamicRangeExceeded, OverflowRisk, ShapeMismatch, UnsupportedStride
+from .errors import DynamicRangeExceeded, ShapeMismatch, UnsupportedStride
 
 
 @dataclass(frozen=True)
@@ -174,19 +174,31 @@ def range_check(
     which is then trusted in its place.  A trusted bound below 1 (it holds
     for no output) or above the signed bound or gemm.INT32_MAX (the output
     dtype) raises DynamicRangeExceeded, naming the limit it broke and the
-    static, declared and signed bounds.
+    static, declared and signed bounds.  So does a system whose CRT sum at
+    the layer's transform size n = tile_m + r - 1 is past the float64 fold
+    (RnsSystem.crt_fits), naming the system, n and that sum's bound; one
+    within it, (1601, 1619, 1663) say, already covers every int32 output.
+    ValueError when spec.tile_m is unset, as n is then undefined.
     """
+    if spec.tile_m is None:
+        raise ValueError("spec.tile_m must be set for the fast path")
     static = spec.r * spec.r * spec.c * gemm.INT8_ABS_PEAK**2
     bound = static if declared_bound is None else declared_bound
     limit = min(system.signed_bound, gemm.INT32_MAX)
-    if 1 <= bound <= limit:
-        return bound
-    named = "the int32 maximum " if limit == gemm.INT32_MAX else ""
-    broke = "is below 1" if bound < 1 else f"exceeds {named}{limit}"
-    raise DynamicRangeExceeded(
-        f"worst case {bound} {broke} (static bound {static}, "
-        f"declared {declared_bound}, signed bound {system.signed_bound})"
-    )
+    if not 1 <= bound <= limit:
+        named = "the int32 maximum " if limit == gemm.INT32_MAX else ""
+        broke = "is below 1" if bound < 1 else f"exceeds {named}{limit}"
+        raise DynamicRangeExceeded(
+            f"worst case {bound} {broke} (static bound {static}, "
+            f"declared {declared_bound}, signed bound {system.signed_bound})"
+        )
+    n = spec.tile_m + spec.r - 1
+    if not system.crt_fits(n):
+        raise DynamicRangeExceeded(
+            f"CRT sum bound {system.crt_bound(n)} exceeds the float64 fold's "
+            f"2**{gemm.FLOAT64_FOLD.bit_length() - 1} (system {system.moduli} at n={n})"
+        )
+    return bound
 
 
 @dataclass
@@ -283,8 +295,8 @@ def _crt_scatter(
     M_i * a_i in float64; out: the block's (tile rows, m, tw, m, k) int32
     canvas.  Output row a is sum_i weights[i] @ t_i[:, a], congruent to the
     true output mod every m_i, so one fold mod the dynamic range yields it;
-    every partial sum is an integer within RnsSystem.crt_bound, which the
-    layer keeps within the float64 fold's reach (gemm.FLOAT64_FOLD).  It
+    every partial sum is an integer within RnsSystem.crt_bound, which
+    range_check keeps within the float64 fold's reach (gemm.FLOAT64_FOLD).  It
     runs a few output rows at a time in three reused buffers: the sum, its
     float64 operand and the other terms, which then hold the fold's
     quotient.
@@ -317,36 +329,6 @@ def _crt_scatter(
         t.scatter += time.perf_counter() - t1
 
 
-def _crt_int64(
-    ts: Sequence[np.ndarray],
-    weights: Sequence[np.ndarray],
-    system: residue.RnsSystem,
-    out: np.ndarray,
-    t: StageTimings,
-) -> None:
-    """_crt_scatter for a system past the float64 bound, summing in int64.
-
-    ts: per modulus the folded first backward GEMM t_i, weights: per
-    modulus a_i.  Each channel finishes y_i = a_i @ t_i mod m_i, and
-    M_i * y_i, below M/2 in magnitude, joins a sum folded mod M after every
-    channel, so no partial sum reaches M, which the layer keeps below 2**63.
-    """
-    n, side, rest = ts[0].shape
-    rows, _, tw, _, k = out.shape
-    t0 = time.perf_counter()
-    acc = np.zeros((side, side * rest), np.int64)
-    for c, a, ti, m in zip(system.cofactors, weights, ts, system.moduli):
-        half = (m - 1) // 2
-        y = gemm.exact_matmul(a, ti.reshape(n, side * rest), half, half, m)
-        acc += c * y.astype(np.int64)
-        gemm.reduce_mod_inplace(acc, system.dynamic_range)
-    t1 = time.perf_counter()
-    acc = acc.reshape(side, side, rows, tw, k).transpose(2, 1, 3, 0, 4)
-    np.copyto(out, acc, casting="unsafe")
-    t.crt += t1 - t0
-    t.scatter += time.perf_counter() - t1
-
-
 def winograd_layer_conv(
     spec: LayerSpec,
     weights: np.ndarray,
@@ -363,39 +345,31 @@ def winograd_layer_conv(
     reuse the same weights, exactly as repeated inference does.
 
     The tile rows are cut into blocks, and each block goes through every
-    modulus, the CRT reconstruction (in float64, or in int64 past the
-    float64 bound) and the scatter into its own output rows; a pool of up to
-    RNSW_THREADS workers (default: the usable cores) takes the blocks, and a
-    layer of one block runs inline.
+    modulus, the float64 CRT reconstruction and the scatter into its own
+    output rows; a pool of up to RNSW_THREADS workers (default: the usable
+    cores) takes the blocks, and a layer of one block runs inline.
 
-    Raises DynamicRangeExceeded when range_check refuses the output bound
-    (below 1, past the signed bound or past int32, the output dtype),
-    OverflowRisk when a system past the float64 CRT bound has a dynamic
-    range of 2**63 or more (the int64 sum's reach), and UnsupportedStride
-    for stride > 1 (the tiling only covers unit stride).
+    Raises DynamicRangeExceeded when range_check refuses the layer (an
+    output bound below 1, past the signed bound or past int32, the output
+    dtype, or a system whose CRT sum is past the float64 bound at this n),
+    ValueError when spec.tile_m is unset, and UnsupportedStride for
+    stride > 1 (the tiling only covers unit stride).
     """
     _check_operands(spec, weights, x)
     if spec.stride != 1:
         raise UnsupportedStride(f"fast path needs stride 1, got {spec.stride}")
-    tile_m = spec.tile_m
-    if tile_m is None:
-        raise ValueError("spec.tile_m must be set for the fast path")
     range_check(spec, system, declared_bound)
+    tile_m = spec.tile_m
     n = tile_m + spec.r - 1
-    fused = system.crt_fits(n)
-    if not fused and system.dynamic_range >= 1 << 63:
-        raise OverflowRisk(f"dynamic range of {system} does not fit the int64 CRT sum")
     mts = transforms.cached_modular_transforms(tile_m, spec.r, system.moduli)
     # the rows skip their fold where the CRT sum's bound admits unfolded t_i
     fold_rows = not system.crt_fits(n, folded=False)
-    # a_i = (M_i^-1 mod m_i) * A_i^T mod m_i; the float64 sum takes M_i * a_i
+    # the float64 sum's weights M_i * a_i, a_i = (M_i^-1 mod m_i) * A_i^T
+    # mod m_i, folded in float64: |inv_i * A_i| <= h_i**2 < 2**28
     shares = [
-        gemm.reduce_mod_inplace(inv * mt.at.astype(np.int64), mt.modulus)
-        for inv, mt in zip(system.inverses, mts)
+        c * gemm.reduce_mod_inplace(inv * mt.at.astype(np.float64), mt.modulus)
+        for c, inv, mt in zip(system.cofactors, system.inverses, mts)
     ]
-    if fused:
-        shares = [c * a.astype(np.float64) for c, a in zip(system.cofactors, shares)]
-    reconstruct = _crt_scatter if fused else _crt_int64
     if timings is None:
         timings = StageTimings()
 
@@ -431,7 +405,7 @@ def winograd_layer_conv(
         blk = blk.reshape(n, n, rows * tw, c)
         t.tiling += time.perf_counter() - t0
         res = [_modulus_pass(blk, filters[mt.modulus], mt, fold_rows, t) for mt in mts]
-        reconstruct(res, shares, system, canvas[r0 : r0 + rows], t)
+        _crt_scatter(res, shares, system, canvas[r0 : r0 + rows], t)
         return t
 
     starts = range(0, b * th, step)

@@ -8,8 +8,8 @@ One reconstruction serves every route: the Chinese Remainder Theorem (CRT)
 with cofactor weights.  With M the product of the moduli and M_i = M / m_i,
 x = sum_i M_i * (x_i * inv_i mod m_i), folded mod M, for any representatives
 x_i, inv_i = M_i^-1 mod m_i.  The fast path folds inv_i into each channel's
-backward transform and sums in float64 while RnsSystem.crt_fits holds, in
-int64 otherwise.
+backward transform and sums in float64; layer.range_check refuses a system
+past that sum's bound (RnsSystem.crt_fits).
 """
 
 from __future__ import annotations

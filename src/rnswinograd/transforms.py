@@ -313,15 +313,15 @@ def _reduce_matrix(rows, m: int, dtype) -> np.ndarray:
 def reduce_transforms_mod(ts: ExactTransformSet, m: int) -> ModularTransformSet:
     """Reduce an exact transform set modulo m.
 
-    Fractions p/q become p * q^-1 mod m; raises NotCoprime, naming the
-    shared factor, when some denominator shares a factor with m (see
-    check_modulus_compatibility).
+    Fractions p/q become p * q^-1 mod m; raises residue.check_modulus's
+    error for an unusable m, and NotCoprime, naming the shared factor, when
+    some denominator shares a factor with m (see check_modulus_compatibility).
     """
+    residue.check_modulus(m)
     den = denominator_lcm(ts)
     if (shared := math.gcd(m, den)) != 1:
         raise NotCoprime(f"modulus {m} shares factor {shared} with transform "
                          f"denominator {den}; pick other points or another modulus")
-    residue.check_modulus(m)
     from .gemm import dtype_for_modulus
 
     dt = dtype_for_modulus(m)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import golden_transforms as gold
 from rnswinograd import cli, gemm, layer, residue
 from rnswinograd.cli import ConfigError
+from rnswinograd.errors import DynamicRangeExceeded
 
 
 def run_cli(capsys, *argv):
@@ -93,11 +95,17 @@ def test_gen_transforms_custom_points_match_default(capsys):
 
 def test_gen_transforms_rejects_shared_factor_modulus(capsys):
     code, _, err = run_cli(
-        capsys, "gen-transforms", "--m", "10", "--r", "3", "--moduli", "10,21"
+        capsys, "gen-transforms", "--m", "10", "--r", "3", "--moduli", "21"
     )
     assert code == 1
-    assert "shares factor 10" in err
+    assert "shares factor 21" in err
     assert "3628800" in err
+    # a modulus that is no modulus is named as such, not as a factor clash
+    code, _, err = run_cli(
+        capsys, "gen-transforms", "--m", "2", "--r", "3", "--moduli", "0"
+    )
+    assert code == 1
+    assert err == "error: modulus must be odd and in [3, 32767], got 0\n"
 
 
 def test_gen_transforms_rejects_bad_points(capsys):
@@ -167,14 +175,14 @@ def test_verify_config_range_failure_exits_2(tmp_path, capsys):
 
 
 def test_verify_config_reports_an_int32_refusal_and_goes_on(tmp_path, capsys):
-    # 9 * 16000 * 128**2 = 2,359,296,000 fits the signed bound of
-    # (32749, 32719, 32717) but not the int32 output
+    # 9 * 14564 * 128**2 = 2,147,549,184 fits the signed bound 2,155,263,798
+    # of (1601, 1619, 1663) but not the int32 output
     cfg = {
-        "rns": [32749, 32719, 32717],
+        "rns": [1601, 1619, 1663],
         "tile_m": 4,
         "layers": [
             {"name": "ok", "h": 8, "w": 8, "c": 4, "k": 2, "r": 3, "padding": 1},
-            {"name": "wide", "h": 4, "w": 4, "c": 16000, "k": 1, "r": 3},
+            {"name": "wide", "h": 4, "w": 4, "c": 14564, "k": 1, "r": 3},
         ],
     }
     path = tmp_path / "cfg.json"
@@ -182,9 +190,9 @@ def test_verify_config_reports_an_int32_refusal_and_goes_on(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", "--config", str(path))
     assert code == 2 and err == ""
     ok, wide, total = out.splitlines()
-    assert ok == "PASS ok rns=(32749, 32719, 32717)"
-    assert wide.startswith("FAIL wide rns=(32749, 32719, 32717) dynamic range: ")
-    assert "worst case 2359296000 exceeds the int32 maximum 2147483647" in wide
+    assert ok == "PASS ok rns=(1601, 1619, 1663)"
+    assert wide.startswith("FAIL wide rns=(1601, 1619, 1663) dynamic range: ")
+    assert "worst case 2147549184 exceeds the int32 maximum 2147483647" in wide
     assert total == "1/2 cases passed"
 
 
@@ -403,7 +411,9 @@ def test_bench_rejects_iterations_below_one(tmp_path, capsys, iterations):
 def test_bench_header_names_the_reconstruction(tmp_path, capsys):
     # tile_m=4 and r=3: n=6.  (251, 241, 239) sums unfolded rows within
     # 36 * (57599 * 125**3 + 59989 * 120**3 + 60491 * 119**3) = 2**43.380;
-    # (4001, 4331) folded ones within 6 * (4331 * 2000**2 + 4001 * 2165**2)
+    # (4001, 4331) folded ones within 6 * (4331 * 2000**2 + 4001 * 2165**2);
+    # (32749, 32719, 32717) is past 2**51 even folded, so its one fast layer
+    # is refused and none is left to name
     path = write_small_bench_config(tmp_path)
     code, out, _ = run_cli(capsys, "bench", "--config", str(path))
     assert code == 0
@@ -414,23 +424,35 @@ def test_bench_header_names_the_reconstruction(tmp_path, capsys):
     for rns, route in (
         ([4001, 4331], "CRT (bound 2**37.655 <= 2**51 at n=6)"),
         ([32749, 32719], "CRT (bound 2**46.580 <= 2**51 at n=6)"),
-        ([32749, 32719, 32717], "CRT in int64 (float64 bound 2**62.163 > 2**51 at n=6)"),
     ):
         cfg["rns"] = rns
         path.write_text(json.dumps(cfg))
         code, out, _ = run_cli(capsys, "bench", "--config", str(path))
         assert code == 0
         assert out.splitlines()[0].endswith(f"reconstruction={route}")
+    cfg["rns"] = [32749, 32719, 32717]
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "bench", "--config", str(path))
+    assert code == 2 and err == ""
+    lines = out.splitlines()
+    assert lines[0].endswith("reconstruction=none")
+    bound = residue.RnsSystem(cfg["rns"]).crt_bound(6)  # 2**62.163
+    assert lines[-1] == (
+        "FAIL tiny rns=(32749, 32719, 32717) dynamic range: CRT sum bound "
+        f"{bound} exceeds the float64 fold's 2**51 (system (32749, 32719, 32717) at n=6)"
+    )
 
 
 def test_reconstruction_route_prints_apart_at_the_edge():
     # (32749, 32719) folded: 2**50.9954 at n = 128, 2**51.0066 at n = 129;
-    # one decimal printed 2**51.0 on both sides
+    # one decimal printed 2**51.0 on both sides.  Past the edge range_check
+    # refuses the system, so no route is printed for it
     system = residue.RnsSystem((32749, 32719))
     assert cli.reconstruction_route(system, 128) == "CRT (bound 2**50.995 <= 2**51 at n=128)"
-    assert cli.reconstruction_route(system, 129) == (
-        "CRT in int64 (float64 bound 2**51.007 > 2**51 at n=129)"
-    )
+    edge = layer.LayerSpec(h=4, w=4, c=1, k=1, r=3, tile_m=126)
+    assert layer.range_check(edge, system) == 9 * 128**2
+    with pytest.raises(DynamicRangeExceeded, match=r"2\*\*51 \(system \(32749, 32719\) at n=129\)"):
+        layer.range_check(replace(edge, tile_m=127), system)
 
 
 def test_bench_header_names_each_transform_size(tmp_path, capsys):
@@ -532,6 +554,8 @@ def test_bench_reports_a_refused_layer_and_times_the_rest(tmp_path, capsys, monk
     code, out, err = run_cli(capsys, "bench", "--config", str(path))
     assert code == 2 and err == ""
     assert out.splitlines()[-2:] == ["total                      0.0        0.0      nan", fail]
+    # and the header names no route, as no layer ran
+    assert out.splitlines()[0].endswith("reconstruction=none")
 
 
 def test_bench_draws_the_operands_verify_checks(tmp_path, capsys, monkeypatch):
@@ -600,7 +624,7 @@ def test_bench_rejects_bad_config(tmp_path, capsys):
 
 def test_packaged_vgg16_config_parses():
     cfg = cli.load_config(cli.default_bench_config_path())
-    assert cfg.rns == (251, 241, 239)
+    assert cfg.rns.moduli == (251, 241, 239)
     assert cfg.tile_m == 14
     assert len(cfg.layers) == 13
     assert cfg.layers[0].name == "conv1_1"
@@ -649,6 +673,11 @@ SMALL_LAYER = {"name": "small", "h": 8, "w": 8, "c": 1, "k": 1, "r": 3}
         ({"rns": [251], "layers": [SMALL_LAYER, {"h": 8, "w": 8, "c": 1, "k": 1}]},
          "layer 'layer1': missing key 'r'"),
         ({"rns": [251], "layers": [[8, 8, 1, 1, 3]]}, "layer 'layer0': not a JSON object"),
+        # the rns list must make a residue system
+        ({"rns": [251, 251], "layers": [SMALL_LAYER]}, "moduli 251 and 251 share factor 251"),
+        ({"rns": [], "layers": [SMALL_LAYER]}, "an RNS system needs at least one modulus"),
+        ({"rns": [251, 241, 32771], "layers": [SMALL_LAYER]},
+         "modulus must be odd and in [3, 32767], got 32771"),
     ],
 )
 def test_config_errors_name_the_layer_and_the_key(doc, message):
@@ -692,7 +721,7 @@ def test_config_keeps_decimal_strings():
     doc = {"rns": ["251", 241], "iterations": "2",
            "layers": [dict(SMALL_LAYER, h="9", declared_bound="300000")]}
     cfg = cli.config_from_dict(doc)
-    assert cfg.rns == (251, 241) and cfg.iterations == 2
+    assert cfg.rns.moduli == (251, 241) and cfg.iterations == 2
     assert cfg.layers[0].spec.h == 9 and cfg.layers[0].declared_bound == 300000
 
 

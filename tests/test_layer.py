@@ -316,12 +316,10 @@ def count_calls(monkeypatch, module, name, calls):
 
 # a system per reconstruction route at n = 6: the float64 CRT sum over
 # unfolded or folded first backward GEMMs (whether kernel.backward_rows_mod
-# folds), and the int64 sum past its bound
-SYS3X15 = residue.RnsSystem((32749, 32719, 32717))
+# folds)
 ROUTES = (
-    (SYS8, "backward_rows_mod fold=False", "_crt_scatter"),
-    (SYS16, "backward_rows_mod fold=True", "_crt_scatter"),
-    (SYS3X15, "backward_rows_mod fold=True", "_crt_int64"),
+    (SYS8, "backward_rows_mod fold=False"),
+    (SYS16, "backward_rows_mod fold=True"),
 )
 
 
@@ -338,16 +336,15 @@ def test_stage_timings_accumulate(monkeypatch):
         return rows_mod(t, mt, tmax, fold)
 
     monkeypatch.setattr(kernel, "backward_rows_mod", rows_counted)
-    for name in ("_crt_scatter", "_crt_int64"):
-        count_calls(monkeypatch, layer, name, calls)
+    count_calls(monkeypatch, layer, "_crt_scatter", calls)
     spec = layer.LayerSpec(h=8, w=8, c=2, k=2, r=3, padding=1, tile_m=4)
     weights, x = random_operands(spec, 8)
-    for system, rows, reconstruct in ROUTES:
+    for system, rows in ROUTES:
         calls.clear()
         t = layer.StageTimings()
         got = layer.winograd_layer_conv(spec, weights, x, system, timings=t)
         assert np.array_equal(got, layer.direct_conv(spec, weights, x))
-        assert sorted(calls) == sorted([rows] * 2 * len(system) + [reconstruct] * 2), system
+        assert sorted(calls) == sorted([rows] * 2 * len(system) + ["_crt_scatter"] * 2), system
         for stage in ("tiling", "input_transform", "gemm", "backward_transform", "crt", "scatter"):
             assert getattr(t, stage) > 0, (system, stage)
         assert t.total() == pytest.approx(
@@ -356,19 +353,31 @@ def test_stage_timings_accumulate(monkeypatch):
         )
 
 
-def test_fused_route_never_takes_the_int64_sum(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("_crt_int64 called")
-
-    monkeypatch.setattr(layer, "_crt_int64", refuse)
+def test_range_check_refuses_a_system_past_the_crt_bound(monkeypatch):
+    # the float64 CRT sum is the one reconstruction: a system past its bound
+    # at the layer's n is refused before any work, whatever its M (2**45 and
+    # 2**63 + 2**44.3 here), with the output bound well inside both
     spec = layer.LayerSpec(h=12, w=12, c=3, k=2, r=3, padding=1, tile_m=4)
     weights, x = random_operands(spec, 12)
     for system in (SYS8, SYS16, residue.RnsSystem((32749, 32719))):
         got = layer.winograd_layer_conv(spec, weights, x, system)
         assert np.array_equal(got, layer.direct_conv(spec, weights, x))
-    # the patch is live: a system past the float64 bound takes the int64 sum
-    with pytest.raises(AssertionError, match="_crt_int64 called"):
-        layer.winograd_layer_conv(spec, weights, x, SYS3X15)
+
+    def refuse(*args):
+        raise AssertionError("_crt_scatter called")
+
+    monkeypatch.setattr(layer, "_crt_scatter", refuse)
+    for moduli in ((32749, 32719, 32717), (32749, 32719, 32717, 307, 857)):
+        system = residue.RnsSystem(moduli)
+        assert not system.crt_fits(6)
+        with pytest.raises(DynamicRangeExceeded) as info:
+            layer.winograd_layer_conv(spec, weights, x, system)
+        assert str(info.value) == (
+            f"CRT sum bound {system.crt_bound(6)} exceeds the float64 fold's 2**51 "
+            f"(system {moduli} at n=6)"
+        )
+        with pytest.raises(DynamicRangeExceeded, match="at n=6"):
+            layer.range_check(spec, system)
 
 
 @pytest.mark.parametrize(
@@ -407,34 +416,6 @@ def test_crt_sum_exact_at_its_worst_case(system, folded):
         )
         want = (total + big // 2) % big - big // 2
         assert np.all(out[0, :, 0, :, ch] == want), ch
-
-
-def test_int64_sum_folds_near_its_range():
-    # channel terms M_i * y_i up to M/2 in magnitude on a system of M just
-    # below 2**63: int32 outputs x rebuilt from y_i = x * inv_i mod m_i, with
-    # partial sums passing 0.99 M before their fold
-    system = residue.RnsSystem((32749, 32719, 32717, 503, 523))
-    big = system.dynamic_range
-    assert 2**63 - 2**50 < big < 2**63
-    rng = np.random.default_rng(63)
-    x = rng.integers(-(2**31) + 1, 2**31, 4000)
-    x[:3] = (gemm.INT32_MAX, -gemm.INT32_MAX, 0)
-    ts, shares = [], []
-    for m, inv in zip(system.moduli, system.inverses):
-        r = np.mod(x, m)
-        ts.append(np.where(r > m // 2, r - m, r).astype(np.float32).reshape(1, 1, -1))
-        shares.append(np.array([[inv]], np.int64))
-    out = np.empty((1, 1, 1, 1, x.size), np.int32)
-    layer._crt_int64(ts, shares, system, out, layer.StageTimings())
-    assert np.array_equal(out.ravel(), x)
-    peak = 0
-    for v in x.tolist():
-        acc = 0
-        for c, inv, m in zip(system.cofactors, system.inverses, system.moduli):
-            acc += c * residue.mod_reduce(v * inv, m)
-            peak = max(peak, abs(acc))
-            acc = (acc + big // 2) % big - big // 2
-    assert 0.99 * big < peak < big
 
 
 # ---------------------------------------------------------------------------
@@ -530,17 +511,16 @@ def test_position_gemm_unfolded_at_its_worst_case(monkeypatch, moduli, c, stored
         # consumer: within by 0.8%, past by 1.2%
         ((1021, 1031), (3, 2)),
         ((4001, 4331), (2, 2)),
-        ((32749, 32719, 32717), (3, 3, 3)),
+        ((32749, 32719), (2, 2)),
     ],
 )
 def test_folds_per_block_by_route(monkeypatch, moduli, per_block):
     # reduce_mod_inplace calls of a two-block layer at F(14x14, 3x3), filters
     # precomputed: each modulus folds its CRT share once, then per block the
-    # input transform's two GEMMs, the position GEMM, and backward_rows_mod
-    # and the int64 route's second backward GEMM where they run, each GEMM
-    # one slice; the int64 sum folds mod M once per channel.  Without lazy
-    # folds (251, 241, 239) and (1021, 1031) take 3, (4001, 4331) 4 and
-    # (32749, 32719, 32717) 5 per modulus and block
+    # input transform's two GEMMs, the position GEMM and backward_rows_mod
+    # where they run, each GEMM one slice.  Without lazy folds (251, 241,
+    # 239) and (1021, 1031) take 3 and (4001, 4331) and (32749, 32719) 4 per
+    # modulus and block
     monkeypatch.setattr(layer, "_BLOCK_BYTES", 1)
     monkeypatch.setattr(gemm, "_SLICE_BYTES", 1 << 30)
     monkeypatch.setenv("RNSW_THREADS", "1")
@@ -560,38 +540,7 @@ def test_folds_per_block_by_route(monkeypatch, moduli, per_block):
     got = layer.winograd_layer_conv(spec, weights, x, system, filters=filters)
     assert np.array_equal(got, layer.direct_conv(spec, weights, x))
     want = {m: 1 + 2 * f for m, f in zip(moduli, per_block)}
-    if not system.crt_fits(16):
-        want[system.dynamic_range] = 2 * len(moduli)
     assert {m: folds.count(m) for m in set(folds)} == want
-
-
-@pytest.mark.parametrize(
-    "moduli",
-    [
-        (32749, 32719, 32717),  # 2**45
-        (32749, 32719, 32717, 32713),  # 2**60
-        (32749, 32719, 32717, 503, 523),  # 2**63 - 2**49.9
-    ],
-)
-def test_int64_route_matches_direct_conv(moduli):
-    system = residue.RnsSystem(moduli)
-    assert not system.crt_fits(6)
-    spec = layer.LayerSpec(h=13, w=11, c=6, k=3, r=3, padding=1, batch=2, tile_m=4)
-    weights, x = random_operands(spec, len(moduli))
-    weights[0, 0], x[0, :4, :4] = -128, -128
-    got = layer.winograd_layer_conv(spec, weights, x, system)
-    assert np.array_equal(got, layer.direct_conv(spec, weights, x))
-
-
-def test_int64_route_refuses_a_range_past_int64():
-    # 2**63 + 2**44.3: the int64 sum cannot hold a term below M/2 plus a
-    # folded sum; refused before any work
-    system = residue.RnsSystem((32749, 32719, 32717, 307, 857))
-    assert system.dynamic_range >= 2**63
-    spec = layer.LayerSpec(h=8, w=8, c=2, k=1, r=3, tile_m=4)
-    weights, x = random_operands(spec, 5)
-    with pytest.raises(OverflowRisk, match="int64"):
-        layer.winograd_layer_conv(spec, weights, x, system)
 
 
 @pytest.mark.parametrize(
@@ -674,8 +623,9 @@ def test_range_check_counts_int8_minimum():
 
 def test_output_bound_past_int32_raises():
     # the output is int32: a bound beyond it must raise, not wrap (c=15000
-    # at -128 returned -2,083,127,296 for 2,211,840,000)
-    system = residue.RnsSystem((32749, 32719, 32717))
+    # at -128 returned -2,083,127,296 for 2,211,840,000); (1601, 1619, 1663)
+    # has signed bound 2,155,263,798, just past INT32_MAX
+    system = residue.RnsSystem((1601, 1619, 1663))
 
     def minimum_layer(c):
         spec = layer.LayerSpec(h=4, w=4, c=c, k=1, r=3, tile_m=2)

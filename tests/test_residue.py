@@ -226,7 +226,7 @@ def test_reconstruct_at_symmetric_range_edges(moduli):
 
 
 # ---------------------------------------------------------------------------
-# CRT cofactors and the fused route's float64 bound
+# CRT cofactors and the float64 CRT bound
 
 
 def crt_weights(system):
@@ -272,6 +272,11 @@ def test_crt_bound_picks_the_route():
     assert system.crt_bound(16) == 16 * per_depth  # 2**48.0
     assert system.crt_fits(128)  # 2,244,660,074,331,264
     assert not system.crt_fits(129)  # 2,262,196,481,161,977 > 2**51
+    # a system whose signed bound covers every int32 output fits far past
+    # any tile in use: 2**47.6 at n = 40
+    system = residue.RnsSystem((1601, 1619, 1663))
+    assert system.signed_bound == 2_155_263_798 > 2**31 - 1
+    assert system.crt_fits(40)
 
 
 def test_crt_bound_of_unfolded_rows():
@@ -295,7 +300,7 @@ def test_range_checks_survive_optimized_mode(tmp_path):
     code = (
         "import numpy as np\n"
         "from rnswinograd import residue\n"
-        "from rnswinograd.errors import DynamicRangeExceeded, OutOfRange, OverflowRisk\n"
+        "from rnswinograd.errors import DynamicRangeExceeded, OutOfRange\n"
         "system = residue.RnsSystem((7, 9))\n"
         "try:\n"
         "    residue.RnsVector((5, 0), system)\n"
@@ -309,8 +314,8 @@ def test_range_checks_survive_optimized_mode(tmp_path):
         "wide = residue.RnsSystem((32749, 32719, 32717, 307, 857))\n"
         "try:\n"
         "    layer.winograd_layer_conv(spec, w, x, wide)\n"
-        "    raise SystemExit('reconstruction accepted a range past int64')\n"
-        "except OverflowRisk:\n"
+        "    raise SystemExit('range_check accepted a system past the CRT bound')\n"
+        "except DynamicRangeExceeded:\n"
         "    pass\n"
         "try:\n"
         "    layer.range_check(spec, residue.RnsSystem((251, 241, 239)), -5)\n"

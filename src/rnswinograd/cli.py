@@ -19,7 +19,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from fractions import Fraction
 from importlib import resources
 
@@ -100,6 +100,13 @@ def random_int8(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.integers(-128, 128, size=shape, dtype=np.int8)
 
 
+def random_operands(spec: layer.LayerSpec, *entropy) -> tuple[np.ndarray, np.ndarray]:
+    """A layer's (weights, input), drawn in that order from make_rng(*entropy);
+    verify and bench both draw through here, so they see the same tensors."""
+    rng = make_rng(*entropy)
+    return random_int8(rng, spec.weight_shape()), random_int8(rng, spec.input_shape())
+
+
 # ---------------------------------------------------------------------------
 # config files
 
@@ -118,7 +125,6 @@ class LayerEntry:
 @dataclass(frozen=True)
 class BenchConfig:
     rns: residue.RnsSystem
-    tile_m: int
     seed: int
     iterations: int
     layers: tuple[LayerEntry, ...]
@@ -214,7 +220,7 @@ def config_from_dict(doc: dict, where: str = "config") -> BenchConfig:
         if spec.stride > 1:
             algorithm = "direct"
         entries.append(LayerEntry(name, spec, algorithm, bound))
-    return BenchConfig(rns, tile_m, seed, iterations, tuple(entries))
+    return BenchConfig(rns, seed, iterations, tuple(entries))
 
 
 def default_bench_config_path():
@@ -362,16 +368,20 @@ def _verify_layer(label: str, spec, weights, x, system, declared_bound=None):
 
 def run_verify_case(case: VerifyCase) -> tuple[bool, str]:
     """Run one case; returns (passed, report line)."""
-    rng = make_rng(*case.entropy)
-    weights = random_int8(rng, case.spec.weight_shape())
-    x = random_int8(rng, case.spec.input_shape())
+    weights, x = random_operands(case.spec, *case.entropy)
     system = residue.RnsSystem(case.moduli)
     ok, line, _ = _verify_layer(case.label, case.spec, weights, x, system, case.declared_bound)
     return ok, line
 
 
 def cmd_verify(args) -> int:
-    if args.input or args.weights:
+    file_mode = bool(args.input or args.weights)
+    unused = "config seed" if file_mode else "tile padding moduli declared_bound output"
+    given = [dest for dest in unused.split() if getattr(args, dest) is not None]
+    if given:
+        where = "does not apply to file mode" if file_mode else "applies to file mode only"
+        raise ConfigError(f"--{given[0].replace('_', '-')} {where} (--input and --weights)")
+    if file_mode:
         if not (args.input and args.weights):
             raise ConfigError("file mode needs both --input and --weights")
         return _verify_files(args)
@@ -409,10 +419,11 @@ def _verify_files(args) -> int:
             f"{x.shape[3]} input channels"
         )
     spec = layer.LayerSpec(
-        h=x.shape[1], w=x.shape[2], c=c, k=k, r=r,
-        batch=x.shape[0], padding=args.padding, tile_m=args.tile,
+        h=x.shape[1], w=x.shape[2], c=c, k=k, r=r, batch=x.shape[0],
+        padding=args.padding or 0, tile_m=14 if args.tile is None else args.tile,
     )
-    system = residue.RnsSystem(parse_moduli(args.moduli))
+    moduli = "251,241,239" if args.moduli is None else args.moduli
+    system = residue.RnsSystem(parse_moduli(moduli))
     ok, line, got = _verify_layer(
         f"{args.input} * {args.weights}", spec, weights, x, system, args.declared_bound
     )
@@ -447,9 +458,7 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
     system = cfg.rns
     rows = []
     for ent in cfg.layers:
-        rng = make_rng(cfg.seed, ent.name)
-        weights = random_int8(rng, ent.spec.weight_shape())
-        x = random_int8(rng, ent.spec.input_shape())
+        weights, x = random_operands(ent.spec, cfg.seed, ent.name)
 
         def best_ms(call):
             """Fastest of cfg.iterations calls, in ms, and the last output."""
@@ -509,7 +518,7 @@ def _bench_fields(row: BenchRow) -> list:
     """
     s, t = row.spec, row.timings
     total = t.total()
-    stages = (t.tiling, t.input_transform, t.gemm, t.backward_transform, t.crt, t.scatter)
+    stages = astuple(t)  # the table's six stages, in its order
     figures = [float(row.reduction)] + [100.0 * v / total if total > 0 else 0.0 for v in stages]
     if row.algorithm == "direct":
         figures = [None] * len(figures)
@@ -557,11 +566,12 @@ def cmd_bench(args) -> int:
             refusals.append(range_failure(f"{ent.name} rns={system.moduli}", e))
     rows = run_bench(replace(cfg, layers=tuple(runnable)))
 
-    # routes of the layers that ran: a refused one has none
-    sizes = sorted({row.spec.tile_m + row.spec.r - 1
-                    for row in rows if row.algorithm == "winograd"})
+    # tile sizes and routes of the fast-path layers that ran: a refused one has none
+    fast = [row.spec for row in rows if row.algorithm == "winograd"]
+    tiles = ",".join(str(m) for m in sorted({s.tile_m for s in fast})) or "none"
+    sizes = sorted({s.tile_m + s.r - 1 for s in fast})
     routes = "; ".join(reconstruction_route(system, n) for n in sizes) or "none"
-    print(f"rns={system.moduli}  tile_m={cfg.tile_m}  seed={cfg.seed}  "
+    print(f"rns={system.moduli}  tile_m={tiles}  seed={cfg.seed}  "
           f"iterations={cfg.iterations}  reconstruction={routes}")
     print("filter transforms are precomputed per layer and excluded from rns ms")
     header = " ".join(format(head, fmt.split(".")[0]) for _, head, fmt, _ in BENCH_COLUMNS if head)
@@ -657,10 +667,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="QTNS int8 input tensor (NHWC)")
     p.add_argument("--weights", help="QTNS int8 weight tensor (r, r, c, k)")
     p.add_argument("--output", help="write the verified output tensor here")
-    p.add_argument("--tile", type=int, default=14, help="tile size for file mode")
-    p.add_argument("--padding", type=int, default=0, help="padding for file mode")
-    p.add_argument("--moduli", default="251,241,239", help="moduli for file mode")
-    p.add_argument("--declared-bound", type=int, default=None)
+    p.add_argument("--tile", type=int, help="tile size for file mode (default 14)")
+    p.add_argument("--padding", type=int, help="padding for file mode (default 0)")
+    p.add_argument("--moduli", help="moduli for file mode (default 251,241,239)")
+    p.add_argument("--declared-bound", type=int, help="output bound for file mode")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="timed sweep over a layer config")
@@ -683,13 +693,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on usage errors; fold into our scheme
-        code = e.code if isinstance(e.code, int) else 1
-        return 0 if code == 0 else 1
+        return 0 if e.code == 0 else 1
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except (RnsError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

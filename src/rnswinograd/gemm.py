@@ -143,15 +143,16 @@ def exact_matmul(
     return out
 
 
-def reduce_mod_inplace(acc: np.ndarray, m: int) -> np.ndarray:
+def reduce_mod_inplace(acc: np.ndarray, m: int, q: np.ndarray | None = None) -> np.ndarray:
     """Fold a float array into the symmetric residue range of m, in place.
 
     It holds integers with |x| at most FLOAT32_FOLD (float32) or
     FLOAT64_FOLD (float64); one pass x -= m * rint(x * (1/m)) centres them.
+    The package's one fold; q, like numpy's out=, takes the quotient.
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"modulus must be odd and >= 3, got {m}")
-    q = np.multiply(acc, acc.dtype.type(1) / m)
+    q = np.multiply(acc, acc.dtype.type(1) / m, out=q)
     np.rint(q, out=q)
     q *= m
     acc -= q

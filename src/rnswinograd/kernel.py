@@ -56,8 +56,7 @@ def _rows(left: np.ndarray, x: np.ndarray, m: int, xmax: int, fold: bool = True)
     the column of x, axis 1 a row of the result.
     """
     n = left.shape[1]
-    rest = int(np.prod(x.shape[2:], dtype=np.int64))
-    x = x.reshape(n, n, rest).transpose(1, 0, 2)
+    x = x.reshape(n, n, -1).transpose(1, 0, 2)
     return gemm.exact_matmul(left, x, (m - 1) // 2, xmax, m, fold)
 
 

@@ -203,10 +203,9 @@ def range_check(
 
 @dataclass
 class StageTimings:
-    """Seconds spent in each phase of the fast path, summed over workers."""
+    """Seconds in each of the six stages of a fast pass, summed over workers."""
 
     tiling: float = 0.0
-    filter_transform: float = 0.0
     input_transform: float = 0.0
     gemm: float = 0.0
     backward_transform: float = 0.0
@@ -294,12 +293,12 @@ def _crt_scatter(
     not (kernel.backward_rows_mod); weights: per modulus
     M_i * a_i in float64; out: the block's (tile rows, m, tw, m, k) int32
     canvas.  Output row a is sum_i weights[i] @ t_i[:, a], congruent to the
-    true output mod every m_i, so one fold mod the dynamic range yields it;
-    every partial sum is an integer within RnsSystem.crt_bound, which
-    range_check keeps within the float64 fold's reach (gemm.FLOAT64_FOLD).  It
-    runs a few output rows at a time in three reused buffers: the sum, its
-    float64 operand and the other terms, which then hold the fold's
-    quotient.
+    true output mod every m_i, so one fold mod the dynamic range
+    (gemm.reduce_mod_inplace) yields it; every partial sum is an integer
+    within RnsSystem.crt_bound, which range_check keeps within that fold's
+    reach (gemm.FLOAT64_FOLD).  It runs a few output rows at a time in three
+    reused buffers: the sum, its float64 operand and the other terms, which
+    then hold the fold's quotient.
     """
     n, side, rest = ts[0].shape
     rows, _, tw, _, k = out.shape
@@ -317,11 +316,7 @@ def _crt_scatter(
             else:
                 np.matmul(w, ta, out=qa)
                 ya += qa
-        # gemm.reduce_mod_inplace's one-pass float fold, into qa
-        np.multiply(ya, 1.0 / system.dynamic_range, out=qa)
-        np.rint(qa, out=qa)
-        qa *= system.dynamic_range
-        ya -= qa
+        gemm.reduce_mod_inplace(ya, system.dynamic_range, qa)
         t1 = time.perf_counter()
         ya = ya.reshape(len(ya), side, rows, tw, k).transpose(2, 0, 3, 1, 4)
         np.copyto(out[:, a : a + step], ya, casting="unsafe")
@@ -377,7 +372,6 @@ def winograd_layer_conv(
     patches = tile_decompose(x, tile_m, spec.r, spec.padding)
     timings.tiling += time.perf_counter() - t0
 
-    t0 = time.perf_counter()
     if filters is None:
         filters = precompute_filter_transforms(weights, mts)
     else:
@@ -388,7 +382,6 @@ def winograd_layer_conv(
                     f"precomputed filters for modulus {mt.modulus} missing or "
                     f"not shaped ({n}, {n}, {spec.c}, {spec.k})"
                 )
-    timings.filter_transform += time.perf_counter() - t0
 
     b, th, tw, n, _, c = patches.shape
     k = spec.k

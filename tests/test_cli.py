@@ -346,6 +346,47 @@ def test_verify_file_mode_range_failure(tmp_path, capsys):
     assert not op.exists()
 
 
+FILE_ONLY_FLAGS = ("--tile", "--padding", "--moduli", "--declared-bound", "--output")
+
+
+@pytest.mark.parametrize(
+    "mode,flag",
+    [(mode, flag) for mode in ("sweep", "config") for flag in FILE_ONLY_FLAGS]
+    + [("file", "--config"), ("file", "--seed")],
+)
+def test_verify_modes_refuse_the_flags_they_would_ignore(tmp_path, capsys, mode, flag):
+    xp, wp, op = tmp_path / "x.qtns", tmp_path / "w.qtns", tmp_path / "o.qtns"
+    layer.write_tensor(xp, np.ones((1, 8, 8, 3), np.int8))
+    layer.write_tensor(wp, np.ones((3, 3, 3, 2), np.int8))
+    cfg = str(write_small_bench_config(tmp_path))
+    argv = {"sweep": [], "config": ["--config", cfg],
+            "file": ["--input", str(xp), "--weights", str(wp)]}[mode]
+    value = {"--moduli": "4001,4331", "--output": str(op), "--config": cfg}.get(flag, "4")
+    code, out, err = run_cli(capsys, "verify", *argv, flag, value)
+    assert code == 1 and out == "" and not op.exists()
+    where = "does not apply to file mode" if mode == "file" else "applies to file mode only"
+    assert err == f"error: {flag} {where} (--input and --weights)\n"
+
+
+def test_verify_file_mode_defaults(tmp_path, capsys, monkeypatch):
+    # F(14x14, 3x3), no padding, on (251, 241, 239) when no flag says otherwise
+    rng = np.random.default_rng(59)
+    xp, wp = tmp_path / "x.qtns", tmp_path / "w.qtns"
+    layer.write_tensor(xp, rng.integers(-128, 128, (1, 18, 18, 3)).astype(np.int8))
+    layer.write_tensor(wp, rng.integers(-128, 128, (3, 3, 3, 2)).astype(np.int8))
+    seen = []
+    real = layer.winograd_layer_conv
+
+    def record(spec, weights, x, system, *args):
+        seen.append((spec.tile_m, spec.padding, system.moduli))
+        return real(spec, weights, x, system, *args)
+
+    monkeypatch.setattr(layer, "winograd_layer_conv", record)
+    code, out, _ = run_cli(capsys, "verify", "--input", str(xp), "--weights", str(wp))
+    assert code == 0 and out.startswith("PASS")
+    assert seen == [(14, 0, (251, 241, 239))]
+
+
 def test_random_int8_reaches_both_extremes():
     x = cli.random_int8(np.random.default_rng(3), 4096)
     assert x.dtype == np.int8
@@ -471,6 +512,8 @@ def test_bench_header_names_each_transform_size(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     code, out, _ = run_cli(capsys, "bench", "--config", str(path))
     assert code == 0
+    # the tile sizes the fast-path layers ran at, not the config's default
+    assert "  tile_m=2,14  " in out.splitlines()[0]
     assert out.splitlines()[0].endswith(
         "reconstruction=CRT, unfolded rows (bound 2**50.096 <= 2**51 at n=4); "
         "CRT (bound 2**39.070 <= 2**51 at n=16)"
@@ -554,7 +597,8 @@ def test_bench_reports_a_refused_layer_and_times_the_rest(tmp_path, capsys, monk
     code, out, err = run_cli(capsys, "bench", "--config", str(path))
     assert code == 2 and err == ""
     assert out.splitlines()[-2:] == ["total                      0.0        0.0      nan", fail]
-    # and the header names no route, as no layer ran
+    # and the header names no tile size or route, as no layer ran
+    assert "  tile_m=none  " in out.splitlines()[0]
     assert out.splitlines()[0].endswith("reconstruction=none")
 
 
@@ -625,7 +669,7 @@ def test_bench_rejects_bad_config(tmp_path, capsys):
 def test_packaged_vgg16_config_parses():
     cfg = cli.load_config(cli.default_bench_config_path())
     assert cfg.rns.moduli == (251, 241, 239)
-    assert cfg.tile_m == 14
+    assert all(ent.spec.tile_m == 14 for ent in cfg.layers)
     assert len(cfg.layers) == 13
     assert cfg.layers[0].name == "conv1_1"
     assert cfg.layers[0].algorithm == "direct"

@@ -222,12 +222,15 @@ def test_reduce_mod_inplace_matches_oracle():
     rng = np.random.default_rng(17)
     x = rng.integers(-(2**31), 2**31, (50, 3)).astype(np.int64)
     for m in (3, 7, 251, 4331):
-        got = x.astype(np.float64)
-        out = gemm.reduce_mod_inplace(got, m)
-        assert out is got
-        half = (m - 1) // 2
-        assert np.all(np.abs(got) <= half)
-        assert np.all((x - got.astype(np.int64)) % m == 0)
+        for q in (None, np.full(x.shape, np.nan)):
+            got = x.astype(np.float64)
+            out = gemm.reduce_mod_inplace(got, m, q)
+            assert out is got
+            half = (m - 1) // 2
+            assert np.all(np.abs(got) <= half)
+            assert np.all((x - got.astype(np.int64)) % m == 0)
+            if q is not None:  # a supplied buffer ends holding m * quotient
+                assert np.array_equal(q, x - got)
 
 
 def test_reduce_mod_inplace_rejects_even():

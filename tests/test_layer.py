@@ -303,6 +303,19 @@ def test_block_workers_under_fast_switching_match_direct(monkeypatch):
     assert np.array_equal(got, layer.direct_conv(spec, weights, x))
 
 
+def count_folds(monkeypatch):
+    """Wrap gemm.reduce_mod_inplace; returns the list of the moduli it folds by."""
+    folds = []
+    wrapped = gemm.reduce_mod_inplace
+
+    def counted(acc, m, q=None):
+        folds.append(m)
+        return wrapped(acc, m, q)
+
+    monkeypatch.setattr(gemm, "reduce_mod_inplace", counted)
+    return folds
+
+
 def count_calls(monkeypatch, module, name, calls):
     """Wrap module.name so each call appends name to calls."""
     wrapped = getattr(module, name)
@@ -348,8 +361,7 @@ def test_stage_timings_accumulate(monkeypatch):
         for stage in ("tiling", "input_transform", "gemm", "backward_transform", "crt", "scatter"):
             assert getattr(t, stage) > 0, (system, stage)
         assert t.total() == pytest.approx(
-            t.tiling + t.filter_transform + t.input_transform + t.gemm
-            + t.backward_transform + t.crt + t.scatter
+            t.tiling + t.input_transform + t.gemm + t.backward_transform + t.crt + t.scatter
         )
 
 
@@ -378,6 +390,23 @@ def test_range_check_refuses_a_system_past_the_crt_bound(monkeypatch):
         )
         with pytest.raises(DynamicRangeExceeded, match="at n=6"):
             layer.range_check(spec, system)
+
+
+@pytest.mark.parametrize("system", [SYS8, SYS16], ids=["unfolded-rows", "folded-rows"])
+@pytest.mark.parametrize("step,chunks", [(1, 14), (4, 4)])
+def test_crt_sum_in_row_chunks_matches_direct_conv(monkeypatch, system, step, chunks):
+    # one block at F(14x14, 3x3): side 14 output rows of rest = 2 tile rows *
+    # 2 tile columns * k.  A step of 4 rows leaves a last chunk of 2; each
+    # chunk folds the CRT sum mod M once
+    monkeypatch.setenv("RNSW_THREADS", "1")
+    spec = layer.LayerSpec(h=20, w=20, c=3, k=2, r=3, padding=1, tile_m=14)
+    assert system.crt_fits(16, folded=False) == (system is SYS8)
+    monkeypatch.setattr(layer, "_CRT_CHUNK_BYTES", step * 14 * (2 * 2 * spec.k) * 8)
+    folds = count_folds(monkeypatch)
+    weights, x = random_operands(spec, 14)
+    got = layer.winograd_layer_conv(spec, weights, x, system)
+    assert folds.count(system.dynamic_range) == chunks
+    assert np.array_equal(got, layer.direct_conv(spec, weights, x))
 
 
 @pytest.mark.parametrize(
@@ -529,17 +558,11 @@ def test_folds_per_block_by_route(monkeypatch, moduli, per_block):
     weights, x = random_operands(spec, 20)
     mts = transforms.cached_modular_transforms(14, 3, moduli)
     filters = layer.precompute_filter_transforms(weights, mts)
-    folds = []
-    wrapped = gemm.reduce_mod_inplace
-
-    def counted(acc, m):
-        folds.append(m)
-        return wrapped(acc, m)
-
-    monkeypatch.setattr(gemm, "reduce_mod_inplace", counted)
+    folds = count_folds(monkeypatch)
     got = layer.winograd_layer_conv(spec, weights, x, system, filters=filters)
     assert np.array_equal(got, layer.direct_conv(spec, weights, x))
-    want = {m: 1 + 2 * f for m, f in zip(moduli, per_block)}
+    # and the CRT sum folds mod M once per row chunk, one chunk per block
+    want = {m: 1 + 2 * f for m, f in zip(moduli, per_block)} | {system.dynamic_range: 2}
     assert {m: folds.count(m) for m in set(folds)} == want
 
 

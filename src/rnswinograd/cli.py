@@ -188,7 +188,7 @@ def config_from_dict(doc: dict, where: str = "config") -> BenchConfig:
         if not isinstance(doc["rns"], list):
             raise ConfigError(f"rns must be a list, got {doc['rns']!r}")
         rns = residue.RnsSystem([_int(m, "rns entry") for m in doc["rns"]])
-        tile_m = _int(doc.get("tile_m", 14), "tile_m")
+        tile_m = _int(doc.get("tile_m", layer.DEFAULT_TILE_M), "tile_m")
         batch = _int(doc.get("batch", 1), "batch")
         seed = _int(doc.get("seed", DEFAULT_SEED), "seed")
         iterations = _int(doc.get("iterations", 1), "iterations")
@@ -217,8 +217,10 @@ def config_from_dict(doc: dict, where: str = "config") -> BenchConfig:
             bound = None if bound is None else _int(bound, "declared_bound")
             if bound is not None and bound < 1:
                 raise ConfigError(f"declared_bound {bound} < 1")
-        if spec.stride > 1:
-            algorithm = "direct"
+            if spec.stride > 1:
+                algorithm = "direct"
+            if algorithm == "winograd":  # cached: the run reuses these
+                transforms.cached_modular_transforms(spec.tile_m, spec.r, rns.moduli)
         entries.append(LayerEntry(name, spec, algorithm, bound))
     return BenchConfig(rns, seed, iterations, tuple(entries))
 
@@ -420,7 +422,8 @@ def _verify_files(args) -> int:
         )
     spec = layer.LayerSpec(
         h=x.shape[1], w=x.shape[2], c=c, k=k, r=r, batch=x.shape[0],
-        padding=args.padding or 0, tile_m=14 if args.tile is None else args.tile,
+        padding=args.padding or 0,
+        tile_m=layer.DEFAULT_TILE_M if args.tile is None else args.tile,
     )
     moduli = "251,241,239" if args.moduli is None else args.moduli
     system = residue.RnsSystem(parse_moduli(moduli))
@@ -477,9 +480,7 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
         else:
             # Filter transforms depend only on the weights, so inference reuses
             # them across every input; precompute outside the timed region.
-            mts = transforms.cached_modular_transforms(
-                ent.spec.tile_m, ent.spec.r, system.moduli
-            )
+            mts = transforms.cached_modular_transforms(ent.spec.tile_m, ent.spec.r, system.moduli)
             filters = layer.precompute_filter_transforms(weights, mts)
             rns_ms, got = best_ms(lambda: layer.winograd_layer_conv(
                 ent.spec, weights, x, system, declared_bound=ent.declared_bound,
@@ -569,7 +570,7 @@ def cmd_bench(args) -> int:
     # tile sizes and routes of the fast-path layers that ran: a refused one has none
     fast = [row.spec for row in rows if row.algorithm == "winograd"]
     tiles = ",".join(str(m) for m in sorted({s.tile_m for s in fast})) or "none"
-    sizes = sorted({s.tile_m + s.r - 1 for s in fast})
+    sizes = sorted({s.n for s in fast})
     routes = "; ".join(reconstruction_route(system, n) for n in sizes) or "none"
     print(f"rns={system.moduli}  tile_m={tiles}  seed={cfg.seed}  "
           f"iterations={cfg.iterations}  reconstruction={routes}")
@@ -667,7 +668,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="QTNS int8 input tensor (NHWC)")
     p.add_argument("--weights", help="QTNS int8 weight tensor (r, r, c, k)")
     p.add_argument("--output", help="write the verified output tensor here")
-    p.add_argument("--tile", type=int, help="tile size for file mode (default 14)")
+    p.add_argument("--tile", type=int,
+                   help=f"tile size for file mode (default {layer.DEFAULT_TILE_M})")
     p.add_argument("--padding", type=int, help="padding for file mode (default 0)")
     p.add_argument("--moduli", help="moduli for file mode (default 251,241,239)")
     p.add_argument("--declared-bound", type=int, help="output bound for file mode")

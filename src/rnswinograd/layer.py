@@ -35,7 +35,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
-from math import ceil
+from math import ceil, prod
 from typing import Sequence
 
 import numpy as np
@@ -44,9 +44,14 @@ from . import gemm, kernel, residue, transforms
 from .errors import DynamicRangeExceeded, ShapeMismatch, UnsupportedStride
 
 
+# Outputs per tile side when a layer names none: F(14, 3) runs 16 x 16 tiles.
+DEFAULT_TILE_M = 14
+
+
 @dataclass(frozen=True)
 class LayerSpec:
-    """Geometry of one convolution layer (square images, square filters)."""
+    """Geometry of one convolution layer (square images, square filters),
+    tiled for the fast path at tile_m outputs a side (DEFAULT_TILE_M)."""
 
     h: int
     w: int
@@ -56,10 +61,10 @@ class LayerSpec:
     batch: int = 1
     padding: int = 0
     stride: int = 1
-    tile_m: int | None = None
+    tile_m: int = DEFAULT_TILE_M
 
     def __post_init__(self):
-        for name in ("h", "w", "c", "k", "r", "batch", "stride"):
+        for name in ("h", "w", "c", "k", "r", "batch", "stride", "tile_m"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
@@ -67,8 +72,13 @@ class LayerSpec:
             raise ValueError(f"padding must be a non-negative integer, got {self.padding!r}")
         if self.h + 2 * self.padding < self.r or self.w + 2 * self.padding < self.r:
             raise ValueError("padded input smaller than the filter")
-        if self.tile_m is not None and (not isinstance(self.tile_m, int) or self.tile_m < 1):
-            raise ValueError(f"tile_m must be a positive integer, got {self.tile_m!r}")
+        if self.n < 2:
+            raise ValueError(f"tile_m + r - 1 must be at least 2, got {self.n}")
+
+    @property
+    def n(self) -> int:
+        """The transform size: a tile's input patch is n x n, n >= 2."""
+        return self.tile_m + self.r - 1
 
     @property
     def out_h(self) -> int:
@@ -178,10 +188,7 @@ def range_check(
     the layer's transform size n = tile_m + r - 1 is past the float64 fold
     (RnsSystem.crt_fits), naming the system, n and that sum's bound; one
     within it, (1601, 1619, 1663) say, already covers every int32 output.
-    ValueError when spec.tile_m is unset, as n is then undefined.
     """
-    if spec.tile_m is None:
-        raise ValueError("spec.tile_m must be set for the fast path")
     static = spec.r * spec.r * spec.c * gemm.INT8_ABS_PEAK**2
     bound = static if declared_bound is None else declared_bound
     limit = min(system.signed_bound, gemm.INT32_MAX)
@@ -192,11 +199,10 @@ def range_check(
             f"worst case {bound} {broke} (static bound {static}, "
             f"declared {declared_bound}, signed bound {system.signed_bound})"
         )
-    n = spec.tile_m + spec.r - 1
-    if not system.crt_fits(n):
+    if not system.crt_fits(spec.n):
         raise DynamicRangeExceeded(
-            f"CRT sum bound {system.crt_bound(n)} exceeds the float64 fold's "
-            f"2**{gemm.FLOAT64_FOLD.bit_length() - 1} (system {system.moduli} at n={n})"
+            f"CRT sum bound {system.crt_bound(spec.n)} exceeds the float64 fold's "
+            f"2**{gemm.FLOAT64_FOLD.bit_length() - 1} (system {system.moduli} at n={spec.n})"
         )
     return bound
 
@@ -346,16 +352,14 @@ def winograd_layer_conv(
 
     Raises DynamicRangeExceeded when range_check refuses the layer (an
     output bound below 1, past the signed bound or past int32, the output
-    dtype, or a system whose CRT sum is past the float64 bound at this n),
-    ValueError when spec.tile_m is unset, and UnsupportedStride for
-    stride > 1 (the tiling only covers unit stride).
+    dtype, or a system whose CRT sum is past the float64 bound at this n)
+    and UnsupportedStride for stride > 1 (the tiling only covers unit stride).
     """
     _check_operands(spec, weights, x)
     if spec.stride != 1:
         raise UnsupportedStride(f"fast path needs stride 1, got {spec.stride}")
     range_check(spec, system, declared_bound)
-    tile_m = spec.tile_m
-    n = tile_m + spec.r - 1
+    tile_m, n = spec.tile_m, spec.n
     mts = transforms.cached_modular_transforms(tile_m, spec.r, system.moduli)
     # the rows skip their fold where the CRT sum's bound admits unfolded t_i
     fold_rows = not system.crt_fits(n, folded=False)
@@ -450,15 +454,11 @@ def count_operations(spec: LayerSpec, system: residue.RnsSystem) -> OperationCou
     transform stages themselves are additions and shifts amortized over c * k
     and are excluded, matching the usual minimal-filtering accounting.
     """
-    tile_m = spec.tile_m
-    if tile_m is None:
-        raise ValueError("spec.tile_m must be set to count the fast path")
-    n = tile_m + spec.r - 1
-    th = ceil(spec.out_h / tile_m)
-    tw = ceil(spec.out_w / tile_m)
+    th = ceil(spec.out_h / spec.tile_m)
+    tw = ceil(spec.out_w / spec.tile_m)
     tiles = spec.batch * th * tw
     direct = spec.batch * spec.out_h * spec.out_w * spec.k * spec.c * spec.r * spec.r
-    wino = tiles * n * n * spec.c * spec.k * len(system.moduli)
+    wino = tiles * spec.n**2 * spec.c * spec.k * len(system.moduli)
     return OperationCounts(
         direct_mults=direct,
         winograd_mults=wino,
@@ -519,7 +519,7 @@ def read_tensor(path) -> np.ndarray:
     if bits not in _QTNS_DTYPES:
         raise ValueError(f"{path}: unsupported element width {bits}")
     dt = _QTNS_DTYPES[bits]
-    count = int(np.prod(dims, dtype=np.int64)) if rank else 1
+    count = prod(dims)
     expected = count * dt.itemsize
     if len(raw) - off != expected:
         raise ValueError(f"{path}: payload is {len(raw) - off} bytes, expected {expected}")

@@ -306,6 +306,25 @@ def test_verify_file_mode_rejects_negative_dimensions(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "dims,expected",
+    [
+        # 2**64 elements: an int64 product wraps to 0 and matched the empty payload
+        ((2**30, 2**30, 16), 2**64),
+        ((2**17, 2**17), 17179869184),
+    ],
+)
+def test_verify_file_mode_names_a_file_cut_short(tmp_path, capsys, dims, expected):
+    wp = tmp_path / "w.qtns"
+    layer.write_tensor(wp, np.zeros((3, 3, 1, 1), np.int8))
+    xp = tmp_path / "x.qtns"
+    head = b"QTNS" + bytes([1, len(dims)]) + b"".join(d.to_bytes(4, "little") for d in dims)
+    xp.write_bytes(head + bytes([8]))  # the header alone, no payload
+    code, out, err = run_cli(capsys, "verify", "--input", str(xp), "--weights", str(wp))
+    assert (code, out) == (1, "")
+    assert err == f"error: {xp}: payload is 0 bytes, expected {expected}\n"
+
+
 def test_verify_file_mode_rejects_bound_below_one(tmp_path, capsys):
     rng = np.random.default_rng(57)
     xp, wp = tmp_path / "x.qtns", tmp_path / "w.qtns"
@@ -634,17 +653,36 @@ def test_bench_draws_the_operands_verify_checks(tmp_path, capsys, monkeypatch):
 
 def test_bench_names_a_modulus_that_shares_a_transform_factor(tmp_path, capsys):
     # the F(14x14, 3x3) transforms have denominator 14! = 87178291200, and
-    # 253 = 11 * 23
-    cfg = {"rns": [253, 251, 247], "tile_m": 14,
-           "layers": [{"name": "a", "h": 16, "w": 16, "c": 2, "k": 2, "r": 3}]}
+    # 253 = 11 * 23; the config is refused when it is read, so an F(2x2, 3x3)
+    # layer before the clash prints nothing either
+    big = {"name": "big", "h": 16, "w": 16, "c": 2, "k": 2, "r": 3}
+    small = {"name": "small", "h": 8, "w": 8, "c": 2, "k": 2, "r": 3, "tile_m": 2}
     path = tmp_path / "f14.json"
+    for layers in ([big], [small, big]):
+        path.write_text(json.dumps({"rns": [253, 251, 247], "tile_m": 14, "layers": layers}))
+        for command in ("bench", "verify"):
+            code, out, err = run_cli(capsys, command, "--config", str(path))
+            assert code == 1 and out == ""
+            assert err.startswith(
+                f"error: {path}: layer 'big': modulus 253 shares factor 11 with "
+                "transform denominator 87178291200; "
+            ), err
+
+
+def test_config_refuses_a_layer_that_cannot_run_when_read(tmp_path, capsys):
+    # a layer whose tile cannot run is refused before any layer runs
+    cfg = {"rns": [251, 241, 239],
+           "layers": [dict(SMALL_LAYER, tile_m=2), dict(SMALL_LAYER, name="tiny", r=1, tile_m=1)]}
+    path = tmp_path / "tiny.json"
     path.write_text(json.dumps(cfg))
     for command in ("bench", "verify"):
-        code, _, err = run_cli(capsys, command, "--config", str(path))
-        assert code == 1 and "Traceback" not in err
-        assert err.startswith(
-            "error: modulus 253 shares factor 11 with transform denominator 87178291200; "
-        ), err
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: layer 'tiny': tile_m + r - 1 must be at least 2, got 1\n"
+    # a layer run direct derives no transforms: an F(14, 3) layer on a
+    # system that F(14, 3) refuses still loads, strided or marked direct
+    for ent in (dict(SMALL_LAYER, stride=2), dict(SMALL_LAYER, algorithm="direct")):
+        cli.config_from_dict({"rns": [253], "layers": [ent]})
 
 
 def test_bench_config_declared_bound_is_parsed_and_checked(tmp_path, capsys):
@@ -722,6 +760,8 @@ SMALL_LAYER = {"name": "small", "h": 8, "w": 8, "c": 1, "k": 1, "r": 3}
         ({"rns": [], "layers": [SMALL_LAYER]}, "an RNS system needs at least one modulus"),
         ({"rns": [251, 241, 32771], "layers": [SMALL_LAYER]},
          "modulus must be odd and in [3, 32767], got 32771"),
+        ({"rns": [251], "layers": [dict(SMALL_LAYER, name="a", tile_m=1, r=1)]},
+         "layer 'a': tile_m + r - 1 must be at least 2, got 1"),
     ],
 )
 def test_config_errors_name_the_layer_and_the_key(doc, message):

@@ -63,6 +63,11 @@ def test_layer_spec_geometry():
     assert (spec.out_h, spec.out_w) == (3, 4)
     assert spec.weight_shape() == (3, 3, 1, 1)
     assert spec.input_shape() == (1, 7, 9, 1)
+    # a spec without a tile runs F(DEFAULT_TILE_M, r); n is its transform size
+    assert layer.DEFAULT_TILE_M == 14
+    assert (spec.tile_m, spec.n) == (14, 16)
+    assert replace(spec, tile_m=4, r=5).n == 8
+    assert replace(spec, tile_m=1, r=2).n == 2
 
 
 def test_layer_spec_validation():
@@ -74,6 +79,11 @@ def test_layer_spec_validation():
         layer.LayerSpec(h=2, w=2, c=1, k=1, r=5)
     with pytest.raises(ValueError):
         layer.LayerSpec(h=8, w=8, c=1, k=1, r=3, tile_m=0)
+    with pytest.raises(ValueError, match="tile_m must be a positive integer, got None"):
+        layer.LayerSpec(h=8, w=8, c=1, k=1, r=3, tile_m=None)
+    # F(1, 1) has a 1 x 1 transform, which no interpolation builds
+    with pytest.raises(ValueError, match=r"tile_m \+ r - 1 must be at least 2, got 1"):
+        layer.LayerSpec(h=8, w=8, c=1, k=1, r=1, tile_m=1)
 
 
 def test_im2col_tiny_case_by_hand():
@@ -224,13 +234,10 @@ def test_winograd_layer_tile_blocks_match_direct(monkeypatch):
         assert np.array_equal(got.astype(np.int64), naive_conv(spec, weights, x))
 
 
-def test_winograd_layer_requires_tile_and_unit_stride():
+def test_winograd_layer_requires_unit_stride():
     spec = layer.LayerSpec(h=8, w=8, c=2, k=2, r=3, padding=1, stride=2, tile_m=4)
     weights, x = random_operands(spec, 1)
     with pytest.raises(UnsupportedStride):
-        layer.winograd_layer_conv(spec, weights, x, SYS8)
-    spec = layer.LayerSpec(h=8, w=8, c=2, k=2, r=3, padding=1)
-    with pytest.raises(ValueError):
         layer.winograd_layer_conv(spec, weights, x, SYS8)
 
 
@@ -697,10 +704,12 @@ def test_count_operations_exact_fit_matches_per_tile_ratio():
     assert counts16.reduction_ratio == transforms.arithmetic_reduction(12, 5, 2)
 
 
-def test_count_operations_needs_tile():
+def test_count_operations_defaults_to_f14():
+    # a spec built without tile_m counts F(14, 3): one 16 x 16 tile covers
+    # the 6 x 6 outputs, on each of the three moduli
     spec = layer.LayerSpec(h=8, w=8, c=1, k=1, r=3)
-    with pytest.raises(ValueError):
-        layer.count_operations(spec, SYS8)
+    counts = layer.count_operations(spec, SYS8)
+    assert (counts.tiles, counts.winograd_mults) == (1, 16 * 16 * 3)
     assert layer.count_operations(replace(spec, tile_m=2), SYS8).tiles == 9
 
 

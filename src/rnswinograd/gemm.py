@@ -2,12 +2,13 @@
 
 A dot product of depth d over integers bounded by amax and bmax has every
 partial sum within d * amax * bmax, so float BLAS computes it exactly in
-float32 when that is at most 2**24 and in float64 up to 2**53 (the idea
-behind the Ozaki scheme).  A modular product stays in that float and is
-folded there with one multiply-round pass, exact up to 2**22 in float32 and
-2**51 in float64.  The fold is lazy: a product whose consumer is itself a
-modular product may hand it the exact unfolded integers instead, where
-defer_fold admits them, and the consumer's own fold reduces both.
+float32 when that is at most 2**24 and in float64 up to 2**53; an int32
+product past 2**24 runs in float32 pieces of its contraction (the Ozaki
+split).  A modular product stays in float, folded by multiply-round passes:
+in float32 up to float32_fold_edge(m), twice past 2**22, and in float64
+above, once up to 2**51.  The fold is lazy: a product whose consumer is
+itself a modular product may hand it the exact unfolded integers instead,
+where defer_fold admits them, and the consumer's own fold reduces both.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ INT32_MAX = 2**31 - 1
 INT8_ABS_PEAK = 128
 FLOAT32_EXACT = 2**24
 FLOAT64_EXACT = 2**53
-# Largest |x| that x - m*rint(x * (1/m)) folds to its centred residue: the
-# quotient's rounding error stays below 1/(2m) and m*rint(...) is exact.
+# Largest |x| that one pass x - m*rint(x * (1/m)) centres: the quotient's
+# rounding error stays below 1/(2m) and m*rint(...) is exact.
 FLOAT32_FOLD = 2**22
 FLOAT64_FOLD = 2**51
 
@@ -47,17 +48,24 @@ def exact_float_dtype(depth: int, amax: int, bmax: int) -> np.dtype:
     )
 
 
+def float32_fold_edge(m: int) -> int:
+    """Largest bound of a product mod m that runs and folds in float32: a
+    first pass's m * rint(x * (1/m)), within 1.5m of x, stays within 2**24,
+    so it leaves exact integers of at most 1.5m, and a second centres them."""
+    return FLOAT32_EXACT - (3 * m + 1) // 2
+
+
 def defer_fold(depth: int, h: int, bound: int) -> bool:
     """Whether a residue product bounded by bound may skip its fold mod m.
 
     Its consumer is a modular product of that depth against residues mod m,
     |left| <= h = (m - 1) / 2, on this product's output.  The fold may wait
     when the consumer runs in float64 even on a folded operand (depth * h * h
-    above FLOAT32_FOLD), so skipping it never promotes a float32 stage, and
-    the consumer's bound on the unfolded one, depth * h * bound, stays within
-    FLOAT64_FOLD, where the consumer's own one-pass fold is still exact.
+    past float32_fold_edge(m)), so skipping never promotes a float32 stage,
+    and the consumer's bound on the unfolded one, depth * h * bound, stays
+    within FLOAT64_FOLD, where the consumer's own one-pass fold is exact.
     """
-    return depth * h * h > FLOAT32_FOLD and depth * h * bound <= FLOAT64_FOLD
+    return depth * h * h > float32_fold_edge(2 * h + 1) and depth * h * bound <= FLOAT64_FOLD
 
 
 def _product_shape(a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
@@ -83,8 +91,9 @@ def exact_matmul(
     """a @ b of integer arrays, exactly, through float BLAS.
 
     amax and bmax bound |a| and |b| and are trusted (int8 data counts as
-    128).  Without a modulus the result is int32 and must fit it.  With a
-    modulus m the product runs in float32 while its bound is at most 2**22
+    128).  Without a modulus the result is int32 and must fit it; past 2**24
+    it sums float32 pieces of FLOAT32_EXACT // (amax * bmax) terms where one
+    term fits.  With a modulus m it runs in float32 up to float32_fold_edge(m)
     and in float64 above, and the symmetric residues are returned as float32,
     which holds them exactly for any m up to 2**24 (float64 beyond); an
     operand may be such a float result of an earlier modular product.  With
@@ -109,12 +118,14 @@ def exact_matmul(
             raise OverflowRisk(
                 f"dot length {depth} with operand bounds {amax}*{bmax} can overflow int32"
             )
+        piece = max(depth, 1)  # contraction terms per BLAS call
+        if ft == np.float64 and amax * bmax <= FLOAT32_EXACT:
+            ft, piece = np.dtype(np.float32), FLOAT32_EXACT // (amax * bmax)
         out = np.empty(shape, dtype=np.int32)
     elif not fold:
         out = np.empty(shape, dtype=ft)
     else:
-        if bound > FLOAT32_FOLD:
-            ft = np.dtype(np.float64)
+        ft = np.dtype(np.float32 if bound <= float32_fold_edge(m) else np.float64)
         out = np.empty(shape, dtype=np.float32 if m <= FLOAT32_EXACT else ft)
     if out.size == 0:
         return out
@@ -129,7 +140,10 @@ def exact_matmul(
         x = af[s].astype(ft, copy=False) if split_a else af
         y = bf[s].astype(ft, copy=False) if split_b else bf
         if m is None:
-            np.copyto(out[s], np.matmul(x, y), casting="unsafe")
+            np.copyto(out[s], np.matmul(x[..., :piece], y[..., :piece, :]), casting="unsafe")
+            for j in range(piece, depth, piece):
+                part = np.matmul(x[..., j : j + piece], y[..., j : j + piece, :])
+                out[s] += part.astype(np.int32)
             continue
         prod = np.matmul(x, y, out=out[s] if ft == out.dtype else None)
         if not fold:
@@ -137,6 +151,8 @@ def exact_matmul(
         if bound > FLOAT64_FOLD:
             # past the one-pass edge; fmod is exact and leaves |x| below m
             np.fmod(prod, m, out=prod)
+        elif ft == np.float32 and bound > FLOAT32_FOLD:
+            reduce_mod_inplace(prod, m)  # leaves |x| at most 1.5m
         reduce_mod_inplace(prod, m)
         if ft != out.dtype:
             out[s] = prod
@@ -147,8 +163,9 @@ def reduce_mod_inplace(acc: np.ndarray, m: int, q: np.ndarray | None = None) -> 
     """Fold a float array into the symmetric residue range of m, in place.
 
     It holds integers with |x| at most FLOAT32_FOLD (float32) or
-    FLOAT64_FOLD (float64); one pass x -= m * rint(x * (1/m)) centres them.
-    The package's one fold; q, like numpy's out=, takes the quotient.
+    FLOAT64_FOLD (float64); one pass x -= m * rint(x * (1/m)) centres them,
+    two in float32 up to float32_fold_edge(m).  The package's one fold; q,
+    like numpy's out=, takes the quotient.
     """
     if m < 3 or m % 2 == 0:
         raise ValueError(f"modulus must be odd and >= 3, got {m}")

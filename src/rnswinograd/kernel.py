@@ -3,10 +3,11 @@
 The stages work position first: an array of shape (side, side, ...) is
 transformed over its two leading axes, independently for every trailing
 index, so a whole layer's tiles and channels go through two batched GEMMs,
-both exact on float BLAS (gemm.exact_matmul).  The second GEMM folds its
-output mod m; the first folds only where the second needs it, and hands
-it the exact integers, stored in the narrowest float that holds them,
-where gemm.defer_fold admits their bound.  Stage inputs are int8 values
+both exact on float BLAS (gemm.exact_matmul), in float32 up to
+gemm.float32_fold_edge(m).  The second GEMM folds its output mod m; the
+first hands it the exact unfolded integers, stored in the narrowest float
+that holds them, only where gemm.defer_fold admits them: where the second
+runs in float64 even on folded residues.  Stage inputs are int8 values
 (|x| <= 128, not reduced), residues mod m, integer or float, or an
 unfolded product with its bound; folded outputs are the float32 residues
 exact_matmul returns, so a chain of stages never leaves float.  The

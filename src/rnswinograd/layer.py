@@ -9,7 +9,8 @@ filters in one (tiles x c_in) @ (c_in x c_out) GEMM per position, and
 taken through the backward transform's first GEMM, the residues staying in
 float, the type BLAS computes in, from stage to stage.  A stage folds its
 output mod m only where the next product's exactness bound needs it
-(gemm.defer_fold): on moduli whose products already run in float64 the
+(gemm.defer_fold): where products run in float64 even on folded residues
+(past gemm.float32_fold_edge; with 8-bit moduli, past c = 1,073) the
 input transform's first GEMM and the position GEMM hand on exact unfolded
 integers, and their consumers' folds reduce them.  One reconstruction
 follows, the Chinese Remainder Theorem (CRT) with cofactor weights: the

@@ -40,12 +40,13 @@ def test_exact_matmul_matches_naive_small():
 
 
 def test_exact_matmul_deep_product_in_float64():
-    # 1300 * 128**2 exceeds 2**24: the product runs in float64
+    # one term of 4100 * 4100 already exceeds 2**24, so no float32 piece
+    # holds it: the product runs in float64
     rng = np.random.default_rng(13)
-    a = rng.integers(-128, 128, (9, 1300)).astype(np.int8)
-    b = rng.integers(-128, 128, (1300, 11)).astype(np.int8)
+    a = rng.integers(-4100, 4101, (9, 120)).astype(np.int16)
+    b = rng.integers(-4100, 4101, (120, 11)).astype(np.int16)
     want = np.einsum("ik,kj->ij", a.astype(np.int64), b.astype(np.int64))
-    assert np.array_equal(gemm.exact_matmul(a, b, 128, 128).astype(np.int64), want)
+    assert np.array_equal(gemm.exact_matmul(a, b, 4100, 4100).astype(np.int64), want)
 
 
 def test_exact_matmul_stacked_matches_per_slice():
@@ -114,11 +115,58 @@ def test_exact_matmul_at_float32_edge_is_exact():
 
 
 def test_exact_matmul_just_past_float32_edge_uses_float64():
-    # 673 * 97 * 257 = 2**24 + 1: float32 accumulation would round it
+    # one term of 4097 * 4097 = 2**24 + 8193: float32 would round it, and no
+    # float32 piece can hold it
+    a = np.full((1, 1), 4097, np.int16)
+    assert int(np.matmul(a.astype(np.float32), a.astype(np.float32))[0, 0]) != 4097**2
+    assert gemm.exact_matmul(a, a, 4097, 4097)[0, 0] == 4097**2
+
+
+PIECE_CASES = [
+    # 2049 terms of up to 127 * 127: pieces of 1024, 1024 and a short last 1
+    ((3, 2049), (2049, 2)),
+    ((2, 3, 2049), (2, 2049, 2)),  # stacked
+    ((2, 3, 2049), (2049, 2)),  # a shared right operand
+    ((3, 2049), (2, 2049, 2)),  # a shared left operand
+]
+
+
+@pytest.mark.parametrize("sa,sb", PIECE_CASES)
+def test_exact_matmul_float32_pieces_match_oracle(monkeypatch, sa, sb):
+    # partial sums past 2**24 that one float32 product rounds; each piece is
+    # exact in float32 and the int32 sum of the pieces is exact.  A tiny
+    # slice budget forces one slice per leading index
+    monkeypatch.setattr(gemm, "_SLICE_BYTES", 1)
+    rng = np.random.default_rng(len(sa) * 10 + len(sb))
+    a = rng.integers(115, 128, sa).astype(np.int8)
+    b = rng.integers(115, 128, sb).astype(np.int8)
+    want = np.matmul(a.astype(np.int64), b.astype(np.int64))
+    assert want.min() > gemm.FLOAT32_EXACT
+    assert not np.array_equal(np.matmul(a.astype(np.float32), b.astype(np.float32)), want)
+    got = gemm.exact_matmul(a, b, 128, 128)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, want)
+
+
+def test_exact_matmul_pieces_hold_at_most_what_float32_holds(monkeypatch):
+    # 673 * 97 * 257 = 2**24 + 1: the pieces hold 2**24 // (97 * 257) = 672
+    # terms and 1, and at 1024 * 128 * 128 = 2**24 one product is enough
+    depths = []
+    matmul = np.matmul
+
+    def spy(x, y, **kwargs):
+        depths.append((x.dtype, x.shape[-1]))
+        return matmul(x, y, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
     a = np.full((1, 673), 97, np.int8)
     b = np.full((673, 1), 257, np.int16)
-    assert int(np.matmul(a.astype(np.float32), b.astype(np.float32))[0, 0]) != 2**24 + 1
     assert gemm.exact_matmul(a, b, 97, 257)[0, 0] == 2**24 + 1
+    assert depths == [(np.float32, 672), (np.float32, 1)]
+    depths.clear()
+    a = np.full((1, 1024), -128, np.int8)
+    assert gemm.exact_matmul(a, a.T.copy(), 128, 128)[0, 0] == 2**24
+    assert depths == [(np.float32, 1024)]
 
 
 def test_exact_matmul_float64_edge_counts_int8_minimum():
@@ -143,11 +191,13 @@ def test_defer_fold_at_its_edges():
     top = gemm.FLOAT64_FOLD // (16 * h)
     assert gemm.defer_fold(16, h, top)
     assert not gemm.defer_fold(16, h, top + 1)
-    # the consumer must already run in float64 on a folded operand:
-    # 16 * 512**2 = 2**22 keeps a float32 consumer, 16 * 513**2 does not
-    assert 16 * 512 * 512 == gemm.FLOAT32_FOLD
-    assert not gemm.defer_fold(16, 512, 16 * 512 * 128)
-    assert gemm.defer_fold(16, 513, 16 * 513 * 128)
+    # the consumer must already run in float64 on a folded operand: 16 *
+    # 1023**2 is within float32_fold_edge(2047) and keeps a float32 consumer,
+    # 16 * 1024**2 = 2**24 is past float32_fold_edge(2049)
+    assert 16 * 1023**2 <= gemm.float32_fold_edge(2047)
+    assert 16 * 1024**2 > gemm.float32_fold_edge(2049)
+    assert not gemm.defer_fold(16, 1023, 16 * 1023 * 128)
+    assert gemm.defer_fold(16, 1024, 16 * 1024 * 128)
 
 
 @pytest.mark.parametrize(
@@ -239,9 +289,11 @@ def test_reduce_mod_inplace_rejects_even():
 
 
 # ---------------------------------------------------------------------------
-# the one-pass float fold at its edges
+# the float folds at their edges
 
 FOLD_MODULI = sorted({m for system in cli.STANDARD_SYSTEMS for m in system})
+# moduli whose two-pass float32 fold fails just past its edge
+TIGHT_MODULI = [257, 1031]
 
 
 def assert_centred(x, got, m):
@@ -250,12 +302,90 @@ def assert_centred(x, got, m):
     assert np.all((x - got) % m == 0)
 
 
+def fold_twice(x, m):
+    """The float32 route exact_matmul takes past the one-pass edge."""
+    return gemm.reduce_mod_inplace(gemm.reduce_mod_inplace(x.astype(np.float32), m), m)
+
+
+def spy_fold_dtypes(monkeypatch):
+    """Wrap gemm.reduce_mod_inplace; returns the list of the dtypes it folds."""
+    dtypes = []
+    wrapped = gemm.reduce_mod_inplace
+
+    def spy(acc, m, q=None):
+        dtypes.append(acc.dtype)
+        return wrapped(acc, m, q)
+
+    monkeypatch.setattr(gemm, "reduce_mod_inplace", spy)
+    return dtypes
+
+
 @pytest.mark.parametrize("m", FOLD_MODULI)
 def test_float32_fold_is_exact_over_its_whole_range(m):
-    edge = gemm.FLOAT32_FOLD
-    for lo in range(-edge, edge + 1, 1 << 20):
-        x = np.arange(lo, min(lo + (1 << 20), edge + 1), dtype=np.int64)
-        assert_centred(x, gemm.reduce_mod_inplace(x.astype(np.float32), m), m)
+    # one pass over the one-pass range, two up to float32_fold_edge(m): every
+    # integer, against the periodic sequence of centred residues
+    for passes, edge in ((1, gemm.FLOAT32_FOLD), (2, gemm.float32_fold_edge(m))):
+        chunk = (1 << 20) // m * m  # whole periods: every chunk starts like lo
+        for lo in range(-edge, edge + 1, chunk):
+            x = np.arange(lo, min(lo + chunk, edge + 1), dtype=np.int64)
+            got = x.astype(np.float32)
+            for _ in range(passes):
+                gemm.reduce_mod_inplace(got, m)
+            period = x[:m] % m
+            period[period > (m - 1) // 2] -= m
+            assert np.array_equal(got, np.resize(period, len(x)))
+
+
+def test_float32_one_pass_fold_at_its_tightest_values():
+    # x = k*m +- h and +-(h - 1) within the one-pass edge, where x/m lies
+    # nearest a rounding boundary, for every odd modulus the int16 residue
+    # dtype holds; each folds to its own offset
+    for m in range(3, 32768, 2):
+        h = (m - 1) // 2
+        top = (gemm.FLOAT32_FOLD - h) // m
+        offsets = np.array([h, -h, h - 1, 1 - h], np.float32)
+        x = np.arange(-top, top + 1, dtype=np.float32)[:, None] * m + offsets
+        assert np.abs(x).max() <= gemm.FLOAT32_FOLD
+        assert np.array_equal(gemm.reduce_mod_inplace(x, m), np.broadcast_to(offsets, x.shape))
+
+
+@pytest.mark.parametrize("m", FOLD_MODULI + TIGHT_MODULI)
+def test_float32_two_fold_edge(monkeypatch, m):
+    edge = gemm.float32_fold_edge(m)
+    near = np.arange(edge - 4 * m, edge + 1, dtype=np.int64)  # every class
+    x = np.concatenate([near, -near])
+    assert_centred(x, fold_twice(x, m), m)
+    # through exact_matmul: a product bounded by the edge folds twice in
+    # float32, one past it once in float64
+    dtypes = spy_fold_dtypes(monkeypatch)
+    for top, route in ((edge, [np.float32] * 2), (edge + 1, [np.float64])):
+        a = np.array([[top], [-top], [top - m // 2]], np.int32)
+        got = gemm.exact_matmul(a, np.ones((1, 1), np.int8), top, 1, m)
+        assert got.dtype == np.float32
+        assert_centred(a, got, m)
+        assert dtypes == route
+        dtypes.clear()
+
+
+@pytest.mark.parametrize("m,fails", [(257, 254), (1031, 538)])
+def test_float32_two_fold_fails_just_past_its_edge(monkeypatch, m, fails):
+    # past float32_fold_edge(m) the first pass's m * rint(x / m) can pass
+    # 2**24, which float32 cannot hold: the edge is drawn no further out
+    # than it must be
+    past = np.arange(gemm.float32_fold_edge(m) + 1, gemm.FLOAT32_EXACT + 1, dtype=np.int64)
+    x = np.concatenate([past, -past])
+    got = fold_twice(x, m).astype(np.int64)
+    wrong = (np.abs(got) > (m - 1) // 2) | ((x - got) % m != 0)
+    assert np.count_nonzero(wrong) == fails
+    if m == 257:
+        # the reproduced case: -2**24 folds to 0 where 1 is right, and a
+        # product that reaches it runs in float64
+        assert (-(2**24)) % m == 1
+        assert fold_twice(np.array([-(2**24)]), m)[0] == 0
+        dtypes = spy_fold_dtypes(monkeypatch)
+        a = np.array([[-(2**24)]], np.int32)
+        assert gemm.exact_matmul(a, np.ones((1, 1), np.int8), 2**24, 1, m)[0, 0] == 1
+        assert dtypes == [np.float64]
 
 
 @pytest.mark.parametrize("m", FOLD_MODULI)
@@ -267,14 +397,16 @@ def test_float64_fold_at_its_edge(m):
     assert_centred(x, gemm.reduce_mod_inplace(x.astype(np.float64), m), m)
 
 
-def test_modular_product_past_float32_fold_edge_stays_centred():
+def test_modular_product_past_float32_fold_edge_stays_centred(monkeypatch):
     # float32 holds 5,029,549 exactly (below 2**24), but its one-pass fold
-    # mod 241 lands off centre; the product's bound is above 2**22, so it
-    # must run and fold in float64
+    # mod 241 lands off centre; the product's bound is past the one-pass
+    # edge and within float32_fold_edge(241), so it folds twice in float32
     m, v = 241, 5_029_549
-    assert gemm.FLOAT32_FOLD < v < gemm.FLOAT32_EXACT
+    assert gemm.FLOAT32_FOLD < v <= gemm.float32_fold_edge(m)
     off = gemm.reduce_mod_inplace(np.array([v, -v], np.float32), m)
     assert np.all(np.abs(off) > (m - 1) // 2)
+    dtypes = spy_fold_dtypes(monkeypatch)
     a = np.array([[v], [-v]], np.int32)
     got = gemm.exact_matmul(a, np.ones((1, 1), np.int8), v, 1, m)
     assert_centred(np.array([[v], [-v]]), got, m)
+    assert dtypes == [np.float32, np.float32]

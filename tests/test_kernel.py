@@ -76,9 +76,14 @@ def test_stage_transforms_match_int64_sandwich(modulus):
 @pytest.mark.parametrize(
     "modulus,lazy,dtype",
     [
-        (251, False, np.float32),  # 16 * 125**2 <= 2**22: the second GEMM runs in float32
-        (1021, False, np.float32),  # 16 * 510**2 <= 2**22 by 0.8%
-        (1031, True, np.float32),  # past it by 1.2%; 16 * 515 * 128 <= 2**24
+        # the second GEMM's bound on a folded operand, 16 * h**2, against
+        # gemm.float32_fold_edge(m): within it the second GEMM runs in float32
+        # (folding twice past 2**22), so the first GEMM folds
+        (251, False, np.float32),  # 16 * 125**2 <= 2**22: one fold
+        (1021, False, np.float32),  # 16 * 510**2 <= 2**22 by 0.8%: one fold
+        (1031, False, np.float32),  # past 2**22 by 1.2%: two folds
+        (2039, False, np.float32),  # 16 * 1019**2 within the edge by 1.0%
+        (2053, True, np.float32),  # past it by 0.4%; 16 * 1026 * 128 <= 2**24
         (4331, True, np.float32),  # 16 * 2165 * 128 <= 2**24
         (32749, True, np.float64),
     ],

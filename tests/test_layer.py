@@ -114,6 +114,32 @@ def test_direct_conv_matches_naive(kw):
     assert np.array_equal(got.astype(np.int64), naive_conv(spec, weights, x))
 
 
+@pytest.mark.parametrize(
+    "c,pieces",
+    # all -128 at r = 3: every output is 9 * c * 128**2, 16,662,528 within
+    # 2**24 at c = 113 (one float32 product), 16,809,984 past it at c = 114
+    # (float32 pieces of 1024 and 2 terms)
+    [(113, [1017]), (114, [1024, 2])],
+)
+def test_direct_conv_float32_pieces_at_their_edge(monkeypatch, c, pieces):
+    spec = layer.LayerSpec(h=5, w=5, c=c, k=2, r=3)
+    weights = np.full(spec.weight_shape(), -128, np.int8)
+    x = np.full(spec.input_shape(), -128, np.int8)
+    depths = []
+    matmul = np.matmul
+
+    def spy(a, b, **kwargs):
+        depths.append((a.dtype, a.shape[-1]))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    got = layer.direct_conv(spec, weights, x)
+    monkeypatch.undo()
+    assert depths == [(np.float32, d) for d in pieces]
+    assert np.all(got == 9 * c * 128**2)
+    assert np.array_equal(got.astype(np.int64), naive_conv(spec, weights, x))
+
+
 def test_direct_conv_validates_operands():
     spec = layer.LayerSpec(h=8, w=8, c=3, k=4, r=3)
     weights, x = random_operands(spec, 5)
@@ -205,6 +231,34 @@ def test_winograd_layer_with_declared_bound():
         layer.winograd_layer_conv(spec, weights, x, SYS8)
     got = layer.winograd_layer_conv(spec, weights, x, SYS8, declared_bound=300_000)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("c", [1073, 1074])
+def test_8bit_moduli_keep_float32_up_to_1073_channels(monkeypatch, c):
+    # F(14x14, 3x3) on (251, 241, 239): the position GEMM's bound c * 125**2
+    # is the widest, 16,765,625 within gemm.float32_fold_edge(251) at
+    # c = 1073 and 16,781,250 past it at c = 1074, where 251's position GEMM
+    # alone moves to float64; ternary data keep the outputs within 9 * c
+    spec = layer.LayerSpec(h=14, w=14, c=c, k=2, r=3, padding=1, tile_m=14)
+    rng = np.random.default_rng(c)
+    weights = rng.integers(-1, 2, spec.weight_shape()).astype(np.int8)
+    x = rng.integers(-1, 2, spec.input_shape()).astype(np.int8)
+    folds = []
+    wrapped = gemm.reduce_mod_inplace
+
+    def spy(acc, m, q=None):
+        folds.append((m, acc.dtype))
+        return wrapped(acc, m, q)
+
+    monkeypatch.setattr(gemm, "reduce_mod_inplace", spy)
+    got = layer.winograd_layer_conv(spec, weights, x, SYS8, declared_bound=9 * c)
+    monkeypatch.undo()
+    assert np.array_equal(got, layer.direct_conv(spec, weights, x))
+    # each modulus folds its float64 CRT weights once; every other fold of a
+    # residue product is float32, but for 251's position GEMM at c = 1074
+    wide = [m for m, dtype in folds if m in SYS8.moduli and dtype != np.float32]
+    assert sorted(set(wide)) == sorted(SYS8.moduli)
+    assert [m for m in set(wide) if wide.count(m) > 1] == ([] if c == 1073 else [251])
 
 
 def test_winograd_layer_15bit_wide_depth_with_declared_bound():
@@ -543,20 +597,26 @@ def test_position_gemm_unfolded_at_its_worst_case(monkeypatch, moduli, c, stored
     "moduli,per_block",
     [
         ((251, 241, 239), (3, 3, 3)),
-        # 16 * h**2 against 2**22 on the input transform's first GEMM's
-        # consumer: within by 0.8%, past by 1.2%
-        ((1021, 1031), (3, 2)),
+        # 16 * h**2 on the input transform's second GEMM against 2**22, the
+        # one-pass edge: 1021 within by 0.8% folds it once, 1031 past by
+        # 1.2% twice
+        ((1021, 1031), (3, 4)),
         ((4001, 4331), (2, 2)),
         ((32749, 32719), (2, 2)),
+        # and against gemm.float32_fold_edge: 2039 within by 1.0% folds
+        # twice in float32, 2053 past by 0.4% runs it in float64 and leaves
+        # the first GEMM unfolded
+        ((2039, 2053), (4, 2)),
     ],
 )
 def test_folds_per_block_by_route(monkeypatch, moduli, per_block):
     # reduce_mod_inplace calls of a two-block layer at F(14x14, 3x3), filters
     # precomputed: each modulus folds its CRT share once, then per block the
     # input transform's two GEMMs, the position GEMM and backward_rows_mod
-    # where they run, each GEMM one slice.  Without lazy folds (251, 241,
-    # 239) and (1021, 1031) take 3 and (4001, 4331) and (32749, 32719) 4 per
-    # modulus and block
+    # where they run, each GEMM one slice, folded twice where it runs in
+    # float32 past 2**22.  Without lazy folds (251, 241, 239) and 1021 take
+    # 3, 1031 and 2039 4, and (4001, 4331) and (32749, 32719) 4 per modulus
+    # and block
     monkeypatch.setattr(layer, "_BLOCK_BYTES", 1)
     monkeypatch.setattr(gemm, "_SLICE_BYTES", 1 << 30)
     monkeypatch.setenv("RNSW_THREADS", "1")

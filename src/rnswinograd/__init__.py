@@ -14,7 +14,6 @@ from .errors import (
     RnsError,
     ShapeMismatch,
     SystemMismatch,
-    UnsupportedStride,
 )
 from .residue import RnsSystem, RnsVector, mod_inverse, mod_reduce
 from .transforms import (
@@ -46,7 +45,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RnsError", "NotCoprime", "SystemMismatch", "OutOfRange",
-    "DynamicRangeExceeded", "ShapeMismatch", "OverflowRisk", "UnsupportedStride",
+    "DynamicRangeExceeded", "ShapeMismatch", "OverflowRisk",
     "RnsSystem", "RnsVector", "mod_reduce", "mod_inverse",
     "INF", "ExactTransformSet", "ModularTransformSet",
     "default_points", "vandermonde", "vandermonde_inverse", "derive_transforms",

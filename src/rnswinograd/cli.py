@@ -202,6 +202,8 @@ def config_from_dict(doc: dict, where: str = "config") -> BenchConfig:
     for i, ent in enumerate(doc["layers"]):
         name = str(ent.get("name", f"layer{i}")) if isinstance(ent, dict) else f"layer{i}"
         with _named(f"{where}: layer {name!r}"):
+            if any(e.name == name for e in entries):  # a name is a label and a seed
+                raise ConfigError("duplicate layer name")
             _check_keys(ent, LAYER_KEYS)
             spec = layer.LayerSpec(
                 *(_int(ent[key], key) for key in ("h", "w", "c", "k", "r")),

@@ -29,7 +29,3 @@ class ShapeMismatch(RnsError):
 
 class OverflowRisk(RnsError):
     """An accumulation could overflow its fixed-width accumulator."""
-
-
-class UnsupportedStride(RnsError):
-    """The tiled fast path only supports unit stride."""

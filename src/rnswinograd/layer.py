@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gemm, kernel, residue, transforms
-from .errors import DynamicRangeExceeded, ShapeMismatch, UnsupportedStride
+from .errors import DynamicRangeExceeded, ShapeMismatch
 
 
 # Outputs per tile side when a layer names none: F(14, 3) runs 16 x 16 tiles.
@@ -157,21 +157,32 @@ def tile_decompose(x: np.ndarray, tile_m: int, r: int, padding: int) -> np.ndarr
     return im2col(canvas, n, tile_m, 0).reshape(b, th, tw, n, n, c)
 
 
+@dataclass(frozen=True, eq=False)
+class PreparedFilters:
+    """Filters transformed once, for every call with the weights, n and
+    moduli they were prepared for: a read-only copy of the (r, r, c, k)
+    weights, the transforms used and, per modulus, the read-only (n, n, c, k)
+    residues in the modulus's narrow dtype (each position's (c, k) slice is
+    one GEMM operand)."""
+
+    weights: np.ndarray
+    transforms: tuple[transforms.ModularTransformSet, ...]
+    residues: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        for a in (self.weights, *self.residues):
+            a.flags.writeable = False
+
+
 def precompute_filter_transforms(
     weights: np.ndarray, mts: Sequence[transforms.ModularTransformSet]
-) -> dict[int, np.ndarray]:
-    """Transform (r, r, c, k) filters once per modulus.
-
-    Returns {modulus: (n, n, c, k) residues in the modulus's narrow dtype};
-    the transform-domain position leads, as in the weights, so each
-    position's (c, k) slice is one GEMM operand.
-    """
-    return {
-        mt.modulus: kernel.filter_transform_mod(weights, mt).astype(
-            gemm.dtype_for_modulus(mt.modulus)
-        )
+) -> PreparedFilters:
+    """Transform (r, r, c, k) filters once per modulus of mts."""
+    weights = np.array(weights)
+    return PreparedFilters(weights, tuple(mts), tuple(
+        kernel.filter_transform_mod(weights, mt).astype(gemm.dtype_for_modulus(mt.modulus))
         for mt in mts
-    }
+    ))
 
 
 def range_check(
@@ -337,31 +348,43 @@ def winograd_layer_conv(
     x: np.ndarray,
     system: residue.RnsSystem,
     declared_bound: int | None = None,
-    filters: dict[int, np.ndarray] | None = None,
+    filters: PreparedFilters | None = None,
     timings: StageTimings | None = None,
 ) -> np.ndarray:
     """Exact integer convolution through the tiled RNS fast path.
 
     filters, when given, is the precompute_filter_transforms output for these
-    weights; passing it amortizes the filter transform across calls that
-    reuse the same weights, exactly as repeated inference does.
+    weights, this n and these moduli; passing it amortizes the filter
+    transform across calls that reuse the same weights, exactly as repeated
+    inference does.  Any other filters raise ShapeMismatch.
 
     The tile rows are cut into blocks, and each block goes through every
     modulus, the float64 CRT reconstruction and the scatter into its own
     output rows; a pool of up to RNSW_THREADS workers (default: the usable
-    cores) takes the blocks, and a layer of one block runs inline.
+    cores) takes the blocks, and a layer of one block runs inline.  The
+    tiling covers unit stride only, so a strided layer runs direct_conv.
 
     Raises DynamicRangeExceeded when range_check refuses the layer (an
     output bound below 1, past the signed bound or past int32, the output
-    dtype, or a system whose CRT sum is past the float64 bound at this n)
-    and UnsupportedStride for stride > 1 (the tiling only covers unit stride).
+    dtype, or a system whose CRT sum is past the float64 bound at this n).
     """
     _check_operands(spec, weights, x)
     if spec.stride != 1:
-        raise UnsupportedStride(f"fast path needs stride 1, got {spec.stride}")
+        return direct_conv(spec, weights, x)
     range_check(spec, system, declared_bound)
     tile_m, n = spec.tile_m, spec.n
-    mts = transforms.cached_modular_transforms(tile_m, spec.r, system.moduli)
+    if filters is None:
+        mts = transforms.cached_modular_transforms(tile_m, spec.r, system.moduli)
+        filters = precompute_filter_transforms(weights, mts)
+    elif not (
+        isinstance(filters, PreparedFilters)
+        and [(mt.modulus, mt.n) for mt in filters.transforms] == [(q, n) for q in system.moduli]
+        and np.array_equal(filters.weights, weights)
+    ):
+        raise ShapeMismatch(
+            f"filters were not prepared from these weights at n={n} on moduli {system.moduli}"
+        )
+    mts = filters.transforms
     # the rows skip their fold where the CRT sum's bound admits unfolded t_i
     fold_rows = not system.crt_fits(n, folded=False)
     # the float64 sum's weights M_i * a_i, a_i = (M_i^-1 mod m_i) * A_i^T
@@ -377,17 +400,6 @@ def winograd_layer_conv(
     patches = tile_decompose(x, tile_m, spec.r, spec.padding)
     timings.tiling += time.perf_counter() - t0
 
-    if filters is None:
-        filters = precompute_filter_transforms(weights, mts)
-    else:
-        for mt in mts:
-            f = filters.get(mt.modulus)
-            if f is None or f.shape != (n, n, spec.c, spec.k):
-                raise ShapeMismatch(
-                    f"precomputed filters for modulus {mt.modulus} missing or "
-                    f"not shaped ({n}, {n}, {spec.c}, {spec.k})"
-                )
-
     b, th, tw, n, _, c = patches.shape
     k = spec.k
     # (n, n, tile rows, tw, c): a view; each block copies its own slice
@@ -402,7 +414,7 @@ def winograd_layer_conv(
         rows = blk.shape[2]
         blk = blk.reshape(n, n, rows * tw, c)
         t.tiling += time.perf_counter() - t0
-        res = [_modulus_pass(blk, filters[mt.modulus], mt, fold_rows, t) for mt in mts]
+        res = [_modulus_pass(blk, u, mt, fold_rows, t) for u, mt in zip(filters.residues, mts)]
         _crt_scatter(res, shares, system, canvas[r0 : r0 + rows], t)
         return t
 
@@ -423,18 +435,8 @@ def winograd_layer_conv(
     return out
 
 
-def layer_conv(
-    spec: LayerSpec,
-    weights: np.ndarray,
-    x: np.ndarray,
-    system: residue.RnsSystem,
-    declared_bound: int | None = None,
-) -> np.ndarray:
-    """winograd_layer_conv with a direct fallback for strided layers, kept
-    for callers outside the package (the CLI's config runs those direct)."""
-    if spec.stride != 1:
-        return direct_conv(spec, weights, x)
-    return winograd_layer_conv(spec, weights, x, system, declared_bound=declared_bound)
+# perfbench's one-shot workload calls this name until it moves to one entry point
+layer_conv = winograd_layer_conv
 
 
 @dataclass(frozen=True)

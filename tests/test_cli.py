@@ -762,6 +762,11 @@ SMALL_LAYER = {"name": "small", "h": 8, "w": 8, "c": 1, "k": 1, "r": 3}
          "modulus must be odd and in [3, 32767], got 32771"),
         ({"rns": [251], "layers": [dict(SMALL_LAYER, name="a", tile_m=1, r=1)]},
          "layer 'a': tile_m + r - 1 must be at least 2, got 1"),
+        # a name labels a layer and seeds its operands, so it is unique
+        ({"rns": [251], "layers": [dict(SMALL_LAYER, name="a")] * 2},
+         "layer 'a': duplicate layer name"),
+        ({"rns": [251], "layers": [dict(SMALL_LAYER, name="layer1"), {"h": 8}]},
+         "layer 'layer1': duplicate layer name"),
     ],
 )
 def test_config_errors_name_the_layer_and_the_key(doc, message):
@@ -777,6 +782,18 @@ def test_bench_config_error_names_the_layer(tmp_path, capsys):
     code, out, err = run_cli(capsys, "bench", "--config", str(path))
     assert code == 1 and out == ""
     assert err == f"error: {path}: layer 'small': missing key 'w'\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_config_with_a_duplicate_name_prints_nothing(tmp_path, capsys, command):
+    path = tmp_path / "twice.json"
+    # the third layer has no name and goes by its position, 'layer2'
+    named = dict(SMALL_LAYER, name="layer2")
+    unnamed = {k: v for k, v in SMALL_LAYER.items() if k != "name"}
+    path.write_text(json.dumps({"rns": [251], "layers": [named, SMALL_LAYER, unnamed]}))
+    code, out, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: layer 'layer2': duplicate layer name\n"
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from rnswinograd.errors import (
     DynamicRangeExceeded,
     OverflowRisk,
     ShapeMismatch,
-    UnsupportedStride,
 )
 
 SYS8 = residue.RnsSystem((251, 241, 239))
@@ -288,11 +287,13 @@ def test_winograd_layer_tile_blocks_match_direct(monkeypatch):
         assert np.array_equal(got.astype(np.int64), naive_conv(spec, weights, x))
 
 
-def test_winograd_layer_requires_unit_stride():
+def test_winograd_layer_runs_strides_direct():
     spec = layer.LayerSpec(h=8, w=8, c=2, k=2, r=3, padding=1, stride=2, tile_m=4)
     weights, x = random_operands(spec, 1)
-    with pytest.raises(UnsupportedStride):
-        layer.winograd_layer_conv(spec, weights, x, SYS8)
+    got = layer.winograd_layer_conv(spec, weights, x, SYS8)
+    assert np.array_equal(got, layer.direct_conv(spec, weights, x))
+    assert np.array_equal(got.astype(np.int64), naive_conv(spec, weights, x))
+    assert layer.layer_conv is layer.winograd_layer_conv
 
 
 def test_layer_conv_falls_back_for_strides():
@@ -308,20 +309,60 @@ def test_precomputed_filters_path():
     ts = transforms.cached_transforms(4, 3)
     mts = transforms.reduce_for_system(ts, SYS8)
     filters = layer.precompute_filter_transforms(weights, mts)
-    assert sorted(filters) == sorted(SYS8.moduli)
-    assert filters[251].shape == (6, 6, 3, 4)
+    assert [mt.modulus for mt in filters.transforms] == list(SYS8.moduli)
+    assert [f.shape for f in filters.residues] == [(6, 6, 3, 4)] * 3
+    assert filters.weights is not weights and np.array_equal(filters.weights, weights)
 
     base = layer.winograd_layer_conv(spec, weights, x, SYS8)
     got = layer.winograd_layer_conv(spec, weights, x, SYS8, filters=filters)
     assert np.array_equal(got, base)
+    assert np.array_equal(got, layer.direct_conv(spec, weights, x))
 
-    with pytest.raises(ShapeMismatch):
-        layer.winograd_layer_conv(
-            spec, weights, x, SYS8, filters={251: filters[251]}
-        )
-    bad = {m: f[:, :, :2] for m, f in filters.items()}
-    with pytest.raises(ShapeMismatch):
-        layer.winograd_layer_conv(spec, weights, x, SYS8, filters=bad)
+
+PREP_SPEC = layer.LayerSpec(h=12, w=12, c=3, k=4, r=3, padding=1, tile_m=4)
+
+
+def prepared(weights, tile_m=4, moduli=SYS8.moduli):
+    mts = transforms.reduce_for_system(
+        transforms.cached_transforms(tile_m, 3), residue.RnsSystem(moduli)
+    )
+    return layer.precompute_filter_transforms(weights, mts)
+
+
+def mutated_after_prepare(weights):
+    filters = prepared(weights)
+    weights[0, 0, 0, 0] = ~weights[0, 0, 0, 0]
+    return filters
+
+
+@pytest.mark.parametrize(
+    "prepare",
+    [
+        # other weights: once silently the convolution with those weights
+        pytest.param(lambda w: prepared(random_operands(PREP_SPEC, 99)[0]), id="stale"),
+        pytest.param(mutated_after_prepare, id="mutated_after_prepare"),
+        pytest.param(lambda w: dict(zip(SYS8.moduli, prepared(w).residues)), id="hand_built_dict"),
+        pytest.param(lambda w: prepared(w, tile_m=2), id="other_tile"),
+        pytest.param(lambda w: prepared(w, moduli=(251, 241, 233)), id="other_moduli"),
+        pytest.param(lambda w: layer.precompute_filter_transforms(w, ()), id="no_moduli"),
+    ],
+)
+def test_filters_not_prepared_for_the_call_are_refused(prepare):
+    weights, x = random_operands(PREP_SPEC, 4)
+    filters = prepare(weights)
+    with pytest.raises(ShapeMismatch, match="not prepared from these weights"):
+        layer.winograd_layer_conv(PREP_SPEC, weights, x, SYS8, filters=filters)
+
+
+def test_prepared_filters_are_read_only():
+    weights, _ = random_operands(PREP_SPEC, 4)
+    filters = prepared(weights)
+    for i in range(len(filters.residues)):
+        with pytest.raises(ValueError, match="read-only"):
+            filters.residues[i][0, 0, 0, 0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        filters.weights[0, 0, 0, 0] = 0
+    weights[...] = 0  # the caller's array stays theirs to change
 
 
 def test_thread_count_does_not_change_results(monkeypatch):

@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import astuple, dataclass, replace
 from fractions import Fraction
 from importlib import resources
@@ -432,7 +432,7 @@ def _verify_files(args) -> int:
     ok, line, got = _verify_layer(
         f"{args.input} * {args.weights}", spec, weights, x, system, args.declared_bound
     )
-    if args.output and got is not None:
+    if args.output and ok:
         layer.write_tensor(args.output, got)
     print(line)
     return 0 if ok else 2
@@ -483,7 +483,7 @@ def run_bench(cfg: BenchConfig) -> list[BenchRow]:
             # Filter transforms depend only on the weights, so inference reuses
             # them across every input; precompute outside the timed region.
             mts = transforms.cached_modular_transforms(ent.spec.tile_m, ent.spec.r, system.moduli)
-            filters = layer.precompute_filter_transforms(weights, mts)
+            filters = layer.PreparedFilters(weights, mts)
             rns_ms, got = best_ms(lambda: layer.winograd_layer_conv(
                 ent.spec, weights, x, system, declared_bound=ent.declared_bound,
                 filters=filters, timings=timings,
@@ -556,6 +556,13 @@ def cmd_bench(args) -> int:
         cfg = replace(cfg, iterations=args.iterations)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+    with open(args.csv, "w", newline="") if args.csv else nullcontext() as out:
+        return _bench_report(cfg, out)
+
+
+def _bench_report(cfg: BenchConfig, out) -> int:
+    """Run cfg and print its table, and write it to out, the CSV file if one
+    was named: cmd_bench opens it first, so an unwritable path runs no layer."""
     system = cfg.rns
     # a layer's data depend on its name alone, so leaving out the layers
     # range_check refuses leaves every other layer's data as they were
@@ -590,13 +597,12 @@ def cmd_bench(args) -> int:
     for line in refusals:
         print(line)
 
-    if args.csv:
-        with open(args.csv, "w", newline="") as f:
-            wr = csv.writer(f)
-            wr.writerow([name for name, *_ in BENCH_COLUMNS])
-            for row in rows:
-                fields = zip(BENCH_COLUMNS, _bench_fields(row))
-                wr.writerow([_cell(v, csv_fmt) for (*_, csv_fmt), v in fields])
+    if out is not None:
+        wr = csv.writer(out)
+        wr.writerow([name for name, *_ in BENCH_COLUMNS])
+        for row in rows:
+            fields = zip(BENCH_COLUMNS, _bench_fields(row))
+            wr.writerow([_cell(v, csv_fmt) for (*_, csv_fmt), v in fields])
     return 0 if all(r.exact for r in rows) and not refusals else 2
 
 
@@ -612,6 +618,9 @@ WIDTH_TILES = ((2, 3), (4, 3), (6, 3), (8, 3), (8, 5), (10, 3), (10, 5))
 
 
 def cmd_analyze(args) -> int:
+    # the growth rows first, so an unusable input width fails before any output
+    tss = [transforms.cached_transforms(m, r) for m, r in WIDTH_TILES]
+    growth = [transforms.data_width_analysis(ts, args.input_bits) for ts in tss]
     print("multiplication reduction per output tile (direct / fast):")
     print(f"{'tile':<16} {'n':>4} {'2 moduli':>10} {'3 moduli':>10}")
     for m, r in REDUCTION_TILES:
@@ -622,9 +631,7 @@ def cmd_analyze(args) -> int:
 
     print(f"\ntransform growth at {args.input_bits}-bit inputs:")
     print(f"{'tile':<16} {'filter mag':>11} {'input mag':>10} {'bits':>5}")
-    for m, r in WIDTH_TILES:
-        ts = transforms.cached_transforms(m, r)
-        rep = transforms.data_width_analysis(ts, args.input_bits)
+    for (m, r), rep in zip(WIDTH_TILES, growth):
         print(
             f"F({m}x{m},{r}x{r})".ljust(16)
             + f" {rep.filter_magnification:>11.4g} {rep.input_magnification:>10.4g} "

@@ -34,7 +34,7 @@ import os
 import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, field, fields
 from fractions import Fraction
 from math import ceil, prod
 from typing import Sequence
@@ -159,30 +159,33 @@ def tile_decompose(x: np.ndarray, tile_m: int, r: int, padding: int) -> np.ndarr
 
 @dataclass(frozen=True, eq=False)
 class PreparedFilters:
-    """Filters transformed once, for every call with the weights, n and
-    moduli they were prepared for: a read-only copy of the (r, r, c, k)
-    weights, the transforms used and, per modulus, the read-only (n, n, c, k)
-    residues in the modulus's narrow dtype (each position's (c, k) slice is
-    one GEMM operand)."""
+    """Filters transformed once for every call with the weights, n and moduli
+    they were prepared for.  From (r, r, c, k) weights and one transform set per
+    modulus it derives, read-only: a weight copy, the RnsSystem (an empty or
+    non-coprime list raises), per modulus (n, n, c, k) residues and CRT weights."""
 
     weights: np.ndarray
     transforms: tuple[transforms.ModularTransformSet, ...]
-    residues: tuple[np.ndarray, ...]
+    system: residue.RnsSystem = field(init=False)
+    residues: tuple[np.ndarray, ...] = field(init=False)
+    crt_weights: tuple[np.ndarray, ...] = field(init=False)
 
     def __post_init__(self):
-        for a in (self.weights, *self.residues):
-            a.flags.writeable = False
-
-
-def precompute_filter_transforms(
-    weights: np.ndarray, mts: Sequence[transforms.ModularTransformSet]
-) -> PreparedFilters:
-    """Transform (r, r, c, k) filters once per modulus of mts."""
-    weights = np.array(weights)
-    return PreparedFilters(weights, tuple(mts), tuple(
-        kernel.filter_transform_mod(weights, mt).astype(gemm.dtype_for_modulus(mt.modulus))
-        for mt in mts
-    ))
+        weights, mts = np.array(self.weights), tuple(self.transforms)
+        system = residue.RnsSystem([mt.modulus for mt in mts])
+        residues = tuple(
+            kernel.filter_transform_mod(weights, mt).astype(gemm.dtype_for_modulus(mt.modulus))
+            for mt in mts
+        )
+        # M_i * a_i, a_i folded in float64: |inv_i * A_i| <= h_i**2 < 2**28
+        crt_weights = tuple(
+            c * gemm.reduce_mod_inplace(inv * mt.at.astype(np.float64), mt.modulus)
+            for c, inv, mt in zip(system.cofactors, system.inverses, mts)
+        )
+        for arr in (weights, *residues, *crt_weights):
+            arr.flags.writeable = False
+        self.__dict__.update(weights=weights, transforms=mts, system=system,
+                             residues=residues, crt_weights=crt_weights)
 
 
 def range_check(
@@ -353,10 +356,10 @@ def winograd_layer_conv(
 ) -> np.ndarray:
     """Exact integer convolution through the tiled RNS fast path.
 
-    filters, when given, is the precompute_filter_transforms output for these
-    weights, this n and these moduli; passing it amortizes the filter
-    transform across calls that reuse the same weights, exactly as repeated
-    inference does.  Any other filters raise ShapeMismatch.
+    filters, when given, is a PreparedFilters built from these weights at
+    this n on this system; passing it amortizes the filter transform and the
+    CRT weights across calls that reuse the same weights, exactly as
+    repeated inference does.  Any other filters raise ShapeMismatch.
 
     The tile rows are cut into blocks, and each block goes through every
     modulus, the float64 CRT reconstruction and the scatter into its own
@@ -375,10 +378,10 @@ def winograd_layer_conv(
     tile_m, n = spec.tile_m, spec.n
     if filters is None:
         mts = transforms.cached_modular_transforms(tile_m, spec.r, system.moduli)
-        filters = precompute_filter_transforms(weights, mts)
+        filters = PreparedFilters(weights, mts)
     elif not (
         isinstance(filters, PreparedFilters)
-        and [(mt.modulus, mt.n) for mt in filters.transforms] == [(q, n) for q in system.moduli]
+        and filters.system == system and all(mt.n == n for mt in filters.transforms)
         and np.array_equal(filters.weights, weights)
     ):
         raise ShapeMismatch(
@@ -387,12 +390,6 @@ def winograd_layer_conv(
     mts = filters.transforms
     # the rows skip their fold where the CRT sum's bound admits unfolded t_i
     fold_rows = not system.crt_fits(n, folded=False)
-    # the float64 sum's weights M_i * a_i, a_i = (M_i^-1 mod m_i) * A_i^T
-    # mod m_i, folded in float64: |inv_i * A_i| <= h_i**2 < 2**28
-    shares = [
-        c * gemm.reduce_mod_inplace(inv * mt.at.astype(np.float64), mt.modulus)
-        for c, inv, mt in zip(system.cofactors, system.inverses, mts)
-    ]
     if timings is None:
         timings = StageTimings()
 
@@ -415,7 +412,7 @@ def winograd_layer_conv(
         blk = blk.reshape(n, n, rows * tw, c)
         t.tiling += time.perf_counter() - t0
         res = [_modulus_pass(blk, u, mt, fold_rows, t) for u, mt in zip(filters.residues, mts)]
-        _crt_scatter(res, shares, system, canvas[r0 : r0 + rows], t)
+        _crt_scatter(res, filters.crt_weights, system, canvas[r0 : r0 + rows], t)
         return t
 
     starts = range(0, b * th, step)
@@ -435,8 +432,9 @@ def winograd_layer_conv(
     return out
 
 
-# perfbench's one-shot workload calls this name until it moves to one entry point
+# perfbench binds these old names until it moves to one entry point
 layer_conv = winograd_layer_conv
+precompute_filter_transforms = PreparedFilters
 
 
 @dataclass(frozen=True)

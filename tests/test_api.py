@@ -27,6 +27,7 @@ def test_benchmark_calls_still_bind():
         (layer.direct_conv, (spec, w, x), {}),
         (layer.LayerSpec, (), dict(h=8, w=8, c=1, k=1, r=3, batch=1, padding=1, tile_m=4)),
         (transforms.reduce_for_system, (ts, system), {}),
+        (layer.precompute_filter_transforms, (w, ts), {}),
         (transforms.cached_transforms, (14, 3), {}),
     ]
     for fn, args, kwargs in calls:

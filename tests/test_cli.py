@@ -365,6 +365,23 @@ def test_verify_file_mode_range_failure(tmp_path, capsys):
     assert not op.exists()
 
 
+def test_verify_file_mode_writes_no_wrong_output(tmp_path, capsys):
+    # a declared bound far below the true 9 * 64 * 127**2 wraps the outputs:
+    # the FAIL line names the wrapped value, and no file holds it
+    xp, wp, op = tmp_path / "x.qtns", tmp_path / "w.qtns", tmp_path / "y.qtns"
+    layer.write_tensor(xp, np.full((1, 6, 6, 64), 127, np.int8))
+    layer.write_tensor(wp, np.full((3, 3, 64, 2), 127, np.int8))
+    code, out, err = run_cli(
+        capsys, "verify", "--input", str(xp), "--weights", str(wp),
+        "--tile", "4", "--declared-bound", "1000", "--output", str(op),
+    )
+    assert code == 2 and err == ""
+    (line,) = out.splitlines()
+    assert line.startswith(f"FAIL {xp} * {wp} mismatches=")
+    assert line.endswith("got -5167045, want 9290304")
+    assert not op.exists()
+
+
 FILE_ONLY_FLAGS = ("--tile", "--padding", "--moduli", "--declared-bound", "--output")
 
 
@@ -457,6 +474,17 @@ def test_bench_iteration_and_seed_overrides(tmp_path, capsys):
     )
     assert code == 0
     assert "seed=123" in out and "iterations=2" in out
+
+
+def test_bench_unwritable_csv_fails_before_any_layer(tmp_path, capsys, monkeypatch):
+    path = write_small_bench_config(tmp_path)
+    ran = []
+    monkeypatch.setattr(layer, "direct_conv", lambda *a: ran.append(a))
+    code, out, err = run_cli(
+        capsys, "bench", "--config", str(path), "--csv", str(tmp_path / "no-dir" / "rows.csv")
+    )
+    assert code == 1 and out == "" and ran == []
+    assert err.startswith("error: ") and "rows.csv" in err
 
 
 @pytest.mark.parametrize("iterations", ["0", "-2"])
@@ -903,6 +931,12 @@ def test_analyze_two_bit(capsys):
         if l.startswith("F(2x2,3x3)") and len(l.split()) == 4 and "." in l.split()[1]
     )
     assert line2.split()[-1] == "5"
+
+
+def test_analyze_refuses_a_bad_input_width_before_printing(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--input-bits", "1")
+    assert code == 1 and out == ""
+    assert err == "error: input_bits must be at least 2\n"
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 from rnswinograd import gemm, kernel, layer, residue, transforms
 from rnswinograd.errors import (
     DynamicRangeExceeded,
+    NotCoprime,
     OverflowRisk,
     ShapeMismatch,
 )
@@ -344,7 +345,6 @@ def mutated_after_prepare(weights):
         pytest.param(lambda w: dict(zip(SYS8.moduli, prepared(w).residues)), id="hand_built_dict"),
         pytest.param(lambda w: prepared(w, tile_m=2), id="other_tile"),
         pytest.param(lambda w: prepared(w, moduli=(251, 241, 233)), id="other_moduli"),
-        pytest.param(lambda w: layer.precompute_filter_transforms(w, ()), id="no_moduli"),
     ],
 )
 def test_filters_not_prepared_for_the_call_are_refused(prepare):
@@ -354,12 +354,49 @@ def test_filters_not_prepared_for_the_call_are_refused(prepare):
         layer.winograd_layer_conv(PREP_SPEC, weights, x, SYS8, filters=filters)
 
 
+@pytest.mark.parametrize(
+    "moduli,error",
+    [
+        pytest.param((), ValueError, id="no_moduli"),
+        pytest.param((251, 241, 251), NotCoprime, id="not_coprime"),
+    ],
+)
+def test_prepared_filters_refuse_an_unusable_system(moduli, error):
+    # the set derives its RnsSystem when built, so no call ever sees it
+    weights, _ = random_operands(PREP_SPEC, 4)
+    with pytest.raises(error):
+        layer.PreparedFilters(weights, transforms.cached_modular_transforms(4, 3, moduli))
+
+
+def test_prepared_filters_take_only_weights_and_transforms():
+    # residues, system and CRT weights are derived: none can be passed in,
+    # so none can disagree with the weights (residues x 300 as int16 once
+    # ran silently inexact)
+    weights, _ = random_operands(PREP_SPEC, 4)
+    filters = prepared(weights)
+    wide = tuple(u.astype(np.int16) * 300 for u in filters.residues)
+    with pytest.raises(TypeError):
+        layer.PreparedFilters(weights, filters.transforms, wide)
+    with pytest.raises(TypeError):
+        layer.PreparedFilters(weights, filters.transforms, residues=wide)
+    assert layer.precompute_filter_transforms is layer.PreparedFilters
+
+
+def test_replaced_weights_re_derive_the_set():
+    weights, x = random_operands(PREP_SPEC, 4)
+    other, _ = random_operands(PREP_SPEC, 99)
+    filters = replace(prepared(weights), weights=other)
+    assert filters.system == SYS8
+    got = layer.winograd_layer_conv(PREP_SPEC, other, x, SYS8, filters=filters)
+    assert np.array_equal(got, layer.direct_conv(PREP_SPEC, other, x))
+
+
 def test_prepared_filters_are_read_only():
     weights, _ = random_operands(PREP_SPEC, 4)
     filters = prepared(weights)
-    for i in range(len(filters.residues)):
+    for a in (*filters.residues, *filters.crt_weights):
         with pytest.raises(ValueError, match="read-only"):
-            filters.residues[i][0, 0, 0, 0] = 0
+            a[0, 0] = 0
     with pytest.raises(ValueError, match="read-only"):
         filters.weights[0, 0, 0, 0] = 0
     weights[...] = 0  # the caller's array stays theirs to change
@@ -652,8 +689,8 @@ def test_position_gemm_unfolded_at_its_worst_case(monkeypatch, moduli, c, stored
 )
 def test_folds_per_block_by_route(monkeypatch, moduli, per_block):
     # reduce_mod_inplace calls of a two-block layer at F(14x14, 3x3), filters
-    # precomputed: each modulus folds its CRT share once, then per block the
-    # input transform's two GEMMs, the position GEMM and backward_rows_mod
+    # and their CRT weights precomputed: per modulus and block the input
+    # transform's two GEMMs, the position GEMM and backward_rows_mod
     # where they run, each GEMM one slice, folded twice where it runs in
     # float32 past 2**22.  Without lazy folds (251, 241, 239) and 1021 take
     # 3, 1031 and 2039 4, and (4001, 4331) and (32749, 32719) 4 per modulus
@@ -670,7 +707,7 @@ def test_folds_per_block_by_route(monkeypatch, moduli, per_block):
     got = layer.winograd_layer_conv(spec, weights, x, system, filters=filters)
     assert np.array_equal(got, layer.direct_conv(spec, weights, x))
     # and the CRT sum folds mod M once per row chunk, one chunk per block
-    want = {m: 1 + 2 * f for m, f in zip(moduli, per_block)} | {system.dynamic_range: 2}
+    want = {m: 2 * f for m, f in zip(moduli, per_block)} | {system.dynamic_range: 2}
     assert {m: folds.count(m) for m in set(folds)} == want
 
 

@@ -33,7 +33,6 @@ from .layer import (
     LayerSpec,
     count_operations,
     direct_conv,
-    layer_conv,
     range_check,
     read_tensor,
     tile_decompose,
@@ -51,7 +50,7 @@ __all__ = [
     "default_points", "vandermonde", "vandermonde_inverse", "derive_transforms",
     "check_modulus_compatibility", "reduce_transforms_mod",
     "data_width_analysis", "arithmetic_reduction",
-    "LayerSpec", "direct_conv", "winograd_layer_conv", "layer_conv",
+    "LayerSpec", "direct_conv", "winograd_layer_conv",
     "tile_decompose", "range_check", "count_operations",
     "read_tensor", "write_tensor",
     "__version__",

@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager, nullcontext
@@ -412,6 +413,9 @@ def cmd_verify(args) -> int:
 
 
 def _verify_files(args) -> int:
+    # refused before any work; the verdict line is printed before the write
+    if args.output and not os.path.isdir(os.path.dirname(args.output) or "."):
+        raise ConfigError(f"--output {args.output}: no such directory")
     x = layer.read_tensor(args.input)
     weights = layer.read_tensor(args.weights)
     if weights.ndim != 4 or x.ndim != 4:
@@ -432,9 +436,9 @@ def _verify_files(args) -> int:
     ok, line, got = _verify_layer(
         f"{args.input} * {args.weights}", spec, weights, x, system, args.declared_bound
     )
+    print(line)
     if args.output and ok:
         layer.write_tensor(args.output, got)
-    print(line)
     return 0 if ok else 2
 
 
@@ -707,7 +711,7 @@ def main(argv=None) -> int:
         return 0 if e.code == 0 else 1
     try:
         return args.func(args)
-    except (RnsError, ValueError, OSError) as e:
+    except (RnsError, ValueError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -4,16 +4,13 @@ The stages work position first: an array of shape (side, side, ...) is
 transformed over its two leading axes, independently for every trailing
 index, so a whole layer's tiles and channels go through two batched GEMMs,
 both exact on float BLAS (gemm.exact_matmul), in float32 up to
-gemm.float32_fold_edge(m).  The second GEMM folds its output mod m; the
-first hands it the exact unfolded integers, stored in the narrowest float
-that holds them, only where gemm.defer_fold admits them: where the second
-runs in float64 even on folded residues.  Stage inputs are int8 values
-(|x| <= 128, not reduced), residues mod m, integer or float, or an
-unfolded product with its bound; folded outputs are the float32 residues
-exact_matmul returns, so a chain of stages never leaves float.  The
-backward transform runs only its first GEMM here (backward_rows_mod, folded
-or, where the layer's CRT bound admits it, not); the layer finishes it
-inside its CRT reconstruction.
+gemm.float32_fold_edge(m), each folding its output mod m.  The filter and
+input transforms take int8 data (|x| <= 128, not reduced) and return the
+float32 residues exact_matmul returns, so a chain of stages never leaves
+float.  The backward transform runs only its first GEMM here
+(backward_rows_mod), on residues or on a product whose bound the layer
+gives, folded or, where the layer's CRT bound admits it, not; the layer
+finishes it inside its CRT reconstruction.
 """
 
 from __future__ import annotations
@@ -26,27 +23,20 @@ from .transforms import ModularTransformSet
 
 
 def _transform(left: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
-    """left @ x @ left.T over the two leading axes of x, folded mod m.
+    """left @ x @ left.T over the two leading axes of int8 x, folded mod m.
 
     Two GEMMs, each batched over one leading axis and contracting the other:
-    t[j] = left @ x[:, j], then y[a] = left @ t[:, a].  t stays unfolded
-    where gemm.defer_fold admits its bound.  The float conversion reads the
-    swapped axes, and each BLAS call covers one (side, trailing) slab, which
-    the layer keeps small enough for cache and one thread.
+    t[j] = left @ x[:, j], then y[a] = left @ t[:, a].  The float conversion
+    reads the swapped axes, and each BLAS call covers one (side, trailing)
+    slab, which the layer keeps small enough for cache and one thread.
     """
-    side, n = left.shape
+    if x.dtype != np.int8:
+        raise ShapeMismatch(f"transform input must be int8, got {x.dtype}")
+    side = left.shape[0]
     half = (m - 1) // 2
-    xmax = _input_bound(x, half)
-    tmax = n * half * xmax
-    lazy = gemm.defer_fold(n, half, tmax)
-    t = _rows(left, x, m, xmax, not lazy)
-    t = gemm.exact_matmul(left, t.transpose(1, 0, 2), half, tmax if lazy else half, m)
+    t = _rows(left, x, m, gemm.INT8_ABS_PEAK)
+    t = gemm.exact_matmul(left, t.transpose(1, 0, 2), half, half, m)
     return t.reshape((side, side) + x.shape[2:])
-
-
-def _input_bound(x: np.ndarray, half: int) -> int:
-    """|x| of a stage input: int8 data counts as 128, residues as (m-1)/2."""
-    return gemm.INT8_ABS_PEAK if x.dtype == np.int8 else half
 
 
 def _rows(left: np.ndarray, x: np.ndarray, m: int, xmax: int, fold: bool = True) -> np.ndarray:
@@ -67,13 +57,13 @@ def _check_tile(x: np.ndarray, side: int, what: str) -> None:
 
 
 def filter_transform_mod(g: np.ndarray, mt: ModularTransformSet) -> np.ndarray:
-    """G g G^T mod m for filters shaped (r, r, ...)."""
+    """G g G^T mod m for int8 filters shaped (r, r, ...)."""
     _check_tile(g, mt.r, "filter tile")
     return _transform(mt.g, g, mt.modulus)
 
 
 def input_transform_mod(d: np.ndarray, mt: ModularTransformSet) -> np.ndarray:
-    """B^T d B mod m for input patches shaped (n, n, ...)."""
+    """B^T d B mod m for int8 input patches shaped (n, n, ...)."""
     _check_tile(d, mt.n, "input tile")
     return _transform(mt.bt, d, mt.modulus)
 
@@ -84,8 +74,8 @@ def backward_rows_mod(
     """A^T t mod m alone, the backward transform's first GEMM.
 
     tmax bounds |t| where t is an unfolded product (gemm.defer_fold);
-    otherwise t holds int8 data or residues.  Returns (n, m_out, rest)
-    float32 residues for (n, n, ...) products, rest the trailing axes
+    without it t holds residues, |t| <= (m - 1) / 2.  Returns (n, m_out,
+    rest) float32 residues for (n, n, ...) products, rest the trailing axes
     flattened: entry [j, a] is output row a at product column j, so row a of
     A^T t A is mt.at @ [:, a] mod m.  fold=False returns the exact integer
     products instead, in gemm.exact_float_dtype (float32 for 8-bit moduli
@@ -95,5 +85,5 @@ def backward_rows_mod(
     """
     _check_tile(t, mt.n, "product tile")
     if tmax is None:
-        tmax = _input_bound(t, (mt.modulus - 1) // 2)
+        tmax = (mt.modulus - 1) // 2
     return _rows(mt.at, t, mt.modulus, tmax, fold)

@@ -7,25 +7,22 @@ patches go to (n, n, tiles, c_in) once, as raw int8 shared by all moduli;
 per modulus they are transformed, multiplied by the (n, n, c_in, c_out)
 filters in one (tiles x c_in) @ (c_in x c_out) GEMM per position, and
 taken through the backward transform's first GEMM, the residues staying in
-float, the type BLAS computes in, from stage to stage.  A stage folds its
-output mod m only where the next product's exactness bound needs it
-(gemm.defer_fold): where products run in float64 even on folded residues
-(past gemm.float32_fold_edge; with 8-bit moduli, past c = 1,073) the
-input transform's first GEMM and the position GEMM hand on exact unfolded
-integers, and their consumers' folds reduce them.  One reconstruction
+float, the type BLAS computes in, from stage to stage.  The transforms fold
+every GEMM mod m; two folds wait where the next product's bound admits it
+(gemm.defer_fold): the position GEMM's, where the backward rows fold in
+float64 even on residues (15-bit moduli), and the rows', where the CRT sum
+admits unfolded rows (RnsSystem.crt_fits; 8-bit moduli).  One reconstruction
 follows, the Chinese Remainder Theorem (CRT) with cofactor weights: the
 second GEMM of modulus m_i runs on a_i = (M_i^-1 mod m_i) * A_i^T mod m_i,
 and sum_i M_i * (a_i @ t_i), folded mod the dynamic range M, gives the
 int32 outputs, which reach NHWC by reshape, transpose and crop.  That sum
-runs in float64 on the weights M_i * a_i (_crt_scatter), and where its
-bound on unfolded t_i allows, the first GEMM skips its fold too, the CRT
-sum being its consumer.  range_check refuses a system whose sum is past
-the float64 bound (RnsSystem.crt_fits) at the layer's n; no int32 output
-needs one that wide.  The work runs in blocks of tile rows, each block
-taken through every modulus, reconstruction and scatter by one worker.
-Every matrix product is exact on float BLAS (gemm.exact_matmul, or the CRT
-bound for the float64 sum).  Outputs are bit-identical to direct_conv
-whenever the layer passes range_check.
+runs in float64 on the weights M_i * a_i (_crt_scatter).  range_check
+refuses a system whose sum is past the float64 bound at the layer's n; no
+int32 output needs one that wide.  The work runs in blocks of tile rows,
+each block taken through every modulus, reconstruction and scatter by one
+worker.  Every matrix product is exact on float BLAS (gemm.exact_matmul,
+or the CRT bound for the float64 sum).  Outputs are bit-identical to
+direct_conv whenever the layer passes range_check.
 """
 
 from __future__ import annotations
@@ -160,9 +157,11 @@ def tile_decompose(x: np.ndarray, tile_m: int, r: int, padding: int) -> np.ndarr
 @dataclass(frozen=True, eq=False)
 class PreparedFilters:
     """Filters transformed once for every call with the weights, n and moduli
-    they were prepared for.  From (r, r, c, k) weights and one transform set per
-    modulus it derives, read-only: a weight copy, the RnsSystem (an empty or
-    non-coprime list raises), per modulus (n, n, c, k) residues and CRT weights."""
+    they were prepared for.  From (r, r, c, k) int8 weights and one transform set
+    per modulus, all of one size n, it derives, read-only: a weight copy, the
+    RnsSystem, per modulus (n, n, c, k) residues and CRT weights.  Weights that are
+    not int8, transforms of different sizes, or an empty or non-coprime list of
+    moduli raise when it is built."""
 
     weights: np.ndarray
     transforms: tuple[transforms.ModularTransformSet, ...]
@@ -173,6 +172,8 @@ class PreparedFilters:
     def __post_init__(self):
         weights, mts = np.array(self.weights), tuple(self.transforms)
         system = residue.RnsSystem([mt.modulus for mt in mts])
+        if len({mt.n for mt in mts}) > 1:
+            raise ShapeMismatch(f"transforms of sizes {[mt.n for mt in mts]} in one set")
         residues = tuple(
             kernel.filter_transform_mod(weights, mt).astype(gemm.dtype_for_modulus(mt.modulus))
             for mt in mts
@@ -381,7 +382,7 @@ def winograd_layer_conv(
         filters = PreparedFilters(weights, mts)
     elif not (
         isinstance(filters, PreparedFilters)
-        and filters.system == system and all(mt.n == n for mt in filters.transforms)
+        and filters.system == system and filters.transforms[0].n == n
         and np.array_equal(filters.weights, weights)
     ):
         raise ShapeMismatch(

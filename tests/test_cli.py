@@ -382,6 +382,30 @@ def test_verify_file_mode_writes_no_wrong_output(tmp_path, capsys):
     assert not op.exists()
 
 
+def test_verify_output_into_a_missing_directory_runs_no_layer(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(60)
+    xp, wp = tmp_path / "x.qtns", tmp_path / "w.qtns"
+    layer.write_tensor(xp, rng.integers(-128, 128, (1, 16, 16, 4)).astype(np.int8))
+    layer.write_tensor(wp, rng.integers(-128, 128, (3, 3, 4, 8)).astype(np.int8))
+    argv = ["verify", "--input", str(xp), "--weights", str(wp), "--tile", "4", "--output"]
+    ran = []
+    real = layer.winograd_layer_conv
+    monkeypatch.setattr(layer, "winograd_layer_conv", lambda *a: ran.append(a) or real(*a))
+    op = tmp_path / "missing" / "y.qtns"
+    code, out, err = run_cli(capsys, *argv, str(op))
+    assert (code, out, ran) == (1, "", [])
+    assert err == f"error: --output {op}: no such directory\n"
+
+    # a write that fails after the layer ran still shows the verdict
+    def unwritable(path, arr):
+        raise PermissionError(f"[Errno 13] Permission denied: '{path}'")
+
+    monkeypatch.setattr(layer, "write_tensor", unwritable)
+    code, out, err = run_cli(capsys, *argv, str(tmp_path / "y.qtns"))
+    assert code == 1 and len(ran) == 1
+    assert out == f"PASS {xp} * {wp}\n" and "Permission denied" in err
+
+
 FILE_ONLY_FLAGS = ("--tile", "--padding", "--moduli", "--declared-bound", "--output")
 
 
@@ -822,6 +846,20 @@ def test_config_with_a_duplicate_name_prints_nothing(tmp_path, capsys, command):
     code, out, err = run_cli(capsys, command, "--config", str(path))
     assert code == 1 and out == ""
     assert err == f"error: {path}: layer 'layer2': duplicate layer name\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_an_allocation_failure_prints_an_error_line(tmp_path, capsys, monkeypatch, command):
+    # a config layer too large to hold: numpy raises MemoryError when the
+    # operands are drawn, which must not reach the user as a traceback
+    def too_large(spec, *entropy):
+        raise MemoryError("Unable to allocate 273. TiB for an array")
+
+    monkeypatch.setattr(cli, "random_operands", too_large)
+    path = write_small_bench_config(tmp_path)
+    code, out, err = run_cli(capsys, command, "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: Unable to allocate 273. TiB for an array\n"
 
 
 @pytest.mark.parametrize(

@@ -50,12 +50,13 @@ def test_stage_transforms_match_int64_sandwich(modulus):
     rng = np.random.default_rng(modulus)
     half = (modulus - 1) // 2
 
-    g = sym_reduce(rng.integers(-128, 128, (3, 3)), modulus).astype(mt.g.dtype)
+    # int8 data, as the package passes them: weights and raw input patches
+    g = rng.integers(-128, 128, (3, 3)).astype(np.int8)
     got = kernel.filter_transform_mod(g, mt)
     want = sym_reduce(mt.g.astype(np.int64) @ g @ mt.g.T.astype(np.int64), modulus)
     assert np.array_equal(got.astype(np.int64), want)
 
-    d = sym_reduce(rng.integers(-128, 128, (6, 6)), modulus).astype(mt.bt.dtype)
+    d = rng.integers(-128, 128, (6, 6)).astype(np.int8)
     got = kernel.input_transform_mod(d, mt)
     want = sym_reduce(mt.bt.astype(np.int64) @ d @ mt.bt.T.astype(np.int64), modulus)
     assert np.array_equal(got.astype(np.int64), want)
@@ -74,45 +75,62 @@ def test_stage_transforms_match_int64_sandwich(modulus):
 
 
 @pytest.mark.parametrize(
-    "modulus,lazy,dtype",
+    "modulus,first,second",
     [
-        # the second GEMM's bound on a folded operand, 16 * h**2, against
-        # gemm.float32_fold_edge(m): within it the second GEMM runs in float32
-        # (folding twice past 2**22), so the first GEMM folds
-        (251, False, np.float32),  # 16 * 125**2 <= 2**22: one fold
-        (1021, False, np.float32),  # 16 * 510**2 <= 2**22 by 0.8%: one fold
-        (1031, False, np.float32),  # past 2**22 by 1.2%: two folds
-        (2039, False, np.float32),  # 16 * 1019**2 within the edge by 1.0%
-        (2053, True, np.float32),  # past it by 0.4%; 16 * 1026 * 128 <= 2**24
-        (4331, True, np.float32),  # 16 * 2165 * 128 <= 2**24
-        (32749, True, np.float64),
+        # the float type of each fold pass of the two GEMMs: a GEMM runs in
+        # float32 up to gemm.float32_fold_edge(m), folding twice past 2**22,
+        # and in float64 above; the first GEMM's bound is 16 * h * 128 on
+        # int8 input, the second's 16 * h**2
+        (251, "f4", "f4"),
+        (1021, "f4", "f4"),  # 16 * 510**2 within 2**22 by 0.8%
+        (1031, "f4", "f4f4"),  # past it by 1.2%
+        (2039, "f4", "f4f4"),  # 16 * 1019**2 within the edge by 1.0%
+        (2053, "f4", "f8"),  # past it by 0.4%
+        (4331, "f4f4", "f8"),  # 16 * 2165 * 128 past 2**22 by 5.7%
+        (32749, "f8", "f8"),  # 16 * 16374 * 128 past 2**24
     ],
 )
-def test_transform_first_gemm_unfolded_at_its_worst_case(monkeypatch, modulus, lazy, dtype):
+def test_transform_first_gemm_folded_at_its_worst_case(monkeypatch, modulus, first, second):
     # every entry of left at +-h with one sign per row, every input at -128:
-    # the first GEMM reaches n * h * 128 and the second n * h times that,
-    # each partial sum growing in magnitude; compared with integer arithmetic
+    # the first GEMM reaches n * h * 128 and the second n * h times its
+    # folded output, each partial sum growing in magnitude; compared with
+    # integer arithmetic
     n, h = 16, (modulus - 1) // 2
     signs = np.where(np.random.default_rng(modulus).random(n) < 0.5, -1, 1)
     left = np.repeat(h * signs[:, None], n, axis=1).astype(np.int16)
     x = np.full((n, n, 3), -128, np.int8)
-    calls = []
-    matmul = gemm.exact_matmul
+    calls, passes = [], []
+    matmul, reduce = gemm.exact_matmul, gemm.reduce_mod_inplace
 
-    def spy(a, b, amax, bmax, m=None, fold=True):
-        calls.append((bmax, fold, matmul(a, b, amax, bmax, m, fold)))
-        return calls[-1][2]
+    def spy_matmul(a, b, amax, bmax, m=None, fold=True):
+        passes.clear()
+        out = matmul(a, b, amax, bmax, m, fold)
+        calls.append((bmax, fold, out, "".join(passes)))
+        return out
 
-    monkeypatch.setattr(gemm, "exact_matmul", spy)
+    def spy_reduce(acc, m, q=None):
+        passes.append(acc.dtype.str[1:])
+        return reduce(acc, m, q)
+
+    monkeypatch.setattr(gemm, "exact_matmul", spy_matmul)
+    monkeypatch.setattr(gemm, "reduce_mod_inplace", spy_reduce)
     got = kernel._transform(left, x, modulus)
-    (_, fold, t), (bmax, _, _) = calls
-    assert t.dtype == dtype
-    if lazy:
-        assert not fold and np.abs(t).max() == bmax == n * h * 128
-    else:
-        assert fold and np.abs(t).max() <= bmax == h
+    (bmax0, fold, t, passes0), (bmax1, _, _, passes1) = calls
+    assert (bmax0, bmax1) == (128, h) and fold and t.dtype == np.float32
+    assert np.abs(t).max() <= h
+    assert (passes0, passes1) == (first, second)
     want = -128 * n * n * h * h * np.outer(signs, signs)
     assert np.array_equal(got[:, :, 0].astype(np.int64), sym_reduce(want, modulus))
+
+
+def test_transforms_take_int8_data_only():
+    # the package passes the transforms int8 patches and weights only, and
+    # their exactness bound counts every input at 128
+    (mt,) = modular_sets(4, 3, [4001])
+    with pytest.raises(ShapeMismatch, match="int8"):
+        kernel.filter_transform_mod(np.zeros((3, 3), np.int16), mt)
+    with pytest.raises(ShapeMismatch, match="int8"):
+        kernel.input_transform_mod(np.zeros((6, 6, 2), np.float32), mt)
 
 
 def test_stage_transforms_reject_wrong_tile_shape():

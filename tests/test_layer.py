@@ -355,17 +355,34 @@ def test_filters_not_prepared_for_the_call_are_refused(prepare):
 
 
 @pytest.mark.parametrize(
-    "moduli,error",
+    "mts,error",
     [
         pytest.param((), ValueError, id="no_moduli"),
-        pytest.param((251, 241, 251), NotCoprime, id="not_coprime"),
+        pytest.param(
+            transforms.cached_modular_transforms(4, 3, (251, 241, 251)), NotCoprime,
+            id="not_coprime",
+        ),
+        # F(4, 3) mod 251 holds (6, 6, c, k) residues, F(6, 3) mod 241 (8, 8, c, k)
+        pytest.param(
+            transforms.cached_modular_transforms(4, 3, (251,))
+            + transforms.cached_modular_transforms(6, 3, (241,)), ShapeMismatch,
+            id="mixed_sizes",
+        ),
     ],
 )
-def test_prepared_filters_refuse_an_unusable_system(moduli, error):
-    # the set derives its RnsSystem when built, so no call ever sees it
+def test_prepared_filters_refuse_an_unusable_system(mts, error):
+    # the set derives its RnsSystem and its one n when built, so no call
+    # ever sees it
     weights, _ = random_operands(PREP_SPEC, 4)
     with pytest.raises(error):
-        layer.PreparedFilters(weights, transforms.cached_modular_transforms(4, 3, moduli))
+        layer.PreparedFilters(weights, mts)
+
+
+def test_prepared_filters_refuse_non_int8_weights():
+    # the filter transform takes int8 data only, as a layer call does
+    weights, _ = random_operands(PREP_SPEC, 4)
+    with pytest.raises(ShapeMismatch, match="int8"):
+        prepared(weights.astype(np.int16))
 
 
 def test_prepared_filters_take_only_weights_and_transforms():
@@ -679,12 +696,14 @@ def test_position_gemm_unfolded_at_its_worst_case(monkeypatch, moduli, c, stored
         # one-pass edge: 1021 within by 0.8% folds it once, 1031 past by
         # 1.2% twice
         ((1021, 1031), (3, 4)),
-        ((4001, 4331), (2, 2)),
-        ((32749, 32719), (2, 2)),
+        # the input transform's first GEMM, 16 * h * 128: 4001 within 2**22
+        # folds once, 4331 past it twice, 32749 and 32719 past 2**24 once in
+        # float64; the position GEMM's fold waits for the backward rows
+        ((4001, 4331), (3, 4)),
+        ((32749, 32719), (3, 3)),
         # and against gemm.float32_fold_edge: 2039 within by 1.0% folds
-        # twice in float32, 2053 past by 0.4% runs it in float64 and leaves
-        # the first GEMM unfolded
-        ((2039, 2053), (4, 2)),
+        # twice in float32, 2053 past by 0.4% once in float64
+        ((2039, 2053), (4, 3)),
     ],
 )
 def test_folds_per_block_by_route(monkeypatch, moduli, per_block):
@@ -692,9 +711,9 @@ def test_folds_per_block_by_route(monkeypatch, moduli, per_block):
     # and their CRT weights precomputed: per modulus and block the input
     # transform's two GEMMs, the position GEMM and backward_rows_mod
     # where they run, each GEMM one slice, folded twice where it runs in
-    # float32 past 2**22.  Without lazy folds (251, 241, 239) and 1021 take
-    # 3, 1031 and 2039 4, and (4001, 4331) and (32749, 32719) 4 per modulus
-    # and block
+    # float32 past 2**22.  Without the position GEMM's wait, c * h**2 would
+    # fold twice in float32 for 4001 and 4331 and once in float64 for
+    # 32749 and 32719
     monkeypatch.setattr(layer, "_BLOCK_BYTES", 1)
     monkeypatch.setattr(gemm, "_SLICE_BYTES", 1 << 30)
     monkeypatch.setenv("RNSW_THREADS", "1")

@@ -9,6 +9,9 @@ in float32 up to float32_fold_edge(m), twice past 2**22, and in float64
 above, once up to 2**51.  The fold is lazy: a product whose consumer is
 itself a modular product may hand it the exact unfolded integers instead,
 where defer_fold admits them, and the consumer's own fold reduces both.
+A product runs in slices along its leading axis whose float copies take at
+most max(1 MB, twice the float bytes of the operands converted once)
+(exact_matmul).
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ FLOAT64_EXACT = 2**53
 FLOAT32_FOLD = 2**22
 FLOAT64_FOLD = 2**51
 
-# Bytes of the float copies made per slice of an exact_matmul result.
+# Bytes of the float copies made per slice of an exact_matmul result, the
+# least budget: a product whose operands converted once are larger gets twice
+# their float bytes.
 _SLICE_BYTES = 1 << 20
 
 
@@ -101,7 +106,12 @@ def exact_matmul(
     unfolded: the exact integers, computed and stored in exact_float_dtype.
     OverflowRisk otherwise.  Operands broadcast like matmul; the result is
     computed and folded in slices along its leading axis, converting an
-    operand that does not run along it only once.
+    operand that does not run along it only once.  A slice's float copies
+    (its part of the output and of an operand that runs along that axis)
+    take at most max(_SLICE_BYTES, twice the float bytes of the operands
+    converted once), and at least one leading index: BLAS packs the operand
+    converted once again for every slice, so a large one gets slices that
+    use it over many rows.
     """
     shape = _product_shape(a, b)
     for x in (a, b):
@@ -134,7 +144,8 @@ def exact_matmul(
     af = a if split_a else a.astype(ft, copy=False)
     bf = b if split_b else b.astype(ft, copy=False)
     row = out[0].size + (a[0].size if split_a else 0) + (b[0].size if split_b else 0)
-    step = max(1, _SLICE_BYTES // (row * ft.itemsize))
+    once = (0 if split_a else a.size) + (0 if split_b else b.size)
+    step = max(1, max(_SLICE_BYTES, 2 * once * ft.itemsize) // (row * ft.itemsize))
     for i in range(0, out.shape[0], step):
         s = slice(i, i + step)
         x = af[s].astype(ft, copy=False) if split_a else af

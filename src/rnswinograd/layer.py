@@ -20,21 +20,28 @@ runs in float64 on the weights M_i * a_i (_crt_scatter).  range_check
 refuses a system whose sum is past the float64 bound at the layer's n; no
 int32 output needs one that wide.  The work runs in blocks of tile rows,
 each block taken through every modulus, reconstruction and scatter by one
-worker.  Every matrix product is exact on float BLAS (gemm.exact_matmul,
-or the CRT bound for the float64 sum).  Outputs are bit-identical to
-direct_conv whenever the layer passes range_check.
+worker of the package's one persistent pool, which direct_conv's row parts
+share; during a layer call OpenBLAS runs one thread, so the pool alone
+spreads the work over the cores.  Every matrix product is exact on float
+BLAS (gemm.exact_matmul, or the CRT bound for the float64 sum).  Outputs
+are bit-identical to direct_conv whenever the layer passes range_check.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import struct
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import ContextDecorator
 from dataclasses import astuple, dataclass, field, fields
 from fractions import Fraction
 from math import ceil, prod
-from typing import Sequence
+from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -115,17 +122,121 @@ def im2col(x: np.ndarray, r: int, stride: int, padding: int) -> np.ndarray:
     )
 
 
+def _worker_count(n_tasks: int) -> int:
+    """RNSW_THREADS caps the workers; by default one per usable core."""
+    try:
+        cap = int(os.environ.get("RNSW_THREADS", ""))
+    except ValueError:
+        if hasattr(os, "sched_getaffinity"):
+            cap = len(os.sched_getaffinity(0))
+        else:
+            cap = os.cpu_count() or 1
+    return min(max(cap, 1), n_tasks)
+
+
+@functools.cache
+def _pool(workers: int, pid: int) -> ThreadPoolExecutor:
+    """The package's pool of that many workers in process pid, kept across
+    calls; a forked child, whose pid differs, builds its own, as the parent's
+    worker threads do not exist in it."""
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="rnswinograd")
+
+
+def _run(task: Callable, items: Sequence) -> list:
+    """[task(i) for i in items] on up to _worker_count(len(items)) workers of
+    the package's pool, or on the calling thread where that is one."""
+    workers = _worker_count(len(items))
+    if workers == 1:
+        return [task(i) for i in items]
+    pool = _pool(workers, os.getpid())
+    futures = [pool.submit(task, i) for i in items]
+    wait(futures)  # no task outlives the call, even where one raises
+    return [f.result() for f in futures]
+
+
+@functools.cache
+def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The get and set of the thread count of the OpenBLAS bundled with
+    numpy's wheel (numpy.libs, or .dylibs on macOS); None where none is found."""
+    root = Path(np.__file__).parent
+    for path in sorted([*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix in ("scipy_", ""):
+            for suffix in ("64_", "_64", ""):
+                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+class _OneBlasThread(ContextDecorator):
+    """Holds OpenBLAS at one thread while any layer call is in flight.
+
+    The layer's work runs on the package's pool, and OpenBLAS's own helper
+    threads would compete with it for the cores, polling for a while after
+    every threaded call.  Its thread count is one setting for the whole
+    process, so one count of the calls in flight guards it: the first call in
+    saves the setting and sets one thread, the last one out restores it.  BLAS
+    calls other threads make meanwhile run on one thread too.  Where no
+    OpenBLAS is found (_openblas) it does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._calls = 0
+        self._saved = 1
+
+    def __enter__(self):
+        blas = _openblas()
+        if blas is not None:
+            with self._lock:
+                if self._calls == 0:
+                    self._saved = blas[0]()
+                    blas[1](1)
+                self._calls += 1
+        return self
+
+    def __exit__(self, *exc):
+        blas = _openblas()
+        if blas is not None:
+            with self._lock:
+                self._calls -= 1
+                if self._calls == 0:
+                    blas[1](self._saved)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
+@_one_blas_thread
 def direct_conv(spec: LayerSpec, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Reference convolution: im2col plus one exact GEMM.
+    """Reference convolution: im2col plus exact GEMMs.
 
     Exact by construction (exact_matmul bounds the full r*r*c dot length
     with int8 operands at 128), used as the oracle the fast path is compared
-    against; it runs on the same GEMM engine as the fast path.
+    against; it runs on the same GEMM engine as the fast path.  The im2col
+    rows are cut into _worker_count(rows) contiguous parts, and the package's
+    pool runs each part's exact_matmul into one int32 output, with OpenBLAS
+    held to one thread (_OneBlasThread), as in the fast path.
     """
     _check_operands(spec, weights, x)
     cols = im2col(x, spec.r, spec.stride, spec.padding)
     wmat = weights.reshape(-1, spec.k)
-    out = gemm.exact_matmul(cols, wmat, gemm.INT8_ABS_PEAK, gemm.INT8_ABS_PEAK)
+    out = np.empty((len(cols), spec.k), dtype=np.int32)
+    parts = _worker_count(len(cols))
+    cuts = [len(cols) * i // parts for i in range(parts + 1)]
+
+    def part(i: int) -> None:
+        s = slice(cuts[i], cuts[i + 1])
+        out[s] = gemm.exact_matmul(cols[s], wmat, gemm.INT8_ABS_PEAK, gemm.INT8_ABS_PEAK)
+
+    _run(part, range(parts))
     return out.reshape(spec.batch, spec.out_h, spec.out_w, spec.k)
 
 
@@ -242,18 +353,6 @@ class StageTimings:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
-def _worker_count(n_tasks: int) -> int:
-    """RNSW_THREADS caps the workers; by default one per usable core."""
-    try:
-        cap = int(os.environ.get("RNSW_THREADS", ""))
-    except ValueError:
-        if hasattr(os, "sched_getaffinity"):
-            cap = len(os.sched_getaffinity(0))
-        else:
-            cap = os.cpu_count() or 1
-    return min(max(cap, 1), n_tasks)
-
-
 # Bytes of a tile block's widest intermediate at 8 bytes per element; each
 # worker holds a few arrays of about that size at once.
 _BLOCK_BYTES = 1 << 21
@@ -346,6 +445,7 @@ def _crt_scatter(
         t.scatter += time.perf_counter() - t1
 
 
+@_one_blas_thread
 def winograd_layer_conv(
     spec: LayerSpec,
     weights: np.ndarray,
@@ -364,9 +464,10 @@ def winograd_layer_conv(
 
     The tile rows are cut into blocks, and each block goes through every
     modulus, the float64 CRT reconstruction and the scatter into its own
-    output rows; a pool of up to RNSW_THREADS workers (default: the usable
-    cores) takes the blocks, and a layer of one block runs inline.  The
-    tiling covers unit stride only, so a strided layer runs direct_conv.
+    output rows; the package's pool, up to RNSW_THREADS workers (default:
+    the usable cores), takes the blocks, and a layer of one block runs
+    inline.  OpenBLAS runs one thread for the whole call (_OneBlasThread).
+    The tiling covers unit stride only, so a strided layer runs direct_conv.
 
     Raises DynamicRangeExceeded when range_check refuses the layer (an
     output bound below 1, past the signed bound or past int32, the output
@@ -416,14 +517,7 @@ def winograd_layer_conv(
         _crt_scatter(res, filters.crt_weights, system, canvas[r0 : r0 + rows], t)
         return t
 
-    starts = range(0, b * th, step)
-    workers = _worker_count(len(starts))
-    if workers == 1:
-        done = [block(r0) for r0 in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(block, starts))
-    for t in done:
+    for t in _run(block, range(0, b * th, step)):
         timings.add(t)
 
     t0 = time.perf_counter()

@@ -306,7 +306,8 @@ def test_criterion_8_bench_vgg16():
     record_acceptance(
         f"criterion 8: PASS ({elapsed:.0f}s) all 13 published layer shapes "
         f"bit-exact end to end; measured ratios (reported, not asserted; one "
-        f"block worker per usable core, OpenBLAS threaded): "
+        f"worker per usable core in one persistent pool for both paths, OpenBLAS "
+        f"at one thread inside each layer call): "
         f"total {total_direct / total_rns:.2f}x; {reported}"
     )
 

@@ -250,6 +250,40 @@ def test_exact_matmul_slices_match_oracle(monkeypatch):
         assert np.all(np.abs(red) <= 125)
 
 
+@pytest.mark.parametrize(
+    "rows,depth,k,slices",
+    [
+        # b converted once takes 2 * 288 * 32 * 4 = 73,728 bytes, within the
+        # 1 MB floor: 1 MB // ((288 + 32) * 4) = 819 rows a slice
+        (2000, 288, 32, 3),
+        # b takes 2 * 1024 * 512 * 4 = 4 MB, past the floor:
+        # 4 MB // ((1024 + 512) * 4) = 682 rows a slice (the floor gives 170)
+        (1000, 1024, 512, 2),
+    ],
+)
+def test_exact_matmul_slice_budget_counts_the_operand_converted_once(
+    monkeypatch, rows, depth, k, slices
+):
+    calls = []
+    matmul = np.matmul
+
+    def spy(x, y, **kwargs):
+        calls.append(x.shape[0])
+        return matmul(x, y, **kwargs)
+
+    rng = np.random.default_rng(rows)
+    a = rng.integers(-128, 128, (rows, depth)).astype(np.int8)
+    b = rng.integers(-128, 128, (depth, k)).astype(np.int8)
+    assert gemm._SLICE_BYTES == 1 << 20
+    monkeypatch.setattr(np, "matmul", spy)
+    got = gemm.exact_matmul(a, b, 128, 128)
+    monkeypatch.undo()
+    assert len(calls) == slices
+    assert sum(calls) == rows
+    # float64 holds every partial sum of these products exactly
+    assert np.array_equal(got, np.matmul(a.astype(np.float64), b.astype(np.float64)))
+
+
 def test_exact_matmul_shape_and_dtype_errors():
     a8 = np.zeros((2, 3), np.int8)
     with pytest.raises(ShapeMismatch):

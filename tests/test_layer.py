@@ -5,8 +5,10 @@ a different decomposition from both the im2col reference and the tiled fast
 path, so agreement of all three is meaningful.
 """
 
+import multiprocessing
 import os
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -122,6 +124,8 @@ def test_direct_conv_matches_naive(kw):
     [(113, [1017]), (114, [1024, 2])],
 )
 def test_direct_conv_float32_pieces_at_their_edge(monkeypatch, c, pieces):
+    # two workers take the 9 output rows in two parts, each its own pieces
+    monkeypatch.setenv("RNSW_THREADS", "2")
     spec = layer.LayerSpec(h=5, w=5, c=c, k=2, r=3)
     weights = np.full(spec.weight_shape(), -128, np.int8)
     x = np.full(spec.input_shape(), -128, np.int8)
@@ -135,7 +139,7 @@ def test_direct_conv_float32_pieces_at_their_edge(monkeypatch, c, pieces):
     monkeypatch.setattr(np, "matmul", spy)
     got = layer.direct_conv(spec, weights, x)
     monkeypatch.undo()
-    assert depths == [(np.float32, d) for d in pieces]
+    assert sorted(depths) == sorted([(np.float32, d) for d in pieces] * 2)
     assert np.all(got == 9 * c * 128**2)
     assert np.array_equal(got.astype(np.int64), naive_conv(spec, weights, x))
 
@@ -419,6 +423,15 @@ def test_prepared_filters_are_read_only():
     weights[...] = 0  # the caller's array stays theirs to change
 
 
+# direct_conv cuts its im2col rows into one contiguous part per worker
+DIRECT_SPLIT_SPECS = {
+    "2 rows, fewer than the workers": layer.LayerSpec(h=3, w=4, c=3, k=3, r=3),
+    "25 rows, split unevenly": layer.LayerSpec(h=5, w=5, c=4, k=3, r=3, padding=1),
+    "c=113, one float32 product": layer.LayerSpec(h=5, w=5, c=113, k=2, r=3),
+    "c=114, float32 pieces": layer.LayerSpec(h=5, w=5, c=114, k=2, r=3),
+}
+
+
 def test_thread_count_does_not_change_results(monkeypatch):
     spec = layer.LayerSpec(h=10, w=10, c=3, k=3, r=3, padding=1, tile_m=4)
     weights, x = random_operands(spec, 6)
@@ -427,6 +440,12 @@ def test_thread_count_does_not_change_results(monkeypatch):
     monkeypatch.setenv("RNSW_THREADS", "3")
     threaded = layer.winograd_layer_conv(spec, weights, x, SYS8)
     assert np.array_equal(serial, threaded)
+    for threads in ("1", "3", "8"):
+        monkeypatch.setenv("RNSW_THREADS", threads)
+        for name, d in DIRECT_SPLIT_SPECS.items():
+            w, xd = random_operands(d, 7)
+            got = layer.direct_conv(d, w, xd)
+            assert np.array_equal(got.astype(np.int64), naive_conv(d, w, xd)), (threads, name)
 
 
 def test_thread_cap_parsing(monkeypatch):
@@ -457,6 +476,154 @@ def test_block_workers_under_fast_switching_match_direct(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(got, layer.direct_conv(spec, weights, x))
+
+
+@pytest.fixture
+def blas_threads():
+    """Reads numpy's OpenBLAS thread count, set to 2 for the test and restored after."""
+    blas = layer._openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS found next to numpy")
+    get, put = blas
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+def spy_blas_threads(monkeypatch, get):
+    """Wrap kernel.input_transform_mod and gemm.exact_matmul; returns the list
+    of the OpenBLAS thread counts they read."""
+    seen = []
+    for module, name in ((kernel, "input_transform_mod"), (gemm, "exact_matmul")):
+
+        def spy(*args, _wrapped=getattr(module, name), **kwargs):
+            seen.append(get())
+            return _wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+# with _BLOCK_BYTES at 1, six blocks of one tile row each
+BLAS_SPEC = layer.LayerSpec(h=12, w=12, c=3, k=4, r=3, padding=1, tile_m=2)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_openblas_runs_one_thread_inside_layer_calls(monkeypatch, blas_threads, threads):
+    monkeypatch.setattr(layer, "_BLOCK_BYTES", 1)
+    monkeypatch.setenv("RNSW_THREADS", threads)
+    seen = spy_blas_threads(monkeypatch, blas_threads)
+    weights, x = random_operands(BLAS_SPEC, 30)
+    fast = layer.winograd_layer_conv(BLAS_SPEC, weights, x, SYS8)
+    assert seen and set(seen) == {1}
+    assert blas_threads() == 2
+    seen.clear()
+    direct = layer.direct_conv(BLAS_SPEC, weights, x)
+    assert seen and set(seen) == {1}
+    assert blas_threads() == 2
+    assert np.array_equal(fast, direct)
+
+
+def test_openblas_threads_restored_after_a_raising_call(monkeypatch, blas_threads):
+    monkeypatch.setattr(layer, "_BLOCK_BYTES", 1)
+    monkeypatch.setenv("RNSW_THREADS", "2")
+    weights, x = random_operands(BLAS_SPEC, 31)
+    passes = layer._modulus_pass
+
+    def fail(*args):
+        raise RuntimeError("modulus pass failed")
+
+    monkeypatch.setattr(layer, "_modulus_pass", fail)
+    with pytest.raises(RuntimeError, match="modulus pass failed"):
+        layer.winograd_layer_conv(BLAS_SPEC, weights, x, SYS8)
+    assert blas_threads() == 2
+    # the raising call left no call counted in flight
+    monkeypatch.setattr(layer, "_modulus_pass", passes)
+    seen = spy_blas_threads(monkeypatch, blas_threads)
+    layer.winograd_layer_conv(BLAS_SPEC, weights, x, SYS8)
+    assert seen and set(seen) == {1}
+    assert blas_threads() == 2
+
+
+def test_openblas_threads_restored_after_concurrent_calls(monkeypatch, blas_threads):
+    # four callers on three pool workers, fast and direct calls interleaved
+    # under a thread switch every few microseconds: a lost update to the
+    # count of calls in flight shows as a thread count other than 1 inside a
+    # call or other than 2 after them
+    monkeypatch.setattr(layer, "_BLOCK_BYTES", 1)
+    monkeypatch.setenv("RNSW_THREADS", "3")
+    seen = spy_blas_threads(monkeypatch, blas_threads)
+    weights, x = random_operands(BLAS_SPEC, 32)
+    want = layer.direct_conv(BLAS_SPEC, weights, x)
+    results = []
+
+    def caller():
+        for _ in range(3):
+            results.append(layer.winograd_layer_conv(BLAS_SPEC, weights, x, SYS8))
+            results.append(layer.direct_conv(BLAS_SPEC, weights, x))
+
+    callers = [threading.Thread(target=caller) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert len(results) == 24
+    assert all(np.array_equal(got, want) for got in results)
+    assert set(seen) == {1}
+    assert blas_threads() == 2
+
+
+def test_blas_scope_does_nothing_without_openblas(monkeypatch, tmp_path, blas_threads):
+    # a numpy whose directories hold no loadable OpenBLAS: the lookup finds
+    # nothing, and layer calls leave the thread count as they find it
+    libs = tmp_path / "numpy.libs"
+    libs.mkdir()
+    (libs / "libscipy_openblas64_-0.so").write_bytes(b"not a library")
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    assert layer._openblas.__wrapped__() is None
+    monkeypatch.undo()
+    monkeypatch.setattr(layer, "_openblas", lambda: None)
+    monkeypatch.setattr(layer, "_BLOCK_BYTES", 1)
+    monkeypatch.setenv("RNSW_THREADS", "2")
+    seen = spy_blas_threads(monkeypatch, blas_threads)
+    weights, x = random_operands(BLAS_SPEC, 33)
+    fast = layer.winograd_layer_conv(BLAS_SPEC, weights, x, SYS8)
+    direct = layer.direct_conv(BLAS_SPEC, weights, x)
+    assert seen and set(seen) == {2}
+    assert np.array_equal(fast, direct)
+
+
+def _pooled_call_in_child():
+    weights, x = random_operands(BLAS_SPEC, 34)
+    got = layer.winograd_layer_conv(BLAS_SPEC, weights, x, SYS8)
+    sys.exit(0 if np.array_equal(got, layer.direct_conv(BLAS_SPEC, weights, x)) else 3)
+
+
+# forking a process that runs threads is what this test checks; Python 3.12
+# on warns of it
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_runs_pooled_calls(monkeypatch):
+    # the parent's pool exists before the fork; its threads do not in the
+    # child, which must build its own pool rather than wait on that one
+    monkeypatch.setattr(layer, "_BLOCK_BYTES", 1)
+    monkeypatch.setenv("RNSW_THREADS", "2")
+    weights, x = random_operands(BLAS_SPEC, 34)
+    layer.winograd_layer_conv(BLAS_SPEC, weights, x, SYS8)
+    child = multiprocessing.get_context("fork").Process(target=_pooled_call_in_child)
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child's pooled call hung")
+    assert child.exitcode == 0
 
 
 def count_folds(monkeypatch):

@@ -122,8 +122,8 @@ def im2col(x: np.ndarray, r: int, stride: int, padding: int) -> np.ndarray:
     )
 
 
-def _worker_count(n_tasks: int) -> int:
-    """RNSW_THREADS caps the workers; by default one per usable core."""
+def _worker_count() -> int:
+    """The package's thread cap: RNSW_THREADS, or the usable cores; at least 1."""
     try:
         cap = int(os.environ.get("RNSW_THREADS", ""))
     except ValueError:
@@ -131,22 +131,21 @@ def _worker_count(n_tasks: int) -> int:
             cap = len(os.sched_getaffinity(0))
         else:
             cap = os.cpu_count() or 1
-    return min(max(cap, 1), n_tasks)
+    return max(cap, 1)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _pool(workers: int, pid: int) -> ThreadPoolExecutor:
-    """The package's pool of that many workers in process pid, kept across
-    calls; a forked child, whose pid differs, builds its own, as the parent's
-    worker threads do not exist in it."""
+    """The package's one pool, of the cap's workers, in process pid; a changed
+    cap, or a forked child, which has none of the parent's threads, replaces it."""
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="rnswinograd")
 
 
 def _run(task: Callable, items: Sequence) -> list:
-    """[task(i) for i in items] on up to _worker_count(len(items)) workers of
-    the package's pool, or on the calling thread where that is one."""
-    workers = _worker_count(len(items))
-    if workers == 1:
+    """[task(i) for i in items] on the package's pool, or inline where the cap is
+    1 or there is one item; no task calls _run, so the pool cannot deadlock."""
+    workers = _worker_count()
+    if workers == 1 or len(items) < 2:
         return [task(i) for i in items]
     pool = _pool(workers, os.getpid())
     futures = [pool.submit(task, i) for i in items]
@@ -183,19 +182,26 @@ class _OneBlasThread(ContextDecorator):
     every threaded call.  Its thread count is one setting for the whole
     process, so one count of the calls in flight guards it: the first call in
     saves the setting and sets one thread, the last one out restores it.  BLAS
-    calls other threads make meanwhile run on one thread too.  Where no
-    OpenBLAS is found (_openblas) it does nothing.
+    calls other threads make meanwhile run on one thread too.  A forked child
+    restores what its parent's calls in flight saved, then counts afresh.
+    Where no OpenBLAS is found (_openblas) it does nothing.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
+        self._locks = {}  # by pid: a fork copies a lock held by another thread
+        self._pid = os.getpid()
         self._calls = 0
         self._saved = 1
 
     def __enter__(self):
         blas = _openblas()
         if blas is not None:
-            with self._lock:
+            pid = os.getpid()
+            with self._locks.setdefault(pid, threading.Lock()):
+                if self._pid != pid:
+                    if self._calls:
+                        blas[1](self._saved)
+                    self._pid, self._calls = pid, 0
                 if self._calls == 0:
                     self._saved = blas[0]()
                     blas[1](1)
@@ -205,7 +211,7 @@ class _OneBlasThread(ContextDecorator):
     def __exit__(self, *exc):
         blas = _openblas()
         if blas is not None:
-            with self._lock:
+            with self._locks[os.getpid()]:
                 self._calls -= 1
                 if self._calls == 0:
                     blas[1](self._saved)
@@ -221,15 +227,15 @@ def direct_conv(spec: LayerSpec, weights: np.ndarray, x: np.ndarray) -> np.ndarr
     Exact by construction (exact_matmul bounds the full r*r*c dot length
     with int8 operands at 128), used as the oracle the fast path is compared
     against; it runs on the same GEMM engine as the fast path.  The im2col
-    rows are cut into _worker_count(rows) contiguous parts, and the package's
-    pool runs each part's exact_matmul into one int32 output, with OpenBLAS
-    held to one thread (_OneBlasThread), as in the fast path.
+    rows are cut into a contiguous part per worker of the cap (at most one per
+    row); the package's pool runs each part's exact_matmul into one int32
+    output, with OpenBLAS at one thread (_OneBlasThread), as the fast path.
     """
     _check_operands(spec, weights, x)
     cols = im2col(x, spec.r, spec.stride, spec.padding)
     wmat = weights.reshape(-1, spec.k)
     out = np.empty((len(cols), spec.k), dtype=np.int32)
-    parts = _worker_count(len(cols))
+    parts = min(_worker_count(), len(cols))
     cuts = [len(cols) * i // parts for i in range(parts + 1)]
 
     def part(i: int) -> None:
@@ -250,6 +256,9 @@ def tile_decompose(x: np.ndarray, tile_m: int, r: int, padding: int) -> np.ndarr
     (i * tile_m, j * tile_m), and its m x m outputs land at the same offset
     of the output plane, cropped to out_h x out_w.
     """
+    for name, v, least in (("tile_m", tile_m, 1), ("r", r, 1), ("padding", padding, 0)):
+        if v < least:
+            raise ValueError(f"{name} must be at least {least}, got {v!r}")
     b, h, w, c = x.shape
     n = tile_m + r - 1
     out_h = h + 2 * padding - r + 1

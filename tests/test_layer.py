@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -192,9 +193,26 @@ def test_tile_decompose_patch_content_matches_padded_input():
             assert np.array_equal(patches[:, i, j], want)
 
 
-def test_tile_decompose_rejects_undersized_input():
-    with pytest.raises(ShapeMismatch):
-        layer.tile_decompose(np.zeros((1, 2, 2, 1), np.int8), 2, 3, 0)
+@pytest.mark.parametrize(
+    "shape,tile_m,r,padding,error,message",
+    [
+        pytest.param((1, 2, 2, 1), 2, 3, 0, ShapeMismatch, "padded input smaller than the filter",
+                     id="undersized"),
+        # unchecked, tile_m = 0 divides by zero, tile_m = -1 and padding = -1
+        # fail inside numpy, and r = 0 returns 1 x 1 patches
+        pytest.param((1, 8, 8, 1), 0, 3, 0, ValueError, "tile_m must be at least 1, got 0",
+                     id="tile_m=0"),
+        pytest.param((1, 8, 8, 1), -1, 3, 0, ValueError, "tile_m must be at least 1, got -1",
+                     id="tile_m=-1"),
+        pytest.param((1, 4, 4, 1), 2, 0, 0, ValueError, "r must be at least 1, got 0", id="r=0"),
+        pytest.param((1, 8, 8, 1), 2, 3, -1, ValueError, "padding must be at least 0, got -1",
+                     id="padding=-1"),
+    ],
+)
+def test_tile_decompose_rejects_bad_arguments(shape, tile_m, r, padding, error, message):
+    with pytest.raises(error) as info:
+        layer.tile_decompose(np.zeros(shape, np.int8), tile_m, r, padding)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -449,16 +467,46 @@ def test_thread_count_does_not_change_results(monkeypatch):
 
 
 def test_thread_cap_parsing(monkeypatch):
-    # RNSW_THREADS caps the workers at the task count; what is not an
+    # RNSW_THREADS is the cap, whatever a call's task count; what is not an
     # integer falls back to the usable cores, and 0 or below means one
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     for value, want in (("3", 3), ("abc", cores), ("", cores), ("0", 1), ("-3", 1)):
         monkeypatch.setenv("RNSW_THREADS", value)
-        assert layer._worker_count(1000) == want, value
+        assert layer._worker_count() == want, value
     monkeypatch.delenv("RNSW_THREADS")
-    assert layer._worker_count(1000) == cores
-    monkeypatch.setenv("RNSW_THREADS", "8")
-    assert layer._worker_count(2) == 2
+    assert layer._worker_count() == cores
+
+
+def pool_threads():
+    """The package's live worker threads."""
+    return [t for t in threading.enumerate() if t.name.startswith("rnswinograd")]
+
+
+@pytest.fixture
+def fresh_pool():
+    """Drops the package's pool, so the test's calls build their own; yields
+    a function listing the package's worker threads started since."""
+    before = set(pool_threads())
+    layer._pool.cache_clear()
+    yield lambda: [t for t in pool_threads() if t not in before]
+    layer._pool.cache_clear()  # its idle workers exit once it is unreferenced
+
+
+def nap(i):
+    time.sleep(0.002)
+    return i
+
+
+@pytest.mark.parametrize("cap,sizes", [(4, (2, 3, 4, 9)), (16, range(2, 17))], ids=["4", "16"])
+def test_one_pool_bounds_the_threads_whatever_the_task_count(monkeypatch, fresh_pool, cap, sizes):
+    # calls of different task counts share the one pool of the cap's
+    # workers: a pool per task count would leave a pool for each count and
+    # threads past the cap
+    monkeypatch.setenv("RNSW_THREADS", str(cap))
+    for size in sizes:
+        assert layer._run(nap, range(size)) == list(range(size))
+    assert layer._pool.cache_info().currsize == 1
+    assert 2 <= len(fresh_pool()) <= cap
 
 
 def test_block_workers_under_fast_switching_match_direct(monkeypatch):
@@ -491,9 +539,9 @@ def blas_threads():
     put(before)
 
 
-def spy_blas_threads(monkeypatch, get):
+def spy_stage_calls(monkeypatch, get):
     """Wrap kernel.input_transform_mod and gemm.exact_matmul; returns the list
-    of the OpenBLAS thread counts they read."""
+    of what get() reads at each of their calls."""
     seen = []
     for module, name in ((kernel, "input_transform_mod"), (gemm, "exact_matmul")):
 
@@ -513,7 +561,7 @@ BLAS_SPEC = layer.LayerSpec(h=12, w=12, c=3, k=4, r=3, padding=1, tile_m=2)
 def test_openblas_runs_one_thread_inside_layer_calls(monkeypatch, blas_threads, threads):
     monkeypatch.setattr(layer, "_BLOCK_BYTES", 1)
     monkeypatch.setenv("RNSW_THREADS", threads)
-    seen = spy_blas_threads(monkeypatch, blas_threads)
+    seen = spy_stage_calls(monkeypatch, blas_threads)
     weights, x = random_operands(BLAS_SPEC, 30)
     fast = layer.winograd_layer_conv(BLAS_SPEC, weights, x, SYS8)
     assert seen and set(seen) == {1}
@@ -540,7 +588,7 @@ def test_openblas_threads_restored_after_a_raising_call(monkeypatch, blas_thread
     assert blas_threads() == 2
     # the raising call left no call counted in flight
     monkeypatch.setattr(layer, "_modulus_pass", passes)
-    seen = spy_blas_threads(monkeypatch, blas_threads)
+    seen = spy_stage_calls(monkeypatch, blas_threads)
     layer.winograd_layer_conv(BLAS_SPEC, weights, x, SYS8)
     assert seen and set(seen) == {1}
     assert blas_threads() == 2
@@ -553,7 +601,7 @@ def test_openblas_threads_restored_after_concurrent_calls(monkeypatch, blas_thre
     # call or other than 2 after them
     monkeypatch.setattr(layer, "_BLOCK_BYTES", 1)
     monkeypatch.setenv("RNSW_THREADS", "3")
-    seen = spy_blas_threads(monkeypatch, blas_threads)
+    seen = spy_stage_calls(monkeypatch, blas_threads)
     weights, x = random_operands(BLAS_SPEC, 32)
     want = layer.direct_conv(BLAS_SPEC, weights, x)
     results = []
@@ -592,12 +640,31 @@ def test_blas_scope_does_nothing_without_openblas(monkeypatch, tmp_path, blas_th
     monkeypatch.setattr(layer, "_openblas", lambda: None)
     monkeypatch.setattr(layer, "_BLOCK_BYTES", 1)
     monkeypatch.setenv("RNSW_THREADS", "2")
-    seen = spy_blas_threads(monkeypatch, blas_threads)
+    seen = spy_stage_calls(monkeypatch, blas_threads)
     weights, x = random_operands(BLAS_SPEC, 33)
     fast = layer.winograd_layer_conv(BLAS_SPEC, weights, x, SYS8)
     direct = layer.direct_conv(BLAS_SPEC, weights, x)
     assert seen and set(seen) == {2}
     assert np.array_equal(fast, direct)
+
+
+def test_one_block_and_one_worker_run_on_the_calling_thread(monkeypatch):
+    # a layer of one block at a cap of 2, and a direct call at a cap of 1,
+    # run inline; the same layer cut into six blocks runs them on the pool
+    monkeypatch.setenv("RNSW_THREADS", "2")
+    seen = spy_stage_calls(monkeypatch, threading.get_ident)
+    weights, x = random_operands(BLAS_SPEC, 35)
+    fast = layer.winograd_layer_conv(BLAS_SPEC, weights, x, SYS8)
+    assert seen and set(seen) == {threading.get_ident()}
+    seen.clear()
+    monkeypatch.setenv("RNSW_THREADS", "1")
+    assert np.array_equal(layer.direct_conv(BLAS_SPEC, weights, x), fast)
+    assert seen and set(seen) == {threading.get_ident()}
+    seen.clear()
+    monkeypatch.setenv("RNSW_THREADS", "2")
+    monkeypatch.setattr(layer, "_BLOCK_BYTES", 1)
+    assert np.array_equal(layer.winograd_layer_conv(BLAS_SPEC, weights, x, SYS8), fast)
+    assert set(seen) - {threading.get_ident()}  # the filter transform runs inline
 
 
 def _pooled_call_in_child():
@@ -624,6 +691,56 @@ def test_forked_child_runs_pooled_calls(monkeypatch):
         child.join()
         pytest.fail("the forked child's pooled call hung")
     assert child.exitcode == 0
+
+
+def _direct_call_in_child(get):
+    weights, x = random_operands(BLAS_SPEC, 36)
+    got = layer.direct_conv(BLAS_SPEC, weights, x)
+    if get() != 2:
+        sys.exit(3)
+    if layer._one_blas_thread._calls != 0:
+        sys.exit(4)
+    sys.exit(0 if np.array_equal(got.astype(np.int64), naive_conv(BLAS_SPEC, weights, x)) else 5)
+
+
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_restores_the_blas_threads_its_parent_saved(monkeypatch, blas_threads):
+    # another thread is inside a layer call, OpenBLAS at 1 thread against 2
+    # before it, when the main thread forks.  That call does not run in the
+    # child, whose own call must restore the 2 (exit code 3 if not) and
+    # leave no call counted (4 if not)
+    monkeypatch.setenv("RNSW_THREADS", "1")
+    parent, inside, release = os.getpid(), threading.Event(), threading.Event()
+    matmul = gemm.exact_matmul
+
+    def held(*args):
+        if os.getpid() == parent:
+            inside.set()
+            release.wait(timeout=60)
+        return matmul(*args)
+
+    monkeypatch.setattr(gemm, "exact_matmul", held)
+    weights, x = random_operands(BLAS_SPEC, 36)
+    caller = threading.Thread(target=layer.direct_conv, args=(BLAS_SPEC, weights, x))
+    caller.start()
+    try:
+        assert inside.wait(timeout=60)
+        assert blas_threads() == 1
+        child = multiprocessing.get_context("fork").Process(
+            target=_direct_call_in_child, args=(blas_threads,)
+        )
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("the forked child's call hung")
+        assert child.exitcode == 0
+    finally:
+        release.set()
+        caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert blas_threads() == 2
 
 
 def count_folds(monkeypatch):

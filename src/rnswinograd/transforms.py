@@ -29,6 +29,7 @@ import numpy as np
 
 from . import residue
 from .errors import NotCoprime
+from .gemm import dtype_for_modulus
 
 
 class _InfinityPoint:
@@ -104,21 +105,19 @@ def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def vandermonde(points: Sequence) -> tuple[tuple[Fraction, ...], ...]:
-    """Square Vandermonde matrix V[i][j] = points[i] ** j.
+def _powers(p: Point, count: int) -> tuple[Fraction, ...]:
+    """Evaluation at p of the monomials 1, x, ..., x**(count-1): the powers
+    (1, p, ..., p**(count-1)), or at infinity (0, ..., 0, 1), which picks
+    out the leading coefficient of a polynomial of degree count - 1."""
+    if isinstance(p, _InfinityPoint):
+        return (Fraction(0),) * (count - 1) + (Fraction(1),)
+    return tuple(p**j for j in range(count))
 
-    The row for the point at infinity is (0, ..., 0, 1): evaluation there
-    picks out the leading coefficient.
-    """
+
+def vandermonde(points: Sequence) -> tuple[tuple[Fraction, ...], ...]:
+    """Square Vandermonde matrix V[i] = _powers(points[i], n)."""
     points = _check_points(points)
-    n = len(points)
-    rows = []
-    for p in points:
-        if isinstance(p, _InfinityPoint):
-            rows.append(tuple(Fraction(int(j == n - 1)) for j in range(n)))
-        else:
-            rows.append(tuple(p**j for j in range(n)))
-    return tuple(rows)
+    return tuple(_powers(p, len(points)) for p in points)
 
 
 def vandermonde_inverse(points: Sequence) -> tuple[tuple[Fraction, ...], ...]:
@@ -184,15 +183,15 @@ class ExactTransformSet:
 def derive_transforms(m: int, r: int, points: Sequence | None = None) -> ExactTransformSet:
     """Build the transform set for m outputs of an r-tap filter.
 
-    points defaults to default_points(m + r - 1).  The construction:
+    points defaults to default_points(m + r - 1).  Every evaluation at a
+    point S_k is _powers(S_k, count): S_k's powers, or at infinity the
+    leading coefficient alone.  The construction:
 
-    - BT row k is row k of the transposed inverse Vandermonde, multiplied by
-      the least common multiple of its denominators, making it integral.
-    - G row k is (1, S_k, ..., S_k**(r-1)) divided by that same multiple, so
-      the elementwise product (G g) * (BT d) is unchanged.
-    - AT[i][j] = S_j ** i; the column for the point at infinity is zero
-      except for a 1 in the last row, matching the leading coefficient of
-      the degree M+R-2 product polynomial.
+    - BT row k is column k of the inverse Vandermonde, multiplied by the
+      least common multiple lambda_k of its denominators, making it integral.
+    - G row k is _powers(S_k, r) divided by lambda_k, so the elementwise
+      product (G g) * (BT d) is unchanged.
+    - AT column j is _powers(S_j, m).
     """
     if m < 1 or r < 1:
         raise ValueError(f"need m >= 1 and r >= 1, got m={m}, r={r}")
@@ -206,33 +205,13 @@ def derive_transforms(m: int, r: int, points: Sequence | None = None) -> ExactTr
         if len(points) != n:
             raise ValueError(f"need {n} points for m={m}, r={r}, got {len(points)}")
 
-    vinv = vandermonde_inverse(points)
-
     bt_rows = []
-    lambdas = []
-    for k in range(n):
-        row = [vinv[i][k] for i in range(n)]
-        lam = _lcm_denominators(row)
-        lambdas.append(lam)
-        bt_rows.append(tuple(v * lam for v in row))
-
     g_rows = []
-    for k, p in enumerate(points):
-        if isinstance(p, _InfinityPoint):
-            row = [Fraction(0)] * (r - 1) + [Fraction(1)]
-        else:
-            row = [p**e for e in range(r)]
-        g_rows.append(tuple(v / lambdas[k] for v in row))
-
-    at_rows = []
-    for i in range(m):
-        row = []
-        for p in points:
-            if isinstance(p, _InfinityPoint):
-                row.append(Fraction(int(i == m - 1)))
-            else:
-                row.append(p**i)
-        at_rows.append(tuple(row))
+    for p, column in zip(points, zip(*vandermonde_inverse(points))):
+        lam = _lcm_denominators(column)
+        bt_rows.append(tuple(v * lam for v in column))
+        g_rows.append(tuple(v / lam for v in _powers(p, r)))
+    at_rows = tuple(zip(*(_powers(p, m) for p in points)))
 
     alpha = Fraction(1, _lcm_denominators(v for row in g_rows for v in row))
     gprime = []
@@ -245,7 +224,7 @@ def derive_transforms(m: int, r: int, points: Sequence | None = None) -> ExactTr
         m=m,
         r=r,
         points=tuple(points),
-        at=tuple(at_rows),
+        at=at_rows,
         g=tuple(g_rows),
         bt=tuple(bt_rows),
         alpha=alpha,
@@ -322,8 +301,6 @@ def reduce_transforms_mod(ts: ExactTransformSet, m: int) -> ModularTransformSet:
     if (shared := math.gcd(m, den)) != 1:
         raise NotCoprime(f"modulus {m} shares factor {shared} with transform "
                          f"denominator {den}; pick other points or another modulus")
-    from .gemm import dtype_for_modulus
-
     dt = dtype_for_modulus(m)
     return ModularTransformSet(
         modulus=m,

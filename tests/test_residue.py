@@ -287,6 +287,10 @@ def test_crt_bound_of_unfolded_rows():
     assert system.crt_fits(84, folded=False)  # 2,244,485,319,156,864
     assert not system.crt_fits(85, folded=False)  # 2,298,243,541,795,400 > 2**51
     assert system.crt_fits(85)
+    # the README's edge for (253, 251, 247): unfolded rows fit up to n = 78
+    system = residue.RnsSystem((253, 251, 247))
+    assert system.crt_fits(78, folded=False)  # 2,216,040,311,405,232
+    assert not system.crt_fits(79, folded=False)  # 2,273,226,098,533,868 > 2**51
     # (4001, 4331) keeps its rows folded at the vgg16 tile, unfolded up to n = 5
     wide = residue.RnsSystem((4001, 4331))
     assert wide.crt_fits(16) and not wide.crt_fits(16, folded=False)

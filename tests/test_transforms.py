@@ -166,7 +166,9 @@ def test_g_factors_into_alpha_gprime():
 # the interpolation identity itself
 
 
-@pytest.mark.parametrize("m,r", [(2, 3), (3, 2), (4, 3), (5, 4), (6, 3), (8, 5), (10, 3)])
+@pytest.mark.parametrize(
+    "m,r", [(2, 3), (3, 2), (4, 3), (5, 4), (6, 3), (8, 5), (10, 3), (1, 3), (14, 1)]
+)
 def test_1d_identity_matches_direct_correlation(m, r):
     ts = transforms.derive_transforms(m, r)
     rng = np.random.default_rng(m * 100 + r)
@@ -177,11 +179,20 @@ def test_1d_identity_matches_direct_correlation(m, r):
         assert fast == correlate_1d(d, g)
 
 
-def test_1d_identity_with_custom_points():
-    pts = (0, 1, -1, Fraction(1, 2), Fraction(-1, 2), INF)
-    ts = transforms.derive_transforms(4, 3, points=pts)
+@pytest.mark.parametrize(
+    "m,pts",
+    [
+        (4, (0, 1, -1, Fraction(1, 2), Fraction(-1, 2), INF)),
+        # no point at infinity: every row and column evaluates a finite point
+        (2, (0, 1, -1, 2)),
+        (2, (0, 1, -1, Fraction(1, 2))),
+    ],
+    ids=["with-infinity", "integers-no-infinity", "half-no-infinity"],
+)
+def test_1d_identity_with_custom_points(m, pts):
+    ts = transforms.derive_transforms(m, 3, points=pts)
     g = [Fraction(v) for v in (3, -1, 2)]
-    d = [Fraction(v) for v in (5, 0, -2, 7, 1, -4)]
+    d = [Fraction(v) for v in (5, 0, -2, 7, 1, -4)[: ts.n]]
     fast = matvec(ts.at, [u * w for u, w in zip(matvec(ts.g, g), matvec(ts.bt, d))])
     assert fast == correlate_1d(d, g)
 

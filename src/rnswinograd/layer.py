@@ -21,10 +21,14 @@ refuses a system whose sum is past the float64 bound at the layer's n; no
 int32 output needs one that wide.  The work runs in blocks of tile rows,
 each block taken through every modulus, reconstruction and scatter by one
 worker of the package's one persistent pool, which direct_conv's row parts
-share; during a layer call OpenBLAS runs one thread, so the pool alone
-spreads the work over the cores.  Every matrix product is exact on float
-BLAS (gemm.exact_matmul, or the CRT bound for the float64 sum).  Outputs
-are bit-identical to direct_conv whenever the layer passes range_check.
+and the preparation of filters (PreparedFilters, in parts of input
+channels) share; during a layer call or a preparation of more than one
+part OpenBLAS runs one thread, so the pool alone spreads the work over
+the cores.  A worker's
+share of either, a block or a part, is bounded by one byte budget
+(_BLOCK_BYTES).  Every matrix product is exact on float BLAS
+(gemm.exact_matmul, or the CRT bound for the float64 sum).  Outputs are
+bit-identical to direct_conv whenever the layer passes range_check.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import ContextDecorator
+from contextlib import ContextDecorator, nullcontext
 from dataclasses import astuple, dataclass, field, fields
 from fractions import Fraction
 from math import ceil, prod
@@ -274,14 +278,33 @@ def tile_decompose(x: np.ndarray, tile_m: int, r: int, padding: int) -> np.ndarr
     return im2col(canvas, n, tile_m, 0).reshape(b, th, tw, n, n, c)
 
 
+# The one byte budget of a worker's share of a layer call or a preparation:
+# a tile block's widest intermediate at 8 bytes per element, and a part of a
+# filter set's float32 residues per modulus.  Each worker holds a few arrays
+# of about that size at once.  Inside either, gemm._SLICE_BYTES bounds a
+# product's float copies and _CRT_CHUNK_BYTES a block's CRT sum.
+_BLOCK_BYTES = 1 << 21
+
+
 @dataclass(frozen=True, eq=False)
 class PreparedFilters:
     """Filters transformed once for every call with the weights, n and moduli
     they were prepared for.  From (r, r, c, k) int8 weights and one transform set
-    per modulus, all of one size n, it derives, read-only: a weight copy, the
-    RnsSystem, per modulus (n, n, c, k) residues and CRT weights.  Weights that are
-    not int8, transforms of different sizes, or an empty or non-coprime list of
-    moduli raise when it is built."""
+    per modulus, all of one size n and r, it derives, read-only: a weight copy,
+    the RnsSystem, per modulus (n, n, c, k) residues and CRT weights.  An empty
+    or non-coprime list of moduli, transforms of different sizes, or weights
+    that are not int8 shaped (r, r, c, k) with c, k >= 1 raise before anything
+    is allocated.
+
+    Each modulus's residues are allocated once (gemm.dtype_for_modulus) and
+    filled in parts cut along c, one part per _BLOCK_BYTES of the set's float32
+    residues per modulus (at most c parts); the package's pool takes the parts,
+    each through every modulus, with OpenBLAS at one thread (_OneBlasThread).
+    A set within one budget runs inline on BLAS threading as it finds it, as
+    no pool worker competes with it.  Beside the residues and the weight copy,
+    each worker filling a part holds that part's float products: at most two
+    _BLOCK_BYTES where one channel's float32 residues per modulus, n * n * k * 4
+    bytes, are small against the budget."""
 
     weights: np.ndarray
     transforms: tuple[transforms.ModularTransformSet, ...]
@@ -292,16 +315,29 @@ class PreparedFilters:
     def __post_init__(self):
         weights, mts = np.array(self.weights), tuple(self.transforms)
         system = residue.RnsSystem([mt.modulus for mt in mts])
-        if len({mt.n for mt in mts}) > 1:
-            raise ShapeMismatch(f"transforms of sizes {[mt.n for mt in mts]} in one set")
-        residues = tuple(
-            kernel.filter_transform_mod(weights, mt).astype(gemm.dtype_for_modulus(mt.modulus))
-            for mt in mts
-        )
+        if len({(mt.n, mt.r) for mt in mts}) > 1:
+            raise ShapeMismatch(f"transforms {[f'F({mt.m}, {mt.r})' for mt in mts]} in one set")
+        n, r = mts[0].n, mts[0].r
+        if not (weights.dtype == np.int8 and weights.ndim == 4
+                and weights.shape[:2] == (r, r) and weights.size):
+            raise ShapeMismatch(f"weights must be int8 shaped ({r}, {r}, c, k), c, k >= 1, "
+                                f"got {weights.dtype} {weights.shape}")
+        c, k = weights.shape[2:]
+        residues = tuple(np.empty((n, n, c, k), gemm.dtype_for_modulus(mt.modulus)) for mt in mts)
+        parts = min(c, ceil(n * n * c * k * 4 / _BLOCK_BYTES))
+        cuts = [c * i // parts for i in range(parts + 1)]
+
+        def part(i: int) -> None:
+            cs = slice(cuts[i], cuts[i + 1])
+            for u, mt in zip(residues, mts):
+                u[:, :, cs] = kernel.filter_transform_mod(weights[:, :, cs], mt)
+
+        with _one_blas_thread if parts > 1 else nullcontext():
+            _run(part, range(parts))
         # M_i * a_i, a_i folded in float64: |inv_i * A_i| <= h_i**2 < 2**28
         crt_weights = tuple(
-            c * gemm.reduce_mod_inplace(inv * mt.at.astype(np.float64), mt.modulus)
-            for c, inv, mt in zip(system.cofactors, system.inverses, mts)
+            cf * gemm.reduce_mod_inplace(inv * mt.at.astype(np.float64), mt.modulus)
+            for cf, inv, mt in zip(system.cofactors, system.inverses, mts)
         )
         for arr in (weights, *residues, *crt_weights):
             arr.flags.writeable = False
@@ -360,11 +396,6 @@ class StageTimings:
     def add(self, other: "StageTimings") -> None:
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
-
-# Bytes of a tile block's widest intermediate at 8 bytes per element; each
-# worker holds a few arrays of about that size at once.
-_BLOCK_BYTES = 1 << 21
 
 
 def _modulus_pass(

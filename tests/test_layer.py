@@ -10,6 +10,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -441,6 +442,88 @@ def test_prepared_filters_are_read_only():
     weights[...] = 0  # the caller's array stays theirs to change
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [(3, 3, 5), (3, 3), (3, 3, 5, 4, 2), (5, 5, 3, 4), (3, 3, 0, 4), (3, 3, 3, 0)],
+    ids=["3d", "2d", "5d", "other_r", "no_channels", "no_outputs"],
+)
+def test_prepared_filters_refuse_unusable_weights(monkeypatch, shape):
+    # refused before any part is dispatched: each once built a set no call
+    # could use, or raised from inside the kernel (other_r)
+    calls = []
+    count_calls(monkeypatch, kernel, "filter_transform_mod", calls)
+    weights = np.zeros(shape, dtype=np.int8)
+    with pytest.raises(ShapeMismatch, match=r"int8 shaped \(3, 3, c, k\)"):
+        prepared(weights)
+    assert calls == []
+
+
+def test_prepared_filters_refuse_transforms_of_two_filter_sizes():
+    # F(4, 3) and F(2, 5) share n = 6 but take weights of another r
+    mts = transforms.cached_modular_transforms(4, 3, (251,)) + transforms.cached_modular_transforms(
+        2, 5, (241,)
+    )
+    weights, _ = random_operands(PREP_SPEC, 4)
+    with pytest.raises(ShapeMismatch, match=r"F\(4, 3\).*F\(2, 5\)"):
+        layer.PreparedFilters(weights, mts)
+
+
+def spy_filter_parts(monkeypatch):
+    """Wrap kernel.filter_transform_mod; returns the list of (channels, thread
+    ident) of its calls."""
+    seen = []
+    wrapped = kernel.filter_transform_mod
+
+    def spy(g, mt):
+        seen.append((g.shape[2], threading.get_ident()))
+        return wrapped(g, mt)
+
+    monkeypatch.setattr(kernel, "filter_transform_mod", spy)
+    return seen
+
+
+# (c, k, tile_m, budget or None for the default, channels per part)
+PART_CASES = {
+    "parts=c": (7, 5, 4, lambda c, k, n: 1, [1] * 7),
+    "c=7 in 3 uneven parts": (7, 5, 4, lambda c, k, n: -(-n * n * c * k * 4 // 3), [2, 2, 3]),
+    "c=1": (1, 5, 4, lambda c, k, n: 1, [1]),
+    "default budget": (64, 64, 14, None, [32, 32]),
+}
+
+
+@pytest.mark.parametrize("system", [SYS8, SYS16], ids=["8-bit", "15-bit"])
+@pytest.mark.parametrize("case", PART_CASES)
+@pytest.mark.parametrize("threads", ["1", "2", "3", "8"])
+def test_prepared_parts_match_the_serial_transform(monkeypatch, threads, case, system):
+    c, k, tile_m, budget, cut = PART_CASES[case]
+    mts = transforms.cached_modular_transforms(tile_m, 3, system.moduli)
+    n = mts[0].n
+    weights = np.random.default_rng(c * k).integers(-128, 128, (3, 3, c, k)).astype(np.int8)
+    want = [
+        kernel.filter_transform_mod(weights, mt).astype(gemm.dtype_for_modulus(mt.modulus))
+        for mt in mts
+    ]
+    monkeypatch.setenv("RNSW_THREADS", threads)
+    if budget is not None:
+        monkeypatch.setattr(layer, "_BLOCK_BYTES", budget(c, k, n))
+    seen = spy_filter_parts(monkeypatch)
+    # up to 8 workers on the cores, switching every few microseconds: a part
+    # written to another's channels shows as a mismatch
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        filters = layer.PreparedFilters(weights, mts)
+    finally:
+        sys.setswitchinterval(interval)
+    # each part runs every modulus
+    assert sorted(part for part, _ in seen) == sorted(cut * len(mts))
+    for u, ref in zip(filters.residues, want):
+        assert u.dtype == ref.dtype == gemm.dtype_for_modulus(system.moduli[0])
+        assert u.shape == (n, n, c, k)
+        assert u.tobytes() == ref.tobytes()
+        assert not u.flags.writeable
+
+
 # direct_conv cuts its im2col rows into one contiguous part per worker
 DIRECT_SPLIT_SPECS = {
     "2 rows, fewer than the workers": layer.LayerSpec(h=3, w=4, c=3, k=3, r=3),
@@ -650,7 +733,8 @@ def test_blas_scope_does_nothing_without_openblas(monkeypatch, tmp_path, blas_th
 
 def test_one_block_and_one_worker_run_on_the_calling_thread(monkeypatch):
     # a layer of one block at a cap of 2, and a direct call at a cap of 1,
-    # run inline; the same layer cut into six blocks runs them on the pool
+    # run inline; the same layer cut into six blocks runs them, and its
+    # filter set's parts, on the pool
     monkeypatch.setenv("RNSW_THREADS", "2")
     seen = spy_stage_calls(monkeypatch, threading.get_ident)
     weights, x = random_operands(BLAS_SPEC, 35)
@@ -664,7 +748,7 @@ def test_one_block_and_one_worker_run_on_the_calling_thread(monkeypatch):
     monkeypatch.setenv("RNSW_THREADS", "2")
     monkeypatch.setattr(layer, "_BLOCK_BYTES", 1)
     assert np.array_equal(layer.winograd_layer_conv(BLAS_SPEC, weights, x, SYS8), fast)
-    assert set(seen) - {threading.get_ident()}  # the filter transform runs inline
+    assert seen and threading.get_ident() not in seen
 
 
 def _pooled_call_in_child():
@@ -741,6 +825,100 @@ def test_forked_child_restores_the_blas_threads_its_parent_saved(monkeypatch, bl
         caller.join(timeout=60)
     assert not caller.is_alive()
     assert blas_threads() == 2
+
+
+# F(14, 3) filters at c = k = 16: 256 KB of float32 residues per modulus,
+# one part at the default budget, three with it at 100,000 bytes
+PART_WEIGHTS = np.random.default_rng(40).integers(-128, 128, (3, 3, 16, 16)).astype(np.int8)
+PART_MTS = transforms.cached_modular_transforms(14, 3, SYS8.moduli)
+
+
+def test_a_set_within_one_budget_prepares_on_the_calling_thread(monkeypatch):
+    monkeypatch.setenv("RNSW_THREADS", "2")
+    seen = spy_filter_parts(monkeypatch)
+    layer.PreparedFilters(PART_WEIGHTS, PART_MTS)
+    assert [part for part, _ in seen] == [16] * 3
+    assert {ident for _, ident in seen} == {threading.get_ident()}
+    seen.clear()
+    monkeypatch.setattr(layer, "_BLOCK_BYTES", 100_000)
+    layer.PreparedFilters(PART_WEIGHTS, PART_MTS)
+    assert sorted(part for part, _ in seen) == [5] * 6 + [6] * 3
+    pooled = {t.ident for t in pool_threads()}
+    assert {ident for _, ident in seen} <= pooled
+
+
+@pytest.mark.parametrize(
+    "budget,inside", [(1 << 21, 2), (100_000, 1)], ids=["one part", "three parts"]
+)
+def test_openblas_threads_restored_after_a_preparation(monkeypatch, blas_threads, budget, inside):
+    # outside any layer call, a preparation of parts on the pool holds
+    # OpenBLAS at one thread and gives the count back, also when a part
+    # raises; one part runs inline on the threads it finds
+    monkeypatch.setattr(layer, "_BLOCK_BYTES", budget)
+    monkeypatch.setenv("RNSW_THREADS", "2")
+    seen = []
+    transform = kernel.filter_transform_mod
+
+    def spy(g, mt):
+        seen.append(blas_threads())
+        return transform(g, mt)
+
+    monkeypatch.setattr(kernel, "filter_transform_mod", spy)
+    want = layer.PreparedFilters(PART_WEIGHTS, PART_MTS).residues
+    assert seen and set(seen) == {inside}
+    assert blas_threads() == 2
+
+    def fail(g, mt):
+        raise RuntimeError("filter transform failed")
+
+    monkeypatch.setattr(kernel, "filter_transform_mod", fail)
+    with pytest.raises(RuntimeError, match="filter transform failed"):
+        layer.PreparedFilters(PART_WEIGHTS, PART_MTS)
+    assert blas_threads() == 2
+    assert layer._one_blas_thread._calls == 0
+    monkeypatch.setattr(kernel, "filter_transform_mod", transform)
+    got = layer.PreparedFilters(PART_WEIGHTS, PART_MTS).residues
+    assert all(np.array_equal(u, v) for u, v in zip(got, want))
+
+
+def test_layer_call_preparing_its_own_parts_matches_direct(monkeypatch):
+    # with filters=None the call prepares its set in parts on the pool from
+    # the calling thread, then runs its blocks there: no task waits on the
+    # pool, so a bounded pool of 2 cannot deadlock
+    monkeypatch.setattr(layer, "_BLOCK_BYTES", 1)
+    monkeypatch.setenv("RNSW_THREADS", "2")
+    seen = spy_filter_parts(monkeypatch)
+    weights, x = random_operands(BLAS_SPEC, 37)
+    got = []
+    caller = threading.Thread(
+        target=lambda: got.append(layer.winograd_layer_conv(BLAS_SPEC, weights, x, SYS8))
+    )
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert sorted(part for part, _ in seen) == [1] * 9  # c = 3 parts, three moduli
+    assert np.array_equal(got[0], layer.direct_conv(BLAS_SPEC, weights, x))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_preparation_memory_stays_within_its_stated_bound(monkeypatch, threads):
+    # c = k = 128 at F(14, 3) on three 8-bit moduli: 12.6 MB of int8 residues
+    # in eight parts.  Beside them and the weight copy a preparation holds at
+    # most two _BLOCK_BYTES per worker filling a part; one that holds a
+    # modulus's whole 16.8 MB float32 product exceeds that at 1 and 2 workers
+    monkeypatch.setenv("RNSW_THREADS", str(threads))
+    weights = np.random.default_rng(41).integers(-128, 128, (3, 3, 128, 128)).astype(np.int8)
+    mts = transforms.cached_modular_transforms(14, 3, SYS8.moduli)
+    layer.PreparedFilters(weights, mts)  # the pool's threads start outside the trace
+    tracemalloc.start()
+    try:
+        filters = layer.PreparedFilters(weights, mts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(u.nbytes for u in filters.residues) + filters.weights.nbytes
+    assert held == 3 * 16 * 16 * 128 * 128 + 9 * 128 * 128
+    assert peak <= held + 2 * layer._BLOCK_BYTES * threads
 
 
 def count_folds(monkeypatch):

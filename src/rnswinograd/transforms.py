@@ -86,25 +86,6 @@ def _check_points(points: Sequence) -> tuple[Point, ...]:
     return tuple(out)
 
 
-def _poly_from_roots(roots: Sequence[Fraction]) -> list[Fraction]:
-    """Coefficients (low order first) of prod(x - r) over the given roots."""
-    coeffs = [Fraction(1)]
-    for r in roots:
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += c
-            nxt[i] -= c * r
-        coeffs = nxt
-    return coeffs
-
-
-def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _powers(p: Point, count: int) -> tuple[Fraction, ...]:
     """Evaluation at p of the monomials 1, x, ..., x**(count-1): the powers
     (1, p, ..., p**(count-1)), or at infinity (0, ..., 0, 1), which picks
@@ -121,31 +102,43 @@ def vandermonde(points: Sequence) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def vandermonde_inverse(points: Sequence) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of vandermonde(points), in closed form.
+    """Exact inverse of vandermonde(points), in closed form and O(n**2) steps.
 
     Column j (for a finite point S_j) holds the coefficients of the Lagrange
     basis polynomial prod_{k!=j}(x - S_k) / prod_{k!=j}(S_j - S_k).  When the
     last point is infinity, the last column instead holds the coefficients of
-    prod over the finite points of (x - S_k): subtracting the leading
-    coefficient times that product reduces interpolation to the finite case.
-    No linear solve is involved, so the result is exact for any distinct
-    points.
+    the master polynomial prod over the finite points of (x - S_k):
+    subtracting the leading coefficient times that product reduces
+    interpolation to the finite case.
+
+    Everything runs on integers: with D the common denominator of the f
+    finite points, S_k = a_k / D, and in y = D x the master polynomial is
+    P(y) = prod(y - a_k), built once.  One synthetic division of P by
+    (y - a_j) gives column j's numerator sum_i c_i y**i, and y**i carries
+    D**i, so its entry i is c_i D**i / prod_{k!=j}(a_j - a_k); the master
+    column's entry i is P_i D**i / D**f.  No linear solve is involved, so
+    the result is exact for any distinct points.
     """
     points = _check_points(points)
     n = len(points)
-    has_inf = isinstance(points[-1], _InfinityPoint)
-    finite = list(points[:-1] if has_inf else points)
+    finite = [p for p in points if not isinstance(p, _InfinityPoint)]
+    d = math.lcm(*(p.denominator for p in finite))
+    nums = [p.numerator * (d // p.denominator) for p in finite]
+    f = len(nums)
+    scale = [d**i for i in range(n)]
+    master = [1]  # P(y), low order first
+    for a in nums:
+        master = [lo - a * hi for lo, hi in zip([0] + master, master + [0])]
     inv = [[Fraction(0)] * n for _ in range(n)]
-    for j, s in enumerate(finite):
-        others = [t for k, t in enumerate(finite) if k != j]
-        num = _poly_from_roots(others)
-        den = _poly_eval(num, s)
-        for i, c in enumerate(num):
-            inv[i][j] = c / den
-    if has_inf:
-        lead = _poly_from_roots(finite)
-        for i in range(n):
-            inv[i][n - 1] = lead[i]
+    for j, a in enumerate(nums):
+        den = math.prod(a - b for k, b in enumerate(nums) if k != j)
+        c = master[f]
+        for i in range(f - 1, -1, -1):  # quotient coefficients, high order first
+            inv[i][j] = Fraction(c * scale[i], den)
+            c = master[i] + a * c
+    if f < n:
+        for i, c in enumerate(master):
+            inv[i][n - 1] = Fraction(c * scale[i], scale[f])
     return tuple(tuple(row) for row in inv)
 
 
@@ -209,16 +202,12 @@ def derive_transforms(m: int, r: int, points: Sequence | None = None) -> ExactTr
     g_rows = []
     for p, column in zip(points, zip(*vandermonde_inverse(points))):
         lam = _lcm_denominators(column)
-        bt_rows.append(tuple(v * lam for v in column))
+        bt_rows.append(tuple(Fraction(v.numerator * (lam // v.denominator)) for v in column))
         g_rows.append(tuple(v / lam for v in _powers(p, r)))
     at_rows = tuple(zip(*(_powers(p, m) for p in points)))
 
     alpha = Fraction(1, _lcm_denominators(v for row in g_rows for v in row))
-    gprime = []
-    for row in g_rows:
-        scaled = [v / alpha for v in row]
-        assert all(v.denominator == 1 for v in scaled)
-        gprime.append(tuple(int(v) for v in scaled))
+    gprime = [tuple(v.numerator * (alpha.denominator // v.denominator) for v in row) for row in g_rows]
 
     return ExactTransformSet(
         m=m,
@@ -277,14 +266,15 @@ class ModularTransformSet:
 
 
 def _reduce_matrix(rows, m: int, dtype) -> np.ndarray:
-    out = np.empty((len(rows), len(rows[0])), dtype=dtype)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v.denominator == 1:
-                out[i, j] = residue.mod_reduce(v.numerator, m)
-            else:
-                inv = residue.mod_inverse(v.denominator, m)
-                out[i, j] = residue.mod_reduce(v.numerator * inv, m)
+    """Each p/q as p * q^-1, balanced mod m, with one inverse per distinct q.
+
+    The caller has checked m and that every q is invertible mod m.
+    """
+    inverses = {q: pow(q, -1, m) for q in {v.denominator for row in rows for v in row}}
+    out = np.array(
+        [[residue._balanced(v.numerator * inverses[v.denominator], m) for v in row] for row in rows],
+        dtype=dtype,
+    )
     out.flags.writeable = False
     return out
 

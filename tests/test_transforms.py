@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import golden_transforms as gold
-from rnswinograd import residue, transforms
+from rnswinograd import cli, residue, transforms
 from rnswinograd.errors import NotCoprime
 from rnswinograd.transforms import INF
 
@@ -87,7 +87,7 @@ def test_vandermonde_small():
     )
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", [*range(2, 13), 16, 18, 20])
 def test_vandermonde_inverse_default_points(n):
     pts = transforms.default_points(n)
     v = transforms.vandermonde(pts)
@@ -97,10 +97,17 @@ def test_vandermonde_inverse_default_points(n):
 
 
 def test_vandermonde_inverse_rational_and_finite_points():
-    for pts in ((0, 1, -1, Fraction(1, 2), INF), (0, 1, 2, 3), (Fraction(-3, 2), 0, 4)):
+    # the last two sets scale two distinct denominators to one, with and
+    # without infinity
+    mixed = (0, 1, -1, Fraction(1, 2), Fraction(-1, 3), 2)
+    for pts in (
+        (0, 1, -1, Fraction(1, 2), INF), (0, 1, 2, 3), (Fraction(-3, 2), 0, 4),
+        mixed + (INF,), mixed,
+    ):
         v = transforms.vandermonde(pts)
         vinv = transforms.vandermonde_inverse(pts)
         assert matmul(v, vinv) == identity(len(pts))
+        assert matmul(vinv, v) == identity(len(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +161,7 @@ def test_derive_transforms_validation():
 
 
 def test_g_factors_into_alpha_gprime():
-    for m, r in ((2, 3), (4, 3), (8, 5), (10, 3)):
+    for m, r in ((2, 3), (4, 3), (8, 5), (10, 3), (14, 3), (12, 5)):
         ts = transforms.derive_transforms(m, r)
         for grow, prow in zip(ts.g, ts.gprime):
             assert tuple(v / ts.alpha for v in grow) == tuple(
@@ -167,7 +174,8 @@ def test_g_factors_into_alpha_gprime():
 
 
 @pytest.mark.parametrize(
-    "m,r", [(2, 3), (3, 2), (4, 3), (5, 4), (6, 3), (8, 5), (10, 3), (1, 3), (14, 1)]
+    "m,r",
+    [(2, 3), (3, 2), (4, 3), (5, 4), (6, 3), (8, 5), (10, 3), (14, 3), (12, 5), (1, 3), (14, 1)],
 )
 def test_1d_identity_matches_direct_correlation(m, r):
     ts = transforms.derive_transforms(m, r)
@@ -237,6 +245,33 @@ def test_modular_entries_are_congruent_residues():
                     assert abs(e) <= half
                     # p/q reduced correctly: q * entry == p (mod m)
                     assert (v.denominator * e - v.numerator) % m == 0
+
+
+@pytest.mark.parametrize(
+    "m,r,modulus",
+    [
+        (m, r, q)
+        for m, r in ((10, 3), (14, 3), (12, 5))
+        for q in sorted({q for moduli in cli.STANDARD_SYSTEMS for q in moduli} | {32749})
+    ]
+    + [(2, 3, 9)],  # composite, coprime to F(2,3)'s denominators
+)
+def test_reduction_matches_per_entry_reference(m, r, modulus):
+    ts = transforms.derive_transforms(m, r)
+    if not transforms.check_modulus_compatibility(ts, modulus):
+        with pytest.raises(NotCoprime, match=f"modulus {modulus} shares factor"):
+            transforms.reduce_transforms_mod(ts, modulus)
+        return
+    mt = transforms.reduce_transforms_mod(ts, modulus)
+    dtype = np.int8 if modulus < 256 else np.int16
+    for exact_rows, got in ((ts.at, mt.at), (ts.g, mt.g), (ts.bt, mt.bt)):
+        want = np.array([
+            [residue.mod_reduce(v.numerator * residue.mod_inverse(v.denominator, modulus), modulus)
+             for v in row]
+            for row in exact_rows
+        ], dtype=dtype)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_reduce_for_system_alignment():

@@ -158,17 +158,15 @@ def _check_keys(obj, allowed: frozenset) -> None:
         raise ConfigError(f"unknown key {unknown[0]!r}")
 
 
-def _int(value, what: str) -> int:
-    """A config integer: a JSON integer or a decimal string.  A float or a
-    bool is refused, not truncated or coerced."""
+def _int(value, what: str, least: int | None = None) -> int:
+    """A config integer: a decimal string's value, or a JSON integer, under
+    residue.as_int's rule (a float or a bool is refused, not truncated)."""
     if isinstance(value, str):
         try:
-            return int(value)
+            value = int(value)
         except ValueError:
-            pass
-    elif isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ConfigError(f"{what} must be an integer, got {value!r}")
+            raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+    return residue.as_int(value, what, least)
 
 
 @contextmanager
@@ -192,9 +190,7 @@ def config_from_dict(doc: dict, where: str = "config") -> BenchConfig:
         tile_m = _int(doc.get("tile_m", layer.DEFAULT_TILE_M), "tile_m")
         batch = _int(doc.get("batch", 1), "batch")
         seed = _int(doc.get("seed", DEFAULT_SEED), "seed")
-        iterations = _int(doc.get("iterations", 1), "iterations")
-        if iterations < 1:
-            raise ConfigError("iterations must be >= 1")
+        iterations = _int(doc.get("iterations", 1), "iterations", 1)
         if not isinstance(doc["layers"], list):
             raise ConfigError(f"layers must be a list, got {doc['layers']!r}")
         if not doc["layers"]:
@@ -217,9 +213,7 @@ def config_from_dict(doc: dict, where: str = "config") -> BenchConfig:
             if algorithm not in ("winograd", "direct"):
                 raise ConfigError(f"unknown algorithm {algorithm!r}")
             bound = ent.get("declared_bound", doc.get("declared_bound"))
-            bound = None if bound is None else _int(bound, "declared_bound")
-            if bound is not None and bound < 1:
-                raise ConfigError(f"declared_bound {bound} < 1")
+            bound = None if bound is None else _int(bound, "declared_bound", 1)
             if spec.stride > 1:
                 algorithm = "direct"
             if algorithm == "winograd":  # cached: the run reuses these
@@ -555,9 +549,7 @@ def cmd_bench(args) -> int:
     path = args.config if args.config else default_bench_config_path()
     cfg = load_config(path)
     if args.iterations is not None:
-        if args.iterations < 1:
-            raise ConfigError(f"--iterations must be >= 1, got {args.iterations}")
-        cfg = replace(cfg, iterations=args.iterations)
+        cfg = replace(cfg, iterations=residue.as_int(args.iterations, "--iterations", 1))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     with open(args.csv, "w", newline="") if args.csv else nullcontext() as out:

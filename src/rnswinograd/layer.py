@@ -60,7 +60,9 @@ DEFAULT_TILE_M = 14
 @dataclass(frozen=True)
 class LayerSpec:
     """Geometry of one convolution layer (square images, square filters),
-    tiled for the fast path at tile_m outputs a side (DEFAULT_TILE_M)."""
+    tiled for the fast path at tile_m outputs a side (DEFAULT_TILE_M).
+    Each field is stored as residue.as_int's plain int, padding at least 0
+    and the others at least 1."""
 
     h: int
     w: int
@@ -73,12 +75,9 @@ class LayerSpec:
     tile_m: int = DEFAULT_TILE_M
 
     def __post_init__(self):
-        for name in ("h", "w", "c", "k", "r", "batch", "stride", "tile_m"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        if not isinstance(self.padding, int) or self.padding < 0:
-            raise ValueError(f"padding must be a non-negative integer, got {self.padding!r}")
+        for f in fields(self):
+            least = 0 if f.name == "padding" else 1
+            object.__setattr__(self, f.name, residue.as_int(getattr(self, f.name), f.name, least))
         if self.h + 2 * self.padding < self.r or self.w + 2 * self.padding < self.r:
             raise ValueError("padded input smaller than the filter")
         if self.n < 2:
@@ -260,9 +259,8 @@ def tile_decompose(x: np.ndarray, tile_m: int, r: int, padding: int) -> np.ndarr
     (i * tile_m, j * tile_m), and its m x m outputs land at the same offset
     of the output plane, cropped to out_h x out_w.
     """
-    for name, v, least in (("tile_m", tile_m, 1), ("r", r, 1), ("padding", padding, 0)):
-        if v < least:
-            raise ValueError(f"{name} must be at least {least}, got {v!r}")
+    tile_m, r = residue.as_int(tile_m, "tile_m", 1), residue.as_int(r, "r", 1)
+    padding = residue.as_int(padding, "padding", 0)
     b, h, w, c = x.shape
     n = tile_m + r - 1
     out_h = h + 2 * padding - r + 1
@@ -362,7 +360,7 @@ def range_check(
     within it, (1601, 1619, 1663) say, already covers every int32 output.
     """
     static = spec.r * spec.r * spec.c * gemm.INT8_ABS_PEAK**2
-    bound = static if declared_bound is None else declared_bound
+    bound = static if declared_bound is None else residue.as_int(declared_bound, "declared_bound")
     limit = min(system.signed_bound, gemm.INT32_MAX)
     if not 1 <= bound <= limit:
         named = "the int32 maximum " if limit == gemm.INT32_MAX else ""
@@ -511,8 +509,14 @@ def winograd_layer_conv(
 
     Raises DynamicRangeExceeded when range_check refuses the layer (an
     output bound below 1, past the signed bound or past int32, the output
-    dtype, or a system whose CRT sum is past the float64 bound at this n).
+    dtype, or a system whose CRT sum is past the float64 bound at this n);
+    TypeError, before any work, for a system or timings of another type.
     """
+    timings = StageTimings() if timings is None else timings
+    if not isinstance(system, residue.RnsSystem):
+        raise TypeError(f"system must be an RnsSystem, got {system!r}")
+    if not isinstance(timings, StageTimings):
+        raise TypeError(f"timings must be a StageTimings or None, got {timings!r}")
     _check_operands(spec, weights, x)
     if spec.stride != 1:
         return direct_conv(spec, weights, x)
@@ -532,8 +536,6 @@ def winograd_layer_conv(
     mts = filters.transforms
     # the rows skip their fold where the CRT sum's bound admits unfolded t_i
     fold_rows = not system.crt_fits(n, folded=False)
-    if timings is None:
-        timings = StageTimings()
 
     t0 = time.perf_counter()
     patches = tile_decompose(x, tile_m, spec.r, spec.padding)

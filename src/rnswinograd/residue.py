@@ -27,13 +27,23 @@ from .errors import NotCoprime, OutOfRange, SystemMismatch
 MAX_MODULUS = (1 << 15) - 1
 
 
-def check_modulus(m: int) -> int:
-    """Validate that m is usable as a modulus here: odd, >= 3, <= 15 bits."""
-    if not isinstance(m, (int, np.integer)):
-        raise TypeError(f"modulus must be an integer, got {type(m).__name__}")
+def as_int(value, name: str, least: int | None = None) -> int:
+    """The package's one integer rule: an int or a numpy integer, returned
+    as a plain int.  A bool, a float or anything else raises TypeError, and
+    a value below least ValueError, each naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
+def check_modulus(m) -> int:
+    """as_int(m) if it is usable as a modulus here: odd, >= 3, <= 15 bits."""
+    m = as_int(m, "modulus")
     if m < 3 or m % 2 == 0 or m > MAX_MODULUS:
         raise ValueError(f"modulus must be odd and in [3, {MAX_MODULUS}], got {m}")
-    return int(m)
+    return m
 
 
 def _balanced(x: int, m: int) -> int:
@@ -44,8 +54,7 @@ def _balanced(x: int, m: int) -> int:
 
 def mod_reduce(x: int, m: int) -> int:
     """Reduce x modulo m into the symmetric range [-(m-1)/2, (m-1)/2]."""
-    check_modulus(m)
-    return _balanced(x, m)
+    return _balanced(as_int(x, "x"), check_modulus(m))
 
 
 def mod_inverse(x: int, m: int) -> int:
@@ -54,12 +63,12 @@ def mod_inverse(x: int, m: int) -> int:
     Uses the extended Euclidean algorithm (via pow), so m does not need to
     be prime, only coprime to x.
     """
-    check_modulus(m)
+    x, m = as_int(x, "x"), check_modulus(m)
     try:
         inv = pow(x, -1, m)
     except ValueError:
         raise NotCoprime(f"{x} is not invertible modulo {m}") from None
-    return mod_reduce(inv, m)
+    return _balanced(inv, m)
 
 
 class RnsSystem:
@@ -96,6 +105,7 @@ class RnsSystem:
         n * h_i**2 when not.  Every partial sum of the weighted products then
         stays within sum_i M_i * n * h_i * max|t_i|.
         """
+        depth = as_int(depth, "depth")
         return sum(
             c * depth * h * (h if folded else depth * h * h)
             for c, h in zip(self.cofactors, ((m - 1) // 2 for m in self.moduli))
@@ -120,11 +130,12 @@ class RnsSystem:
 
     def to_rns(self, x: int) -> "RnsVector":
         """Encode a signed integer as one residue per modulus."""
+        x = as_int(x, "x")
         if abs(x) > self.signed_bound:
             raise OutOfRange(
                 f"{x} outside representable range +/-{self.signed_bound}"
             )
-        return RnsVector(tuple(mod_reduce(x, m) for m in self.moduli), self)
+        return RnsVector(tuple(_balanced(x, m) for m in self.moduli), self)
 
     def reconstruct(self, residues) -> int:
         """CRT reconstruction of a residue vector as a signed integer.
@@ -139,7 +150,7 @@ class RnsSystem:
                 )
             values = residues.values
         else:
-            values = tuple(residues)
+            values = tuple(as_int(v, "residue") for v in residues)
         if len(values) != len(self.moduli):
             raise SystemMismatch(
                 f"expected {len(self.moduli)} residues, got {len(values)}"
@@ -159,6 +170,7 @@ class RnsVector:
     system: RnsSystem
 
     def __post_init__(self):
+        object.__setattr__(self, "values", tuple(as_int(v, "residue") for v in self.values))
         for v, m in zip(self.values, self.system.moduli):
             if abs(v) > (m - 1) // 2:
                 raise OutOfRange(f"residue {v} outside the symmetric range of {m}")
@@ -171,7 +183,7 @@ class RnsVector:
                 f"cannot combine vectors from {self.system} and {other.system}"
             )
         vals = tuple(
-            mod_reduce(op(a, b), m)
+            _balanced(op(a, b), m)
             for a, b, m in zip(self.values, other.values, self.system.moduli)
         )
         return RnsVector(vals, self.system)
@@ -186,9 +198,7 @@ class RnsVector:
         return self._binop(other, lambda a, b: a * b)
 
     def __neg__(self) -> "RnsVector":
-        vals = tuple(
-            mod_reduce(-a, m) for a, m in zip(self.values, self.system.moduli)
-        )
+        vals = tuple(_balanced(-a, m) for a, m in zip(self.values, self.system.moduli))
         return RnsVector(vals, self.system)
 
     def __int__(self) -> int:

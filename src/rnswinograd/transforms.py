@@ -58,8 +58,7 @@ Point = Union[Fraction, _InfinityPoint]
 
 def default_points(n: int) -> tuple[Point, ...]:
     """The standard point sequence 0, 1, -1, 2, -2, ... capped with infinity."""
-    if n < 2:
-        raise ValueError(f"need at least 2 interpolation points, got {n}")
+    n = residue.as_int(n, "n", 2)
     pts: list[Point] = [Fraction(0)]
     k = 1
     while len(pts) < n - 1:
@@ -186,8 +185,7 @@ def derive_transforms(m: int, r: int, points: Sequence | None = None) -> ExactTr
       product (G g) * (BT d) is unchanged.
     - AT column j is _powers(S_j, m).
     """
-    if m < 1 or r < 1:
-        raise ValueError(f"need m >= 1 and r >= 1, got m={m}, r={r}")
+    m, r = residue.as_int(m, "m", 1), residue.as_int(r, "r", 1)
     n = m + r - 1
     if n < 2:
         raise ValueError("m + r - 1 must be at least 2")
@@ -233,9 +231,7 @@ def check_modulus_compatibility(ts: ExactTransformSet, m: int) -> bool:
     difference divisible by a factor of m has no inverse, and the transform
     set cannot be reduced modulo m.
     """
-    if not isinstance(m, (int, np.integer)) or m < 2:
-        raise ValueError(f"modulus must be an integer >= 2, got {m!r}")
-    return math.gcd(denominator_lcm(ts), m) == 1
+    return math.gcd(denominator_lcm(ts), residue.as_int(m, "modulus", 2)) == 1
 
 
 @dataclass(frozen=True)
@@ -286,7 +282,7 @@ def reduce_transforms_mod(ts: ExactTransformSet, m: int) -> ModularTransformSet:
     error for an unusable m, and NotCoprime, naming the shared factor, when
     some denominator shares a factor with m (see check_modulus_compatibility).
     """
-    residue.check_modulus(m)
+    m = residue.check_modulus(m)
     den = denominator_lcm(ts)
     if (shared := math.gcd(m, den)) != 1:
         raise NotCoprime(f"modulus {m} shares factor {shared} with transform "
@@ -343,8 +339,7 @@ class DataWidthReport:
 
 
 def data_width_analysis(ts: ExactTransformSet, input_bits: int) -> DataWidthReport:
-    if input_bits < 2:
-        raise ValueError("input_bits must be at least 2")
+    input_bits = residue.as_int(input_bits, "input_bits", 2)
     n = ts.n
     fmag = sum(v * v for row in ts.gprime for v in row) / Fraction(n)
     imag = sum(v * v for row in ts.bt for v in row) / Fraction(n)
@@ -361,7 +356,7 @@ def data_width_analysis(ts: ExactTransformSet, input_bits: int) -> DataWidthRepo
 def arithmetic_reduction(m: int, r: int, n_moduli: int) -> Fraction:
     """Multiplication count of the sliding direct form divided by the tiled
     fast form over n_moduli residue channels, per 2-D output tile."""
-    if m < 1 or r < 1 or n_moduli < 1:
-        raise ValueError("m, r and n_moduli must be positive")
+    m, r = residue.as_int(m, "m", 1), residue.as_int(r, "r", 1)
+    n_moduli = residue.as_int(n_moduli, "n_moduli", 1)
     n = m + r - 1
     return Fraction(m * m * r * r, n * n * n_moduli)

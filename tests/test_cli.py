@@ -796,9 +796,9 @@ SMALL_LAYER = {"name": "small", "h": 8, "w": 8, "c": 1, "k": 1, "r": 3}
         ({"rns": [251], "layers": [dict(name="a", h=8, c=1, k=1, r=3)]},
          "layer 'a': missing key 'w'"),
         ({"rns": [251], "layers": [dict(SMALL_LAYER, name="a", padding=-1)]},
-         "layer 'a': padding must be a non-negative integer, got -1"),
+         "layer 'a': padding must be at least 0, got -1"),
         ({"rns": [251], "layers": [dict(SMALL_LAYER, name="a", tile_m=0)]},
-         "layer 'a': tile_m must be a positive integer, got 0"),
+         "layer 'a': tile_m must be at least 1, got 0"),
         ({"rns": [251], "layers": [dict(SMALL_LAYER, name="a", h=2)]},
          "layer 'a': padded input smaller than the filter"),
         ({"rns": [251], "layers": [dict(SMALL_LAYER, name="a", mode="direct")]},
@@ -974,7 +974,7 @@ def test_analyze_two_bit(capsys):
 def test_analyze_refuses_a_bad_input_width_before_printing(capsys):
     code, out, err = run_cli(capsys, "analyze", "--input-bits", "1")
     assert code == 1 and out == ""
-    assert err == "error: input_bits must be at least 2\n"
+    assert err == "error: input_bits must be at least 2, got 1\n"
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ def test_layer_spec_validation():
         layer.LayerSpec(h=2, w=2, c=1, k=1, r=5)
     with pytest.raises(ValueError):
         layer.LayerSpec(h=8, w=8, c=1, k=1, r=3, tile_m=0)
-    with pytest.raises(ValueError, match="tile_m must be a positive integer, got None"):
+    with pytest.raises(TypeError, match="tile_m must be an integer, got None"):
         layer.LayerSpec(h=8, w=8, c=1, k=1, r=3, tile_m=None)
     # F(1, 1) has a 1 x 1 transform, which no interpolation builds
     with pytest.raises(ValueError, match=r"tile_m \+ r - 1 must be at least 2, got 1"):

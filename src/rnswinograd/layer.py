@@ -22,13 +22,13 @@ int32 output needs one that wide.  The work runs in blocks of tile rows,
 each block taken through every modulus, reconstruction and scatter by one
 worker of the package's one persistent pool, which direct_conv's row parts
 and the preparation of filters (PreparedFilters, in parts of input
-channels) share; during a layer call or a preparation of more than one
-part OpenBLAS runs one thread, so the pool alone spreads the work over
-the cores.  A worker's
-share of either, a block or a part, is bounded by one byte budget
-(_BLOCK_BYTES).  Every matrix product is exact on float BLAS
-(gemm.exact_matmul, or the CRT bound for the float64 sum).  Outputs are
-bit-identical to direct_conv whenever the layer passes range_check.
+channels) share.  _run alone cuts and runs that work, and while it runs
+OpenBLAS runs one thread, so the pool alone spreads the work over the
+cores.  A worker's share of a layer call or a preparation, a block or a
+part, is bounded by one byte budget (_BLOCK_BYTES).  Every matrix product
+is exact on float BLAS (gemm.exact_matmul, or the CRT bound for the
+float64 sum).  Outputs are bit-identical to direct_conv whenever the layer
+passes range_check.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import ContextDecorator, nullcontext
 from dataclasses import astuple, dataclass, field, fields
 from fractions import Fraction
 from math import ceil, prod
@@ -126,15 +125,17 @@ def im2col(x: np.ndarray, r: int, stride: int, padding: int) -> np.ndarray:
 
 
 def _worker_count() -> int:
-    """The package's thread cap: RNSW_THREADS, or the usable cores; at least 1."""
+    """The package's thread cap: RNSW_THREADS, or the usable cores; at least 1
+    and at most 4 times the usable cores, so no value starts thousands of threads."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
     try:
         cap = int(os.environ.get("RNSW_THREADS", ""))
     except ValueError:
-        if hasattr(os, "sched_getaffinity"):
-            cap = len(os.sched_getaffinity(0))
-        else:
-            cap = os.cpu_count() or 1
-    return max(cap, 1)
+        cap = cores
+    return min(max(cap, 1), 4 * cores)
 
 
 @functools.lru_cache(maxsize=1)
@@ -142,18 +143,6 @@ def _pool(workers: int, pid: int) -> ThreadPoolExecutor:
     """The package's one pool, of the cap's workers, in process pid; a changed
     cap, or a forked child, which has none of the parent's threads, replaces it."""
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="rnswinograd")
-
-
-def _run(task: Callable, items: Sequence) -> list:
-    """[task(i) for i in items] on the package's pool, or inline where the cap is
-    1 or there is one item; no task calls _run, so the pool cannot deadlock."""
-    workers = _worker_count()
-    if workers == 1 or len(items) < 2:
-        return [task(i) for i in items]
-    pool = _pool(workers, os.getpid())
-    futures = [pool.submit(task, i) for i in items]
-    wait(futures)  # no task outlives the call, even where one raises
-    return [f.result() for f in futures]
 
 
 @functools.cache
@@ -177,16 +166,16 @@ def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     return None
 
 
-class _OneBlasThread(ContextDecorator):
-    """Holds OpenBLAS at one thread while any layer call is in flight.
+class _OneBlasThread:
+    """Holds OpenBLAS at one thread while any _run is in flight.
 
-    The layer's work runs on the package's pool, and OpenBLAS's own helper
-    threads would compete with it for the cores, polling for a while after
-    every threaded call.  Its thread count is one setting for the whole
-    process, so one count of the calls in flight guards it: the first call in
-    saves the setting and sets one thread, the last one out restores it.  BLAS
-    calls other threads make meanwhile run on one thread too.  A forked child
-    restores what its parent's calls in flight saved, then counts afresh.
+    The package's work runs on its pool, and OpenBLAS's own helper threads
+    would compete with it for the cores, polling for a while after every
+    threaded call.  Its thread count is one setting for the whole process, so
+    one count of the runs in flight guards it: the first run in saves the
+    setting and sets one thread, the last one out restores it.  BLAS calls
+    other threads make meanwhile run on one thread too.  A forked child
+    restores what its parent's runs in flight saved, then counts afresh.
     Where no OpenBLAS is found (_openblas) it does nothing.
     """
 
@@ -223,29 +212,42 @@ class _OneBlasThread(ContextDecorator):
 _one_blas_thread = _OneBlasThread()
 
 
-@_one_blas_thread
+def _run(task: Callable[[slice], object], total: int, parts: int) -> list:
+    """[task(s) for s in the slices] with OpenBLAS at one thread (_OneBlasThread):
+    range(total) cut into min(parts, total) contiguous slices, in order, whose
+    sizes differ by at most one.  The package's pool runs them, or the calling
+    thread where the cap is 1 or there is one slice; no task calls _run, so the
+    pool cannot deadlock.  The one place the package's work is cut and run."""
+    parts = min(parts, total)
+    slices = [slice(total * i // parts, total * (i + 1) // parts) for i in range(parts)]
+    workers = _worker_count()
+    with _one_blas_thread:
+        if workers == 1 or parts < 2:
+            return [task(s) for s in slices]
+        pool = _pool(workers, os.getpid())
+        futures = [pool.submit(task, s) for s in slices]
+        wait(futures)  # no task outlives the call, even where one raises
+        return [f.result() for f in futures]
+
+
 def direct_conv(spec: LayerSpec, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Reference convolution: im2col plus exact GEMMs.
 
     Exact by construction (exact_matmul bounds the full r*r*c dot length
     with int8 operands at 128), used as the oracle the fast path is compared
-    against; it runs on the same GEMM engine as the fast path.  The im2col
-    rows are cut into a contiguous part per worker of the cap (at most one per
-    row); the package's pool runs each part's exact_matmul into one int32
-    output, with OpenBLAS at one thread (_OneBlasThread), as the fast path.
+    against; it runs on the same GEMM engine as the fast path.  _run cuts the
+    im2col rows into a contiguous part per worker of the cap, each part's
+    exact_matmul writing into one int32 output, as the fast path's blocks.
     """
     _check_operands(spec, weights, x)
     cols = im2col(x, spec.r, spec.stride, spec.padding)
     wmat = weights.reshape(-1, spec.k)
     out = np.empty((len(cols), spec.k), dtype=np.int32)
-    parts = min(_worker_count(), len(cols))
-    cuts = [len(cols) * i // parts for i in range(parts + 1)]
 
-    def part(i: int) -> None:
-        s = slice(cuts[i], cuts[i + 1])
+    def part(s: slice) -> None:
         out[s] = gemm.exact_matmul(cols[s], wmat, gemm.INT8_ABS_PEAK, gemm.INT8_ABS_PEAK)
 
-    _run(part, range(parts))
+    _run(part, len(cols), _worker_count())
     return out.reshape(spec.batch, spec.out_h, spec.out_w, spec.k)
 
 
@@ -295,14 +297,12 @@ class PreparedFilters:
     is allocated.
 
     Each modulus's residues are allocated once (gemm.dtype_for_modulus) and
-    filled in parts cut along c, one part per _BLOCK_BYTES of the set's float32
-    residues per modulus (at most c parts); the package's pool takes the parts,
-    each through every modulus, with OpenBLAS at one thread (_OneBlasThread).
-    A set within one budget runs inline on BLAS threading as it finds it, as
-    no pool worker competes with it.  Beside the residues and the weight copy,
-    each worker filling a part holds that part's float products: at most two
-    _BLOCK_BYTES where one channel's float32 residues per modulus, n * n * k * 4
-    bytes, are small against the budget."""
+    filled in parts cut along c by _run, one part per _BLOCK_BYTES of the set's
+    float32 residues per modulus (at most c parts), each part taken through
+    every modulus; a set within one budget runs on the calling thread.  Beside
+    the residues and the weight copy, each worker filling a part holds that
+    part's float products: at most two _BLOCK_BYTES where one channel's float32
+    residues per modulus, n * n * k * 4 bytes, are small against the budget."""
 
     weights: np.ndarray
     transforms: tuple[transforms.ModularTransformSet, ...]
@@ -322,16 +322,12 @@ class PreparedFilters:
                                 f"got {weights.dtype} {weights.shape}")
         c, k = weights.shape[2:]
         residues = tuple(np.empty((n, n, c, k), gemm.dtype_for_modulus(mt.modulus)) for mt in mts)
-        parts = min(c, ceil(n * n * c * k * 4 / _BLOCK_BYTES))
-        cuts = [c * i // parts for i in range(parts + 1)]
 
-        def part(i: int) -> None:
-            cs = slice(cuts[i], cuts[i + 1])
+        def part(cs: slice) -> None:
             for u, mt in zip(residues, mts):
                 u[:, :, cs] = kernel.filter_transform_mod(weights[:, :, cs], mt)
 
-        with _one_blas_thread if parts > 1 else nullcontext():
-            _run(part, range(parts))
+        _run(part, c, ceil(n * n * c * k * 4 / _BLOCK_BYTES))
         # M_i * a_i, a_i folded in float64: |inv_i * A_i| <= h_i**2 < 2**28
         crt_weights = tuple(
             cf * gemm.reduce_mod_inplace(inv * mt.at.astype(np.float64), mt.modulus)
@@ -483,7 +479,6 @@ def _crt_scatter(
         t.scatter += time.perf_counter() - t1
 
 
-@_one_blas_thread
 def winograd_layer_conv(
     spec: LayerSpec,
     weights: np.ndarray,
@@ -500,12 +495,12 @@ def winograd_layer_conv(
     CRT weights across calls that reuse the same weights, exactly as
     repeated inference does.  Any other filters raise ShapeMismatch.
 
-    The tile rows are cut into blocks, and each block goes through every
-    modulus, the float64 CRT reconstruction and the scatter into its own
-    output rows; the package's pool, up to RNSW_THREADS workers (default:
-    the usable cores), takes the blocks, and a layer of one block runs
-    inline.  OpenBLAS runs one thread for the whole call (_OneBlasThread).
-    The tiling covers unit stride only, so a strided layer runs direct_conv.
+    _run cuts the tile rows into even blocks of at most the budget's rows, and
+    each block goes through every modulus, the float64 CRT reconstruction and
+    the scatter into its own output rows; the package's pool, up to
+    RNSW_THREADS workers (default: the usable cores), takes the blocks, and a
+    layer of one block runs inline.  The tiling covers unit stride only, so a
+    strided layer runs direct_conv.
 
     Raises DynamicRangeExceeded when range_check refuses the layer (an
     output bound below 1, past the signed bound or past int32, the output
@@ -548,18 +543,17 @@ def winograd_layer_conv(
     canvas = np.empty((b * th, tile_m, tw, tile_m, k), dtype=np.int32)
     step = max(1, _BLOCK_BYTES // (tw * n * n * max(c, k) * 8))
 
-    def block(r0: int) -> StageTimings:
+    def block(rows: slice) -> StageTimings:
         t = StageTimings()
         t0 = time.perf_counter()
-        blk = d[:, :, r0 : r0 + step]
-        rows = blk.shape[2]
-        blk = blk.reshape(n, n, rows * tw, c)
+        blk = d[:, :, rows].reshape(n, n, -1, c)
         t.tiling += time.perf_counter() - t0
         res = [_modulus_pass(blk, u, mt, fold_rows, t) for u, mt in zip(filters.residues, mts)]
-        _crt_scatter(res, filters.crt_weights, system, canvas[r0 : r0 + rows], t)
+        _crt_scatter(res, filters.crt_weights, system, canvas[rows], t)
         return t
 
-    for t in _run(block, range(0, b * th, step)):
+    # an even cut into ceil(rows / step) blocks keeps each at step rows or fewer
+    for t in _run(block, b * th, ceil(b * th / step)):
         timings.add(t)
 
     t0 = time.perf_counter()

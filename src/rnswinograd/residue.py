@@ -164,13 +164,16 @@ class RnsSystem:
 
 @dataclass(frozen=True)
 class RnsVector:
-    """Residues of one signed integer, tied to the system that produced them."""
+    """Residues of one signed integer, one per modulus, tied to the system that
+    produced them."""
 
     values: tuple[int, ...]
     system: RnsSystem
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(as_int(v, "residue") for v in self.values))
+        if len(self.values) != len(self.system.moduli):
+            raise SystemMismatch(f"{self.values} is not one residue per modulus of {self.system}")
         for v, m in zip(self.values, self.system.moduli):
             if abs(v) > (m - 1) // 2:
                 raise OutOfRange(f"residue {v} outside the symmetric range of {m}")

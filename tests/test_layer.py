@@ -551,9 +551,14 @@ def test_thread_count_does_not_change_results(monkeypatch):
 
 def test_thread_cap_parsing(monkeypatch):
     # RNSW_THREADS is the cap, whatever a call's task count; what is not an
-    # integer falls back to the usable cores, and 0 or below means one
+    # integer falls back to the usable cores, 0 or below means one, and past
+    # 4 times the cores it clamps there (read only: no thread starts)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    for value, want in (("3", 3), ("abc", cores), ("", cores), ("0", 1), ("-3", 1)):
+    ceiling = 4 * cores
+    for value, want in (
+        ("3", 3), ("abc", cores), ("", cores), ("0", 1), ("-3", 1),
+        (str(ceiling), ceiling), (str(ceiling + 1), ceiling), ("1000000", ceiling),
+    ):
         monkeypatch.setenv("RNSW_THREADS", value)
         assert layer._worker_count() == want, value
     monkeypatch.delenv("RNSW_THREADS")
@@ -575,9 +580,9 @@ def fresh_pool():
     layer._pool.cache_clear()  # its idle workers exit once it is unreferenced
 
 
-def nap(i):
+def nap(s):
     time.sleep(0.002)
-    return i
+    return s
 
 
 @pytest.mark.parametrize("cap,sizes", [(4, (2, 3, 4, 9)), (16, range(2, 17))], ids=["4", "16"])
@@ -587,9 +592,46 @@ def test_one_pool_bounds_the_threads_whatever_the_task_count(monkeypatch, fresh_
     # threads past the cap
     monkeypatch.setenv("RNSW_THREADS", str(cap))
     for size in sizes:
-        assert layer._run(nap, range(size)) == list(range(size))
+        assert layer._run(nap, size, size) == [slice(i, i + 1) for i in range(size)]
     assert layer._pool.cache_info().currsize == 1
-    assert 2 <= len(fresh_pool()) <= cap
+    assert 2 <= len(fresh_pool()) <= layer._worker_count()  # the cap, clamped
+
+
+@pytest.mark.parametrize("total,parts", [(1, 4), (7, 3), (16, 4), (5, 8), (10, 1)])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_cuts_even_contiguous_slices_and_keeps_their_order(monkeypatch, threads, total, parts):
+    # the first slice finishes last on the pool: its result must still lead
+    monkeypatch.setenv("RNSW_THREADS", threads)
+
+    def task(s):
+        time.sleep(0.005 if s.start == 0 else 0)
+        return s
+
+    got = layer._run(task, total, parts)
+    assert len(got) == min(parts, total)
+    assert [i for s in got for i in range(s.start, s.stop)] == list(range(total))
+    sizes = [s.stop - s.start for s in got]
+    assert max(sizes) - min(sizes) <= 1
+
+
+def test_blocks_of_an_uneven_cut_stay_within_the_step(monkeypatch):
+    # 7 tile rows at a budget of 3 rows per block: 3 even blocks of at most
+    # 3 rows, where stepping by 3 would cut 3, 3 and 1
+    spec = layer.LayerSpec(h=15, w=6, c=3, k=4, r=3, tile_m=2)  # th = 7, tw = 2, n = 4
+    monkeypatch.setattr(layer, "_BLOCK_BYTES", 3 * 2 * 4 * 4 * 4 * 8)
+    monkeypatch.setenv("RNSW_THREADS", "2")
+    rows = []
+    scatter = layer._crt_scatter
+
+    def spy(ts, weights, system, out, t):
+        rows.append(len(out))
+        return scatter(ts, weights, system, out, t)
+
+    monkeypatch.setattr(layer, "_crt_scatter", spy)
+    weights, x = random_operands(spec, 11)
+    got = layer.winograd_layer_conv(spec, weights, x, SYS8)
+    assert sorted(rows) == [2, 2, 3]
+    assert np.array_equal(got, layer.direct_conv(spec, weights, x))
 
 
 def test_block_workers_under_fast_switching_match_direct(monkeypatch):
@@ -847,13 +889,11 @@ def test_a_set_within_one_budget_prepares_on_the_calling_thread(monkeypatch):
     assert {ident for _, ident in seen} <= pooled
 
 
-@pytest.mark.parametrize(
-    "budget,inside", [(1 << 21, 2), (100_000, 1)], ids=["one part", "three parts"]
-)
-def test_openblas_threads_restored_after_a_preparation(monkeypatch, blas_threads, budget, inside):
-    # outside any layer call, a preparation of parts on the pool holds
-    # OpenBLAS at one thread and gives the count back, also when a part
-    # raises; one part runs inline on the threads it finds
+@pytest.mark.parametrize("budget", [1 << 21, 100_000], ids=["one part", "three parts"])
+def test_openblas_threads_restored_after_a_preparation(monkeypatch, blas_threads, budget):
+    # outside any layer call, a preparation holds OpenBLAS at one thread,
+    # inline in one part as on the pool in three, and gives the count back,
+    # also when a part raises
     monkeypatch.setattr(layer, "_BLOCK_BYTES", budget)
     monkeypatch.setenv("RNSW_THREADS", "2")
     seen = []
@@ -865,7 +905,7 @@ def test_openblas_threads_restored_after_a_preparation(monkeypatch, blas_threads
 
     monkeypatch.setattr(kernel, "filter_transform_mod", spy)
     want = layer.PreparedFilters(PART_WEIGHTS, PART_MTS).residues
-    assert seen and set(seen) == {inside}
+    assert seen and set(seen) == {1}
     assert blas_threads() == 2
 
     def fail(g, mt):

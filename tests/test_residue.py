@@ -211,6 +211,14 @@ def test_vector_system_mismatch():
         a + b
 
 
+@pytest.mark.parametrize("values", [(1,), (1, 2, 3, 400)], ids=["too few", "too many"])
+def test_vector_refuses_a_residue_count_other_than_the_systems(values):
+    # a short vector once added as (2,), and a long one's extra residue went
+    # unchecked
+    with pytest.raises(SystemMismatch, match="not one residue per modulus"):
+        residue.RnsVector(values, residue.RnsSystem((251, 241, 239)))
+
+
 @pytest.mark.parametrize(
     "moduli", [(7, 9, 11), (251, 241, 239), (4001, 4331), (32749, 32719, 32717, 32713)]
 )

@@ -4,14 +4,14 @@ A dot product of depth d over integers bounded by amax and bmax has every
 partial sum within d * amax * bmax, so float BLAS computes it exactly in
 float32 when that is at most 2**24 and in float64 up to 2**53; an int32
 product past 2**24 runs in float32 pieces of its contraction (the Ozaki
-split).  A modular product stays in float, folded by multiply-round passes:
-in float32 up to float32_fold_edge(m), twice past 2**22, and in float64
-above, once up to 2**51.  The fold is lazy: a product whose consumer is
-itself a modular product may hand it the exact unfolded integers instead,
-where defer_fold admits them, and the consumer's own fold reduces both.
-A product runs in slices along its leading axis whose float copies take at
-most max(1 MB, twice the float bytes of the operands converted once)
-(exact_matmul).
+split; int32_matmul).  A modular product stays in float, folded by
+multiply-round passes: in float32 up to float32_fold_edge(m), twice past
+2**22, and in float64 above, once up to 2**51.  The fold is lazy: a product
+whose consumer is itself a modular product may hand it the exact unfolded
+integers instead, where defer_fold admits them, and the consumer's own fold
+reduces both.  A product runs in slices along its leading axis whose float
+copies take at most max(1 MB, twice the float bytes of the operands
+converted once) (slice_rows).
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ FLOAT64_EXACT = 2**53
 FLOAT32_FOLD = 2**22
 FLOAT64_FOLD = 2**51
 
-# Bytes of the float copies made per slice of an exact_matmul result, the
-# least budget: a product whose operands converted once are larger gets twice
-# their float bytes.
+# Bytes of the float copies made per slice of a product, the least budget:
+# a product whose operands converted once are larger gets twice their float
+# bytes (slice_rows).
 _SLICE_BYTES = 1 << 20
 
 
@@ -73,6 +73,39 @@ def defer_fold(depth: int, h: int, bound: int) -> bool:
     return depth * h * h > float32_fold_edge(2 * h + 1) and depth * h * bound <= FLOAT64_FOLD
 
 
+def slice_rows(row: int, once: int, itemsize: int) -> int:
+    """Leading indices per slice of a product whose float copies take row
+    elements of itemsize bytes per index, beside once elements converted once
+    for the whole product: as many as max(_SLICE_BYTES, twice the bytes
+    converted once) holds, and at least one.  BLAS packs the operand
+    converted once again for every slice, so a large one gets slices that use
+    it over many rows."""
+    return max(1, max(_SLICE_BYTES, 2 * once * itemsize) // (row * itemsize))
+
+
+def int32_float_dtype(depth: int, amax: int, bmax: int) -> np.dtype:
+    """The float an int32 product of this depth over integers bounded by amax
+    and bmax runs in (int32_matmul): float32 where one term fits its mantissa,
+    float64 otherwise.  OverflowRisk where the product can overflow int32."""
+    if depth * amax * bmax > INT32_MAX:
+        raise OverflowRisk(
+            f"dot length {depth} with operand bounds {amax}*{bmax} can overflow int32"
+        )
+    return np.dtype(np.float32 if amax * bmax <= FLOAT32_EXACT else np.float64)
+
+
+def int32_matmul(x: np.ndarray, y: np.ndarray, amax: int, bmax: int, out: np.ndarray) -> None:
+    """out[...] = x @ y, exactly, for float operands of int32_float_dtype
+    holding integers bounded by amax and bmax: in float64 in one product, in
+    float32 in pieces of FLOAT32_EXACT // (amax * bmax) contraction terms,
+    each exact, summed in the int32 out.  The package's one int32 product."""
+    depth = x.shape[-1]
+    piece = max(depth, 1) if x.dtype == np.float64 else FLOAT32_EXACT // max(amax * bmax, 1)
+    np.copyto(out, np.matmul(x[..., :piece], y[..., :piece, :]), casting="unsafe")
+    for j in range(piece, depth, piece):
+        out += np.matmul(x[..., j : j + piece], y[..., j : j + piece, :]).astype(np.int32)
+
+
 def _product_shape(a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeMismatch(f"need at least 2-D operands, got {a.shape} and {b.shape}")
@@ -98,20 +131,18 @@ def exact_matmul(
     amax and bmax bound |a| and |b| and are trusted (int8 data counts as
     128).  Without a modulus the result is int32 and must fit it; past 2**24
     it sums float32 pieces of FLOAT32_EXACT // (amax * bmax) terms where one
-    term fits.  With a modulus m it runs in float32 up to float32_fold_edge(m)
-    and in float64 above, and the symmetric residues are returned as float32,
-    which holds them exactly for any m up to 2**24 (float64 beyond); an
-    operand may be such a float result of an earlier modular product.  With
-    fold=False (where defer_fold admits it) the residue product is returned
-    unfolded: the exact integers, computed and stored in exact_float_dtype.
-    OverflowRisk otherwise.  Operands broadcast like matmul; the result is
-    computed and folded in slices along its leading axis, converting an
-    operand that does not run along it only once.  A slice's float copies
+    term fits (int32_matmul).  With a modulus m it runs in float32 up to
+    float32_fold_edge(m) and in float64 above, and the symmetric residues are
+    returned as float32, which holds them exactly for any m up to 2**24
+    (float64 beyond); an operand may be such a float result of an earlier
+    modular product.  With fold=False (where defer_fold admits it) the
+    residue product is returned unfolded: the exact integers, computed and
+    stored in exact_float_dtype.  OverflowRisk otherwise.  Operands broadcast
+    like matmul; the result is computed and folded in slices along its
+    leading axis, converting an operand that does not run along it only once.  A slice's float copies
     (its part of the output and of an operand that runs along that axis)
     take at most max(_SLICE_BYTES, twice the float bytes of the operands
-    converted once), and at least one leading index: BLAS packs the operand
-    converted once again for every slice, so a large one gets slices that
-    use it over many rows.
+    converted once), and at least one leading index (slice_rows).
     """
     shape = _product_shape(a, b)
     for x in (a, b):
@@ -124,13 +155,7 @@ def exact_matmul(
     bound = depth * amax * bmax
     ft = exact_float_dtype(depth, amax, bmax)
     if m is None:
-        if bound > INT32_MAX:
-            raise OverflowRisk(
-                f"dot length {depth} with operand bounds {amax}*{bmax} can overflow int32"
-            )
-        piece = max(depth, 1)  # contraction terms per BLAS call
-        if ft == np.float64 and amax * bmax <= FLOAT32_EXACT:
-            ft, piece = np.dtype(np.float32), FLOAT32_EXACT // (amax * bmax)
+        ft = int32_float_dtype(depth, amax, bmax)
         out = np.empty(shape, dtype=np.int32)
     elif not fold:
         out = np.empty(shape, dtype=ft)
@@ -145,16 +170,13 @@ def exact_matmul(
     bf = b if split_b else b.astype(ft, copy=False)
     row = out[0].size + (a[0].size if split_a else 0) + (b[0].size if split_b else 0)
     once = (0 if split_a else a.size) + (0 if split_b else b.size)
-    step = max(1, max(_SLICE_BYTES, 2 * once * ft.itemsize) // (row * ft.itemsize))
+    step = slice_rows(row, once, ft.itemsize)
     for i in range(0, out.shape[0], step):
         s = slice(i, i + step)
         x = af[s].astype(ft, copy=False) if split_a else af
         y = bf[s].astype(ft, copy=False) if split_b else bf
         if m is None:
-            np.copyto(out[s], np.matmul(x[..., :piece], y[..., :piece, :]), casting="unsafe")
-            for j in range(piece, depth, piece):
-                part = np.matmul(x[..., j : j + piece], y[..., j : j + piece, :])
-                out[s] += part.astype(np.int32)
+            int32_matmul(x, y, amax, bmax, out[s])
             continue
         prod = np.matmul(x, y, out=out[s] if ft == out.dtype else None)
         if not fold:

@@ -20,14 +20,16 @@ runs in float64 on the weights M_i * a_i (_crt_scatter).  range_check
 refuses a system whose sum is past the float64 bound at the layer's n; no
 int32 output needs one that wide.  The work runs in blocks of tile rows,
 each block taken through every modulus, reconstruction and scatter by one
-worker of the package's one persistent pool, which direct_conv's row parts
-and the preparation of filters (PreparedFilters, in parts of input
-channels) share.  _run alone cuts and runs that work, and while it runs
+worker of the package's one persistent pool, which direct_conv's parts of
+output rows and the preparation of filters (PreparedFilters, in parts of
+input channels) share.  _run alone cuts and runs that work, and while it runs
 OpenBLAS runs one thread, so the pool alone spreads the work over the
 cores.  A worker's share of a layer call or a preparation, a block or a
-part, is bounded by one byte budget (_BLOCK_BYTES).  Every matrix product
-is exact on float BLAS (gemm.exact_matmul, or the CRT bound for the
-float64 sum).  Outputs are bit-identical to direct_conv whenever the layer
+part, is bounded by one byte budget (_BLOCK_BYTES); direct_conv streams its
+windows in chunks of gemm.slice_rows instead, building no whole-layer
+im2col.  Every matrix product is exact on float BLAS (gemm.exact_matmul or
+its int32 product gemm.int32_matmul, or the CRT bound for the float64
+sum).  Outputs are bit-identical to direct_conv whenever the layer
 passes range_check.
 """
 
@@ -111,17 +113,18 @@ def _check_operands(spec: LayerSpec, weights: np.ndarray, x: np.ndarray) -> None
         raise ShapeMismatch(f"operands must be int8, got {weights.dtype} and {x.dtype}")
 
 
-def im2col(x: np.ndarray, r: int, stride: int, padding: int) -> np.ndarray:
-    """Unfold NHWC input into rows of flattened r x r x c receptive fields."""
-    c = x.shape[3]
+def _windows(x: np.ndarray, r: int, stride: int, padding: int) -> np.ndarray:
+    """The (b, out_h, out_w, r, r, c) view of the r x r receptive fields of
+    NHWC input, zero padded (one copy where padding > 0)."""
     if padding:  # np.pad copies even when it adds nothing
         x = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
     win = np.lib.stride_tricks.sliding_window_view(x, (r, r), axis=(1, 2))
-    win = win[:, ::stride, ::stride]
-    bo, ho, wo = win.shape[:3]
-    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(
-        bo * ho * wo, r * r * c
-    )
+    return win[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
+
+
+def im2col(x: np.ndarray, r: int, stride: int, padding: int) -> np.ndarray:
+    """Unfold NHWC input into rows of flattened r x r x c receptive fields."""
+    return np.ascontiguousarray(_windows(x, r, stride, padding)).reshape(-1, r * r * x.shape[3])
 
 
 def _worker_count() -> int:
@@ -231,24 +234,40 @@ def _run(task: Callable[[slice], object], total: int, parts: int) -> list:
 
 
 def direct_conv(spec: LayerSpec, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Reference convolution: im2col plus exact GEMMs.
+    """Reference convolution: streamed im2col rows through exact int32 GEMMs.
 
-    Exact by construction (exact_matmul bounds the full r*r*c dot length
-    with int8 operands at 128), used as the oracle the fast path is compared
-    against; it runs on the same GEMM engine as the fast path.  _run cuts the
-    im2col rows into a contiguous part per worker of the cap, each part's
-    exact_matmul writing into one int32 output, as the fast path's blocks.
+    Exact by construction (gemm.int32_matmul bounds the full r*r*c dot
+    length with int8 operands at 128), used as the oracle the fast path is
+    compared against; it runs on the same GEMM engine as the fast path.  The
+    input is padded once and the weights converted to float once; _run cuts
+    the b * out_h output rows into a contiguous part per worker of the cap.
+    A part gathers chunks of whole output rows of one image, gemm.slice_rows
+    of them, from the window view straight into one reused float buffer, and
+    multiplies each into its own rows of the int32 output: no whole-layer
+    im2col is built.
     """
     _check_operands(spec, weights, x)
-    cols = im2col(x, spec.r, spec.stride, spec.padding)
-    wmat = weights.reshape(-1, spec.k)
-    out = np.empty((len(cols), spec.k), dtype=np.int32)
+    win = _windows(x, spec.r, spec.stride, spec.padding)
+    b, oh, ow = win.shape[:3]
+    depth, k = spec.r * spec.r * spec.c, spec.k
+    peak = gemm.INT8_ABS_PEAK
+    wmat = weights.reshape(depth, k).astype(gemm.int32_float_dtype(depth, peak, peak))
+    step = gemm.slice_rows(ow * (depth + k), wmat.size, wmat.itemsize)
+    out = np.empty((b * oh, ow, k), dtype=np.int32)
 
-    def part(s: slice) -> None:
-        out[s] = gemm.exact_matmul(cols[s], wmat, gemm.INT8_ABS_PEAK, gemm.INT8_ABS_PEAK)
+    def part(rows: slice) -> None:
+        buf = np.empty((min(step, rows.stop - rows.start), *win.shape[2:]), wmat.dtype)
+        i = rows.start
+        while i < rows.stop:
+            img, row = divmod(i, oh)
+            n = min(step, rows.stop - i, oh - row)  # a chunk stays in one image
+            np.copyto(buf[:n], win[img, row : row + n])  # the gather is the conversion
+            chunk = buf[:n].reshape(-1, depth)
+            gemm.int32_matmul(chunk, wmat, peak, peak, out[i : i + n].reshape(-1, k))
+            i += n
 
-    _run(part, len(cols), _worker_count())
-    return out.reshape(spec.batch, spec.out_h, spec.out_w, spec.k)
+    _run(part, b * oh, _worker_count())
+    return out.reshape(b, oh, ow, k)
 
 
 def tile_decompose(x: np.ndarray, tile_m: int, r: int, padding: int) -> np.ndarray:

@@ -232,12 +232,14 @@ def test_oracle_conv_matches_direct_conv_with_padding_and_stride():
 
 
 def test_verify_oracle_shares_no_engine_code(monkeypatch):
-    # an engine that returns zeros makes the fast path and direct_conv agree
-    # on a wrong answer; only an oracle outside the package sees it
+    # an engine whose two products return zeros makes the fast path and
+    # direct_conv agree on a wrong answer; only an oracle outside the package
+    # sees it
     real = gemm.exact_matmul
     case = cli.default_verify_cases(2020)[0]
     assert cli.run_verify_case(case)[0]
     monkeypatch.setattr(gemm, "exact_matmul", lambda *a, **kw: real(*a, **kw) * 0)
+    monkeypatch.setattr(gemm, "int32_matmul", lambda x, y, amax, bmax, out: out.fill(0))
     ok, line = cli.run_verify_case(case)
     assert not ok and line.startswith("FAIL") and "mismatches=" in line
 

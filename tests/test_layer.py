@@ -524,10 +524,10 @@ def test_prepared_parts_match_the_serial_transform(monkeypatch, threads, case, s
         assert not u.flags.writeable
 
 
-# direct_conv cuts its im2col rows into one contiguous part per worker
+# direct_conv cuts its b * out_h output rows into one contiguous part per worker
 DIRECT_SPLIT_SPECS = {
-    "2 rows, fewer than the workers": layer.LayerSpec(h=3, w=4, c=3, k=3, r=3),
-    "25 rows, split unevenly": layer.LayerSpec(h=5, w=5, c=4, k=3, r=3, padding=1),
+    "1 output row, fewer than the workers": layer.LayerSpec(h=3, w=4, c=3, k=3, r=3),
+    "5 output rows, split unevenly": layer.LayerSpec(h=5, w=5, c=4, k=3, r=3, padding=1),
     "c=113, one float32 product": layer.LayerSpec(h=5, w=5, c=113, k=2, r=3),
     "c=114, float32 pieces": layer.LayerSpec(h=5, w=5, c=114, k=2, r=3),
 }
@@ -547,6 +547,70 @@ def test_thread_count_does_not_change_results(monkeypatch):
             w, xd = random_operands(d, 7)
             got = layer.direct_conv(d, w, xd)
             assert np.array_equal(got.astype(np.int64), naive_conv(d, w, xd)), (threads, name)
+
+
+# direct_conv's streamed chunks at their edges, each against naive_conv
+STREAM_SPECS = {
+    # 10 output rows cut by 3 workers at 3, 3 and 4: the second part
+    # crosses from the first image into the second
+    "batch 2 cut mid-image": layer.LayerSpec(h=5, w=6, c=3, k=2, r=3, batch=2, padding=1),
+    "stride 2, padding 1": layer.LayerSpec(h=9, w=9, c=3, k=2, r=3, padding=1, stride=2),
+    "r=5, padding 2": layer.LayerSpec(h=7, w=8, c=2, k=3, r=5, padding=2),
+    # all -128: every output is 9 * c * 128**2, 16,662,528 <= 2**24 in one
+    # float32 product at c = 113, 16,809,984 in pieces of 1,024 and 2 terms
+    # at c = 114
+    "c=113, all -128": layer.LayerSpec(h=9, w=6, c=113, k=1, r=3),
+    "c=114, all -128": layer.LayerSpec(h=9, w=6, c=114, k=1, r=3),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("name", list(STREAM_SPECS))
+def test_streamed_direct_chunks_at_their_edges(monkeypatch, name, rows):
+    # a slice budget of rows output rows, cut into parts by 3 workers: one
+    # row a chunk, or two with an uneven last chunk in a part of odd length
+    spec = STREAM_SPECS[name]
+    depth = spec.r * spec.r * spec.c
+    monkeypatch.setattr(gemm, "_SLICE_BYTES", rows * spec.out_w * (depth + spec.k) * 4)
+    monkeypatch.setenv("RNSW_THREADS", "3")
+    chunks, matmul = [], gemm.int32_matmul
+
+    def spy(x, *args):
+        chunks.append(len(x) // spec.out_w)
+        return matmul(x, *args)
+
+    monkeypatch.setattr(gemm, "int32_matmul", spy)
+    if name.endswith("-128"):
+        w = np.full(spec.weight_shape(), -128, np.int8)
+        x = np.full(spec.input_shape(), -128, np.int8)
+    else:
+        w, x = random_operands(spec, 8)
+    got = layer.direct_conv(spec, w, x)
+    want = naive_conv(spec, w, x)
+    assert np.array_equal(got.astype(np.int64), want)
+    if name.endswith("-128"):
+        assert np.all(want == depth * 128**2)
+    assert sum(chunks) == spec.batch * spec.out_h and max(chunks) == rows
+
+
+def test_direct_conv_builds_no_whole_layer_staging_array(monkeypatch):
+    # 128 x 128, c = 64, batch 2: an im2col of the layer would take
+    # 2 * 128 * 128 * 576 bytes = 18.9 MB; streamed, the call holds its
+    # output, the padded input and under 2 MB per worker
+    monkeypatch.setenv("RNSW_THREADS", "2")
+    spec = layer.LayerSpec(h=128, w=128, c=64, k=8, r=3, batch=2, padding=1)
+    weights, x = random_operands(spec, 9)
+    out_bytes = spec.batch * spec.out_h * spec.out_w * spec.k * 4
+    padded_bytes = spec.batch * (spec.h + 2) * (spec.w + 2) * spec.c
+    layer.direct_conv(spec, weights, x)  # the pool exists before tracing
+    tracemalloc.start()
+    try:
+        got = layer.direct_conv(spec, weights, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out_bytes + padded_bytes + 2 * (2 << 20), peak
+    assert np.array_equal(got.astype(np.int64), naive_conv(spec, weights, x))
 
 
 def test_thread_cap_parsing(monkeypatch):
@@ -665,10 +729,12 @@ def blas_threads():
 
 
 def spy_stage_calls(monkeypatch, get):
-    """Wrap kernel.input_transform_mod and gemm.exact_matmul; returns the list
-    of what get() reads at each of their calls."""
+    """Wrap kernel.input_transform_mod, gemm.exact_matmul and
+    gemm.int32_matmul (direct_conv's product); returns the list of what get()
+    reads at each of their calls."""
     seen = []
-    for module, name in ((kernel, "input_transform_mod"), (gemm, "exact_matmul")):
+    stages = ((kernel, "input_transform_mod"), (gemm, "exact_matmul"), (gemm, "int32_matmul"))
+    for module, name in stages:
 
         def spy(*args, _wrapped=getattr(module, name), **kwargs):
             seen.append(get())
@@ -837,7 +903,7 @@ def test_forked_child_restores_the_blas_threads_its_parent_saved(monkeypatch, bl
     # leave no call counted (4 if not)
     monkeypatch.setenv("RNSW_THREADS", "1")
     parent, inside, release = os.getpid(), threading.Event(), threading.Event()
-    matmul = gemm.exact_matmul
+    matmul = gemm.int32_matmul
 
     def held(*args):
         if os.getpid() == parent:
@@ -845,7 +911,7 @@ def test_forked_child_restores_the_blas_threads_its_parent_saved(monkeypatch, bl
             release.wait(timeout=60)
         return matmul(*args)
 
-    monkeypatch.setattr(gemm, "exact_matmul", held)
+    monkeypatch.setattr(gemm, "int32_matmul", held)
     weights, x = random_operands(BLAS_SPEC, 36)
     caller = threading.Thread(target=layer.direct_conv, args=(BLAS_SPEC, weights, x))
     caller.start()

@@ -2,16 +2,18 @@
 
 A dot product of depth d over integers bounded by amax and bmax has every
 partial sum within d * amax * bmax, so float BLAS computes it exactly in
-float32 when that is at most 2**24 and in float64 up to 2**53; an int32
-product past 2**24 runs in float32 pieces of its contraction (the Ozaki
-split; int32_matmul).  A modular product stays in float, folded by
-multiply-round passes: in float32 up to float32_fold_edge(m), twice past
-2**22, and in float64 above, once up to 2**51.  The fold is lazy: a product
+float32 when that is at most 2**24 and in float64 up to 2**53
+(exact_float_dtype).  The package's one modular product, exact_matmul,
+stays in float, folded by multiply-round passes: in float32 up to
+float32_fold_edge(m), twice past 2**22, and in float64 above, once, up to
+2**51 (FLOAT64_FOLD), past which it refuses.  The fold is lazy: a product
 whose consumer is itself a modular product may hand it the exact unfolded
 integers instead, where defer_fold admits them, and the consumer's own fold
-reduces both.  A product runs in slices along its leading axis whose float
-copies take at most max(1 MB, twice the float bytes of the operands
-converted once) (slice_rows).
+reduces both.  The one int32 product, int32_matmul, runs past 2**24 in
+float32 pieces of its contraction (the Ozaki split).  A modular product
+runs in slices along its leading axis whose float copies take at most
+max(1 MB, twice the float bytes of the operands converted once)
+(slice_rows).
 """
 
 from __future__ import annotations
@@ -119,49 +121,41 @@ def _product_shape(a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
 
 
 def exact_matmul(
-    a: np.ndarray,
-    b: np.ndarray,
-    amax: int,
-    bmax: int,
-    m: int | None = None,
-    fold: bool = True,
+    a: np.ndarray, b: np.ndarray, amax: int, bmax: int, m: int, fold: bool = True
 ) -> np.ndarray:
-    """a @ b of integer arrays, exactly, through float BLAS.
+    """a @ b of integer or float residue arrays, folded mod m: exact on float BLAS.
 
     amax and bmax bound |a| and |b| and are trusted (int8 data counts as
-    128).  Without a modulus the result is int32 and must fit it; past 2**24
-    it sums float32 pieces of FLOAT32_EXACT // (amax * bmax) terms where one
-    term fits (int32_matmul).  With a modulus m it runs in float32 up to
-    float32_fold_edge(m) and in float64 above, and the symmetric residues are
-    returned as float32, which holds them exactly for any m up to 2**24
-    (float64 beyond); an operand may be such a float result of an earlier
-    modular product.  With fold=False (where defer_fold admits it) the
-    residue product is returned unfolded: the exact integers, computed and
-    stored in exact_float_dtype.  OverflowRisk otherwise.  Operands broadcast
-    like matmul; the result is computed and folded in slices along its
-    leading axis, converting an operand that does not run along it only once.  A slice's float copies
-    (its part of the output and of an operand that runs along that axis)
-    take at most max(_SLICE_BYTES, twice the float bytes of the operands
-    converted once), and at least one leading index (slice_rows).
+    128); an operand may be a float result of an earlier modular product.
+    Folded, it runs in float32 up to float32_fold_edge(m) and in float64 up
+    to FLOAT64_FOLD (2**51), where one pass centres it, and the symmetric
+    residues are returned as float32, which holds them exactly for any m up
+    to 2**24 (float64 beyond).  With fold=False (where defer_fold admits it)
+    the residue product is returned unfolded: the exact integers, computed
+    and stored in exact_float_dtype.  OverflowRisk, before any work, past
+    either bound.  Operands broadcast like matmul; the result is computed and
+    folded in slices along its leading axis, converting an operand that does
+    not run along it only once.  A slice's float copies (its part of the
+    output and of an operand that runs along that axis) take at most
+    max(_SLICE_BYTES, twice the float bytes of the operands converted once),
+    and at least one leading index (slice_rows).
     """
     shape = _product_shape(a, b)
-    for x in (a, b):
-        if not (np.issubdtype(x.dtype, np.integer) or (m is not None and x.dtype.kind == "f")):
-            raise ShapeMismatch(
-                f"operands must be integer arrays (or float residues with a modulus), "
-                f"got {a.dtype}, {b.dtype}"
-            )
+    if a.dtype.kind not in "iuf" or b.dtype.kind not in "iuf":
+        raise ShapeMismatch(f"operands must be integer or float arrays, got {a.dtype}, {b.dtype}")
     depth = a.shape[-1]
     bound = depth * amax * bmax
-    ft = exact_float_dtype(depth, amax, bmax)
-    if m is None:
-        ft = int32_float_dtype(depth, amax, bmax)
-        out = np.empty(shape, dtype=np.int32)
-    elif not fold:
-        out = np.empty(shape, dtype=ft)
+    if not fold:
+        ft = out_dtype = exact_float_dtype(depth, amax, bmax)
+    elif bound > FLOAT64_FOLD:
+        raise OverflowRisk(
+            f"dot length {depth} with operand bounds {amax}*{bmax} exceeds the "
+            f"one-pass float64 fold (2**51)"
+        )
     else:
         ft = np.dtype(np.float32 if bound <= float32_fold_edge(m) else np.float64)
-        out = np.empty(shape, dtype=np.float32 if m <= FLOAT32_EXACT else ft)
+        out_dtype = np.float32 if m <= FLOAT32_EXACT else ft
+    out = np.empty(shape, dtype=out_dtype)
     if out.size == 0:
         return out
     split_a = a.ndim == out.ndim and a.shape[0] == out.shape[0]
@@ -175,16 +169,10 @@ def exact_matmul(
         s = slice(i, i + step)
         x = af[s].astype(ft, copy=False) if split_a else af
         y = bf[s].astype(ft, copy=False) if split_b else bf
-        if m is None:
-            int32_matmul(x, y, amax, bmax, out[s])
-            continue
         prod = np.matmul(x, y, out=out[s] if ft == out.dtype else None)
         if not fold:
             continue
-        if bound > FLOAT64_FOLD:
-            # past the one-pass edge; fmod is exact and leaves |x| below m
-            np.fmod(prod, m, out=prod)
-        elif ft == np.float32 and bound > FLOAT32_FOLD:
+        if ft == np.float32 and bound > FLOAT32_FOLD:
             reduce_mod_inplace(prod, m)  # leaves |x| at most 1.5m
         reduce_mod_inplace(prod, m)
         if ft != out.dtype:

@@ -27,9 +27,9 @@ OpenBLAS runs one thread, so the pool alone spreads the work over the
 cores.  A worker's share of a layer call or a preparation, a block or a
 part, is bounded by one byte budget (_BLOCK_BYTES); direct_conv streams its
 windows in chunks of gemm.slice_rows instead, building no whole-layer
-im2col.  Every matrix product is exact on float BLAS (gemm.exact_matmul or
-its int32 product gemm.int32_matmul, or the CRT bound for the float64
-sum).  Outputs are bit-identical to direct_conv whenever the layer
+im2col.  Every matrix product is exact on float BLAS (gemm.exact_matmul,
+the modular product, or gemm.int32_matmul, the int32 one, or the CRT bound
+for the float64 sum).  Outputs are bit-identical to direct_conv whenever the layer
 passes range_check.
 """
 
@@ -104,13 +104,24 @@ class LayerSpec:
         return (self.batch, self.h, self.w, self.c)
 
 
+def _check_array(arr, name: str, ndim: int | None, dtypes=("int8",)) -> None:
+    """The one rule for a public array argument: TypeError naming it unless
+    it is an np.ndarray, ShapeMismatch unless it has ndim axes (any where
+    None) and one of dtypes in either byte order."""
+    if not isinstance(arr, np.ndarray):
+        raise TypeError(f"{name} must be a numpy array, got {type(arr).__name__}")
+    if ndim not in (None, arr.ndim) or arr.dtype.newbyteorder("=") not in dtypes:
+        rank = f" of rank {ndim}" if ndim else ""
+        raise ShapeMismatch(f"{name} must be {'/'.join(dtypes)}{rank}, "
+                            f"got {arr.dtype} of rank {arr.ndim}")
+
+
 def _check_operands(spec: LayerSpec, weights: np.ndarray, x: np.ndarray) -> None:
-    if weights.shape != spec.weight_shape():
-        raise ShapeMismatch(f"weights {weights.shape} do not match {spec.weight_shape()}")
-    if x.shape != spec.input_shape():
-        raise ShapeMismatch(f"input {x.shape} does not match {spec.input_shape()}")
-    if weights.dtype != np.int8 or x.dtype != np.int8:
-        raise ShapeMismatch(f"operands must be int8, got {weights.dtype} and {x.dtype}")
+    for arr, name, shape in ((weights, "weights", spec.weight_shape()),
+                             (x, "x", spec.input_shape())):
+        _check_array(arr, name, 4)
+        if arr.shape != shape:
+            raise ShapeMismatch(f"{name} {arr.shape} does not match {shape}")
 
 
 def _windows(x: np.ndarray, r: int, stride: int, padding: int) -> np.ndarray:
@@ -271,7 +282,7 @@ def direct_conv(spec: LayerSpec, weights: np.ndarray, x: np.ndarray) -> np.ndarr
 
 
 def tile_decompose(x: np.ndarray, tile_m: int, r: int, padding: int) -> np.ndarray:
-    """Cut padded NHWC input into overlapping n x n patches at stride tile_m.
+    """Cut padded int8 NHWC input into overlapping n x n patches at stride tile_m.
 
     n = tile_m + r - 1; neighbouring patches overlap by r - 1 so every
     sliding window falls inside exactly one patch.  The canvas is zero padded
@@ -282,6 +293,7 @@ def tile_decompose(x: np.ndarray, tile_m: int, r: int, padding: int) -> np.ndarr
     """
     tile_m, r = residue.as_int(tile_m, "tile_m", 1), residue.as_int(r, "r", 1)
     padding = residue.as_int(padding, "padding", 0)
+    _check_array(x, "x", 4)
     b, h, w, c = x.shape
     n = tile_m + r - 1
     out_h = h + 2 * padding - r + 1
@@ -626,16 +638,10 @@ _QTNS_DTYPES = {8: np.dtype("int8"), 32: np.dtype("<i4")}
 def write_tensor(path, arr: np.ndarray) -> None:
     """Serialize an int8 or int32 tensor: magic, version, rank, dims, data.
 
-    Dims and int32 payloads are little endian regardless of host order.
+    Dims and int32 payloads are little endian whatever the host or array order.
     """
-    if arr.dtype == np.int8:
-        bits = 8
-    elif arr.dtype == np.int32:
-        bits = 32
-    else:
-        raise ShapeMismatch(f"only int8/int32 tensors are serialized, got {arr.dtype}")
-    if arr.ndim > 255:
-        raise ShapeMismatch("rank too large")
+    _check_array(arr, "arr", None, ("int8", "int32"))
+    bits = 8 * arr.dtype.itemsize
     with open(path, "wb") as f:
         f.write(QTNS_MAGIC)
         f.write(struct.pack("<BB", QTNS_VERSION, arr.ndim))

@@ -17,6 +17,16 @@ def naive_gemm(a, b):
     return np.array(out, dtype=np.int64)
 
 
+def int32_product(a, b, amax, bmax):
+    """a @ b through int32_matmul, on the float int32_float_dtype picks, as
+    direct_conv calls it."""
+    ft = gemm.int32_float_dtype(a.shape[-1], amax, bmax)
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+    out = np.empty(shape, np.int32)
+    gemm.int32_matmul(a.astype(ft), b.astype(ft), amax, bmax, out)
+    return out
+
+
 def test_dtype_for_modulus():
     assert gemm.dtype_for_modulus(3) == np.int8
     assert gemm.dtype_for_modulus(251) == np.int8
@@ -27,45 +37,50 @@ def test_dtype_for_modulus():
 
 
 # ---------------------------------------------------------------------------
-# exact float-BLAS GEMM and its bounds
+# exact float-BLAS GEMM and its bounds: exact_matmul, the modular product
+# (with fold=False it returns the exact integers, so shape and slice tests
+# compare it against int64), and int32_matmul, the int32 product
 
 
 def test_exact_matmul_matches_naive_small():
     rng = np.random.default_rng(11)
     a = rng.integers(-128, 128, (4, 7)).astype(np.int8)
     b = rng.integers(-128, 128, (7, 5)).astype(np.int8)
-    got = gemm.exact_matmul(a, b, 128, 128)
+    got = int32_product(a, b, 128, 128)
     assert got.dtype == np.int32
     assert np.array_equal(got.astype(np.int64), naive_gemm(a, b))
+    unfolded = gemm.exact_matmul(a, b, 128, 128, 251, fold=False)
+    assert np.array_equal(unfolded, naive_gemm(a, b))
 
 
 def test_exact_matmul_deep_product_in_float64():
     # one term of 4100 * 4100 already exceeds 2**24, so no float32 piece
-    # holds it: the product runs in float64
+    # holds it: the int32 product runs in float64
     rng = np.random.default_rng(13)
     a = rng.integers(-4100, 4101, (9, 120)).astype(np.int16)
     b = rng.integers(-4100, 4101, (120, 11)).astype(np.int16)
     want = np.einsum("ik,kj->ij", a.astype(np.int64), b.astype(np.int64))
-    assert np.array_equal(gemm.exact_matmul(a, b, 4100, 4100).astype(np.int64), want)
+    assert gemm.int32_float_dtype(120, 4100, 4100) == np.float64
+    assert np.array_equal(int32_product(a, b, 4100, 4100).astype(np.int64), want)
 
 
 def test_exact_matmul_stacked_matches_per_slice():
     rng = np.random.default_rng(14)
     a = rng.integers(-128, 128, (5, 3, 17)).astype(np.int8)
     b = rng.integers(-128, 128, (5, 17, 4)).astype(np.int8)
-    got = gemm.exact_matmul(a, b, 128, 128)
+    got = gemm.exact_matmul(a, b, 128, 128, 251, fold=False)
     assert got.shape == (5, 3, 4)
     for s in range(5):
-        assert np.array_equal(got[s], gemm.exact_matmul(a[s], b[s], 128, 128))
+        assert np.array_equal(got[s], gemm.exact_matmul(a[s], b[s], 128, 128, 251, fold=False))
 
 
 def test_exact_matmul_broadcasts_shared_operand():
     rng = np.random.default_rng(15)
     a = rng.integers(-128, 128, (6, 2, 9)).astype(np.int8)
     b = rng.integers(-128, 128, (9, 3)).astype(np.int8)
-    got = gemm.exact_matmul(a, b, 128, 128)
+    got = gemm.exact_matmul(a, b, 128, 128, 251, fold=False)
     for s in range(6):
-        assert np.array_equal(got[s], gemm.exact_matmul(a[s], b, 128, 128))
+        assert np.array_equal(got[s], gemm.exact_matmul(a[s], b, 128, 128, 251, fold=False))
 
 
 def test_exact_matmul_random_shape_fuzz():
@@ -75,13 +90,15 @@ def test_exact_matmul_random_shape_fuzz():
         a = rng.integers(-128, 128, (p, c)).astype(np.int8)
         b = rng.integers(-128, 128, (c, k)).astype(np.int8)
         want = a.astype(np.int64) @ b.astype(np.int64)
-        assert np.array_equal(gemm.exact_matmul(a, b, 128, 128).astype(np.int64), want)
+        assert np.array_equal(gemm.exact_matmul(a, b, 128, 128, 251, fold=False), want)
 
 
 def test_exact_matmul_empty_inner_dimension():
     a = np.zeros((3, 0), np.int8)
     b = np.zeros((0, 4), np.int8)
-    assert np.array_equal(gemm.exact_matmul(a, b, 128, 128), np.zeros((3, 4), np.int32))
+    got = gemm.exact_matmul(a, b, 128, 128, 251, fold=False)
+    assert got.shape == (3, 4)
+    assert np.array_equal(got, np.zeros((3, 4)))
 
 
 def test_exact_matmul_modular_matches_wide_oracle():
@@ -110,7 +127,8 @@ def test_exact_float_dtype_mantissa_edges():
 def test_exact_matmul_at_float32_edge_is_exact():
     a = np.full((2, 1024), -128, np.int8)
     b = np.full((1024, 3), -128, np.int8)
-    got = gemm.exact_matmul(a, b, 128, 128)
+    got = gemm.exact_matmul(a, b, 128, 128, 251, fold=False)
+    assert got.dtype == np.float32
     assert np.all(got == 2**24)
 
 
@@ -119,7 +137,9 @@ def test_exact_matmul_just_past_float32_edge_uses_float64():
     # float32 piece can hold it
     a = np.full((1, 1), 4097, np.int16)
     assert int(np.matmul(a.astype(np.float32), a.astype(np.float32))[0, 0]) != 4097**2
-    assert gemm.exact_matmul(a, a, 4097, 4097)[0, 0] == 4097**2
+    got = gemm.exact_matmul(a, a, 4097, 4097, 251, fold=False)
+    assert got.dtype == np.float64
+    assert got[0, 0] == 4097**2
 
 
 PIECE_CASES = [
@@ -132,25 +152,33 @@ PIECE_CASES = [
 
 
 @pytest.mark.parametrize("sa,sb", PIECE_CASES)
-def test_exact_matmul_float32_pieces_match_oracle(monkeypatch, sa, sb):
-    # partial sums past 2**24 that one float32 product rounds; each piece is
-    # exact in float32 and the int32 sum of the pieces is exact.  A tiny
-    # slice budget forces one slice per leading index
-    monkeypatch.setattr(gemm, "_SLICE_BYTES", 1)
+def test_exact_matmul_float32_pieces_match_oracle(sa, sb):
+    # partial sums past 2**24 that one float32 product rounds; each of
+    # int32_matmul's pieces is exact in float32 and the int32 sum of the
+    # pieces is exact.  exact_matmul, unfolded, runs them in float64
     rng = np.random.default_rng(len(sa) * 10 + len(sb))
     a = rng.integers(115, 128, sa).astype(np.int8)
     b = rng.integers(115, 128, sb).astype(np.int8)
     want = np.matmul(a.astype(np.int64), b.astype(np.int64))
     assert want.min() > gemm.FLOAT32_EXACT
     assert not np.array_equal(np.matmul(a.astype(np.float32), b.astype(np.float32)), want)
-    got = gemm.exact_matmul(a, b, 128, 128)
+    assert gemm.int32_float_dtype(2049, 128, 128) == np.float32
+    got = int32_product(a, b, 128, 128)
     assert got.dtype == np.int32
     assert np.array_equal(got, want)
+    unfolded = gemm.exact_matmul(a, b, 128, 128, 251, fold=False)
+    assert unfolded.dtype == np.float64
+    assert np.array_equal(unfolded, want)
 
 
 def test_exact_matmul_pieces_hold_at_most_what_float32_holds(monkeypatch):
-    # 673 * 97 * 257 = 2**24 + 1: the pieces hold 2**24 // (97 * 257) = 672
-    # terms and 1, and at 1024 * 128 * 128 = 2**24 one product is enough
+    # 673 * 97 * 257 = 2**24 + 1: int32_matmul's pieces hold
+    # 2**24 // (97 * 257) = 672 terms and 1, and at 1024 * 128 * 128 = 2**24
+    # one product is enough
+    a = np.full((1, 673), 97, np.int8)
+    b = np.full((673, 1), 257, np.int16)
+    a1024 = np.full((1, 1024), -128, np.int8)
+    assert gemm.int32_float_dtype(673, 97, 257) == np.float32
     depths = []
     matmul = np.matmul
 
@@ -159,29 +187,51 @@ def test_exact_matmul_pieces_hold_at_most_what_float32_holds(monkeypatch):
         return matmul(x, y, **kwargs)
 
     monkeypatch.setattr(np, "matmul", spy)
-    a = np.full((1, 673), 97, np.int8)
-    b = np.full((673, 1), 257, np.int16)
-    assert gemm.exact_matmul(a, b, 97, 257)[0, 0] == 2**24 + 1
+    assert int32_product(a, b, 97, 257)[0, 0] == 2**24 + 1
     assert depths == [(np.float32, 672), (np.float32, 1)]
     depths.clear()
-    a = np.full((1, 1024), -128, np.int8)
-    assert gemm.exact_matmul(a, a.T.copy(), 128, 128)[0, 0] == 2**24
+    assert int32_product(a1024, a1024.T.copy(), 128, 128)[0, 0] == 2**24
     assert depths == [(np.float32, 1024)]
 
 
-def test_exact_matmul_float64_edge_counts_int8_minimum():
-    m = 251
+def fold_edge_faults() -> list[str]:
+    """What goes wrong at the folded product's 2**51 edge: -128 * 2**44 must
+    fold exactly, and a bound of 128 * (2**44 + 1) must raise OverflowRisk
+    naming 2**51 before any product runs, although 127 * (2**44 + 1) fits.
+
+    Uses no assert, so it checks the same under python -O (test_arrays.py
+    runs it there).
+    """
+    m, amax = 251, gemm.INT8_ABS_PEAK
     a = np.full((1, 1), -128, np.int8)
-    amax = gemm.INT8_ABS_PEAK
-    at_edge = np.array([[2**46]], np.int64)  # 128 * 2**46 = 2**53
-    got = gemm.exact_matmul(a, at_edge, amax, 2**46, m)
-    want = (-128 * 2**46) % m
+    at_edge = np.array([[2**44]], np.int64)  # 128 * 2**44 = 2**51
+    want = (-128 * 2**44) % m
     want -= m if want > (m - 1) // 2 else 0
-    assert got[0, 0] == want
-    # 127 * (2**46 + 1) would fit the mantissa; -128 makes it overflow
-    assert 127 * (2**46 + 1) <= gemm.FLOAT64_EXACT
-    with pytest.raises(OverflowRisk):
-        gemm.exact_matmul(a, at_edge + 1, amax, 2**46 + 1, m)
+    faults = []
+    if (got := gemm.exact_matmul(a, at_edge, amax, 2**44, m)[0, 0]) != want:
+        faults.append(f"-128 * 2**44 folded to {got}, not {want}")
+    if 127 * (2**44 + 1) > gemm.FLOAT64_FOLD:
+        faults.append("127 * (2**44 + 1) is past 2**51")
+    try:
+        got = gemm.exact_matmul(a, at_edge + 1, amax, 2**44 + 1, m)
+        faults.append(f"past 2**51 returned {got}")
+    except OverflowRisk as e:
+        if "2**51" not in str(e):
+            faults.append(f"the refusal does not name 2**51: {e}")
+    return faults
+
+
+def test_exact_matmul_float64_edge_counts_int8_minimum(monkeypatch):
+    calls = []
+    matmul = np.matmul
+
+    def spy(x, y, **kwargs):
+        calls.append(x.shape)
+        return matmul(x, y, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    assert fold_edge_faults() == []
+    assert len(calls) == 1  # only the product at the edge ran
 
 
 def test_defer_fold_at_its_edges():
@@ -217,12 +267,17 @@ def test_unfolded_product_is_exact_in_the_narrowest_float(depth, bmax, dtype):
 
 
 def test_exact_matmul_without_modulus_must_fit_int32():
+    # exact_matmul is only the modular product; the int32 product is
+    # int32_matmul's, whose float int32_float_dtype picks only where the
+    # product fits int32
     a = np.full((1, 2), 32767, np.int16)
-    got = gemm.exact_matmul(a, a.T.copy(), 32767, 32767)
+    with pytest.raises(TypeError, match="'m'"):
+        gemm.exact_matmul(a, a.T.copy(), 32767, 32767)
+    got = int32_product(a, a.T.copy(), 32767, 32767)
     assert got[0, 0] == 2 * 32767 * 32767
     three = np.full((1, 3), 32767, np.int16)
-    with pytest.raises(OverflowRisk):
-        gemm.exact_matmul(three, three.T.copy(), 32767, 32767)
+    with pytest.raises(OverflowRisk, match="can overflow int32"):
+        int32_product(three, three.T.copy(), 32767, 32767)
 
 
 def test_exact_matmul_slices_match_oracle(monkeypatch):
@@ -242,7 +297,7 @@ def test_exact_matmul_slices_match_oracle(monkeypatch):
         a = rng.integers(-128, 128, sa).astype(np.int8)
         b = rng.integers(-128, 128, sb).astype(np.int8)
         want = np.matmul(a.astype(np.int64), b.astype(np.int64))
-        got = gemm.exact_matmul(a, b, 128, 128)
+        got = gemm.exact_matmul(a, b, 128, 128, 251, fold=False)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
         red = gemm.exact_matmul(a, b, 128, 128, 251)
@@ -276,7 +331,7 @@ def test_exact_matmul_slice_budget_counts_the_operand_converted_once(
     b = rng.integers(-128, 128, (depth, k)).astype(np.int8)
     assert gemm._SLICE_BYTES == 1 << 20
     monkeypatch.setattr(np, "matmul", spy)
-    got = gemm.exact_matmul(a, b, 128, 128)
+    got = gemm.exact_matmul(a, b, 128, 128, 251, fold=False)
     monkeypatch.undo()
     assert len(calls) == slices
     assert sum(calls) == rows
@@ -285,17 +340,19 @@ def test_exact_matmul_slice_budget_counts_the_operand_converted_once(
 
 
 def test_exact_matmul_shape_and_dtype_errors():
+    # float operands are residues of an earlier modular product, always
+    # valid; only dtypes that are neither integer nor float are refused
     a8 = np.zeros((2, 3), np.int8)
     with pytest.raises(ShapeMismatch):
-        gemm.exact_matmul(np.zeros(3, np.int8), a8, 1, 1)
+        gemm.exact_matmul(np.zeros(3, np.int8), a8, 1, 1, 251)
     with pytest.raises(ShapeMismatch):
-        gemm.exact_matmul(a8, np.zeros((3, 2), np.float64), 1, 1)
+        gemm.exact_matmul(a8, np.zeros((3, 2), np.bool_), 1, 1, 251)
     with pytest.raises(ShapeMismatch):
-        gemm.exact_matmul(a8, np.zeros((4, 2), np.int8), 1, 1)
+        gemm.exact_matmul(a8, np.zeros((4, 2), np.int8), 1, 1, 251)
     with pytest.raises(ShapeMismatch):
-        gemm.exact_matmul(a8, np.zeros((3, 2), np.float32), 1, 1)
+        gemm.exact_matmul(a8, np.zeros((3, 2), np.complex64), 1, 1, 251)
     with pytest.raises(ShapeMismatch):
-        gemm.exact_matmul(np.zeros((2, 4, 3), np.int8), np.zeros((3, 3, 2), np.int8), 1, 1)
+        gemm.exact_matmul(np.zeros((2, 4, 3), np.int8), np.zeros((3, 3, 2), np.int8), 1, 1, 251)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,18 @@
 """Exact integer GEMM on floating-point BLAS, and the symmetric reduction.
 
 A dot product of depth d over integers bounded by amax and bmax has every
-partial sum within d * amax * bmax, so float BLAS computes it exactly in
-float32 when that is at most 2**24 and in float64 up to 2**53
-(exact_float_dtype).  The package's one modular product, exact_matmul,
-stays in float, folded by multiply-round passes: in float32 up to
-float32_fold_edge(m), twice past 2**22, and in float64 above, once, up to
-2**51 (FLOAT64_FOLD), past which it refuses.  The fold is lazy: a product
-whose consumer is itself a modular product may hand it the exact unfolded
-integers instead, where defer_fold admits them, and the consumer's own fold
-reduces both.  The one int32 product, int32_matmul, runs past 2**24 in
-float32 pieces of its contraction (the Ozaki split).  A modular product
-runs in slices along its leading axis whose float copies take at most
-max(1 MB, twice the float bytes of the operands converted once)
-(slice_rows).
+partial sum within its bound d * amax * bmax, so float BLAS computes it
+exactly wherever the mantissa holds that bound.  The package's one modular
+product, exact_matmul, picks its float by one rule, folded or not: float32
+while the bound is at most float32_fold_edge(m), where its fold runs twice
+past 2**22, float64 up to 2**51 (FLOAT64_FOLD), where it runs once, and
+OverflowRisk beyond.  The fold is lazy: a product whose consumer is itself
+a modular product may hand it the exact unfolded integers instead, where
+defer_fold admits them, and the consumer's own fold reduces both.  The one
+int32 product, int32_matmul, runs in float32 pieces of its contraction
+only (the Ozaki split), each within 2**24.  A modular product runs in
+slices along its leading axis whose float copies take at most max(1 MB,
+twice the float bytes of the operands converted once) (slice_rows).
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .errors import OverflowRisk, ShapeMismatch
 INT32_MAX = 2**31 - 1
 INT8_ABS_PEAK = 128
 FLOAT32_EXACT = 2**24
-FLOAT64_EXACT = 2**53
 # Largest |x| that one pass x - m*rint(x * (1/m)) centres: the quotient's
 # rounding error stays below 1/(2m) and m*rint(...) is exact.
 FLOAT32_FOLD = 2**22
@@ -40,19 +38,6 @@ _SLICE_BYTES = 1 << 20
 def dtype_for_modulus(m: int) -> np.dtype:
     """Narrowest signed dtype holding the symmetric residue range of m."""
     return np.dtype(np.int8) if m < 256 else np.dtype(np.int16)
-
-
-def exact_float_dtype(depth: int, amax: int, bmax: int) -> np.dtype:
-    """Narrowest float in which every partial sum of such a product is exact."""
-    bound = depth * amax * bmax
-    if bound <= FLOAT32_EXACT:
-        return np.dtype(np.float32)
-    if bound <= FLOAT64_EXACT:
-        return np.dtype(np.float64)
-    raise OverflowRisk(
-        f"dot length {depth} with operand bounds {amax}*{bmax} exceeds the "
-        f"float64 mantissa (2**53)"
-    )
 
 
 def float32_fold_edge(m: int) -> int:
@@ -85,24 +70,27 @@ def slice_rows(row: int, once: int, itemsize: int) -> int:
     return max(1, max(_SLICE_BYTES, 2 * once * itemsize) // (row * itemsize))
 
 
-def int32_float_dtype(depth: int, amax: int, bmax: int) -> np.dtype:
-    """The float an int32 product of this depth over integers bounded by amax
-    and bmax runs in (int32_matmul): float32 where one term fits its mantissa,
-    float64 otherwise.  OverflowRisk where the product can overflow int32."""
+def int32_piece(depth: int, amax: int, bmax: int) -> int:
+    """Contraction terms per float32 piece of an int32 product of this depth
+    over integers bounded by amax and bmax (int32_matmul), so that each
+    piece's partial sums stay within 2**24.  OverflowRisk where one term
+    passes 2**24 or the product can overflow int32."""
+    if amax * bmax > FLOAT32_EXACT:
+        raise OverflowRisk(f"one term of {amax}*{bmax} exceeds the float32 mantissa (2**24)")
     if depth * amax * bmax > INT32_MAX:
         raise OverflowRisk(
             f"dot length {depth} with operand bounds {amax}*{bmax} can overflow int32"
         )
-    return np.dtype(np.float32 if amax * bmax <= FLOAT32_EXACT else np.float64)
+    return FLOAT32_EXACT // max(amax * bmax, 1)
 
 
 def int32_matmul(x: np.ndarray, y: np.ndarray, amax: int, bmax: int, out: np.ndarray) -> None:
-    """out[...] = x @ y, exactly, for float operands of int32_float_dtype
-    holding integers bounded by amax and bmax: in float64 in one product, in
-    float32 in pieces of FLOAT32_EXACT // (amax * bmax) contraction terms,
-    each exact, summed in the int32 out.  The package's one int32 product."""
+    """out[...] = x @ y, exactly, for float32 operands holding integers
+    bounded by amax and bmax: in pieces of int32_piece contraction terms,
+    each exact in float32, summed in the int32 out.  Refuses, before any
+    work, what int32_piece refuses.  The package's one int32 product."""
     depth = x.shape[-1]
-    piece = max(depth, 1) if x.dtype == np.float64 else FLOAT32_EXACT // max(amax * bmax, 1)
+    piece = int32_piece(depth, amax, bmax)
     np.copyto(out, np.matmul(x[..., :piece], y[..., :piece, :]), casting="unsafe")
     for j in range(piece, depth, piece):
         out += np.matmul(x[..., j : j + piece], y[..., j : j + piece, :]).astype(np.int32)
@@ -127,34 +115,31 @@ def exact_matmul(
 
     amax and bmax bound |a| and |b| and are trusted (int8 data counts as
     128); an operand may be a float result of an earlier modular product.
-    Folded, it runs in float32 up to float32_fold_edge(m) and in float64 up
-    to FLOAT64_FOLD (2**51), where one pass centres it, and the symmetric
-    residues are returned as float32, which holds them exactly for any m up
-    to 2**24 (float64 beyond).  With fold=False (where defer_fold admits it)
-    the residue product is returned unfolded: the exact integers, computed
-    and stored in exact_float_dtype.  OverflowRisk, before any work, past
-    either bound.  Operands broadcast like matmul; the result is computed and
-    folded in slices along its leading axis, converting an operand that does
-    not run along it only once.  A slice's float copies (its part of the
-    output and of an operand that runs along that axis) take at most
-    max(_SLICE_BYTES, twice the float bytes of the operands converted once),
-    and at least one leading index (slice_rows).
+    The bound depth * amax * bmax picks the float, folded or not: float32 up
+    to float32_fold_edge(m), float64 up to FLOAT64_FOLD (2**51), where one
+    pass centres it, and OverflowRisk, before any work, beyond.  The
+    symmetric residues are returned as float32, which holds them exactly for
+    any m up to 2**24 (float64 beyond).  fold=False (where defer_fold admits
+    it) only skips the fold: the exact integers are returned in the float
+    they were computed in.  Operands broadcast like matmul; the result is
+    computed and folded in slices along its leading axis, converting an
+    operand that does not run along it only once.  A slice's float copies
+    (its part of the output and of an operand that runs along that axis)
+    take at most max(_SLICE_BYTES, twice the float bytes of the operands
+    converted once), and at least one leading index (slice_rows).
     """
     shape = _product_shape(a, b)
     if a.dtype.kind not in "iuf" or b.dtype.kind not in "iuf":
         raise ShapeMismatch(f"operands must be integer or float arrays, got {a.dtype}, {b.dtype}")
     depth = a.shape[-1]
     bound = depth * amax * bmax
-    if not fold:
-        ft = out_dtype = exact_float_dtype(depth, amax, bmax)
-    elif bound > FLOAT64_FOLD:
+    if bound > FLOAT64_FOLD:
         raise OverflowRisk(
             f"dot length {depth} with operand bounds {amax}*{bmax} exceeds the "
             f"one-pass float64 fold (2**51)"
         )
-    else:
-        ft = np.dtype(np.float32 if bound <= float32_fold_edge(m) else np.float64)
-        out_dtype = np.float32 if m <= FLOAT32_EXACT else ft
+    ft = np.dtype(np.float32 if bound <= float32_fold_edge(m) else np.float64)
+    out_dtype = np.float32 if fold and m <= FLOAT32_EXACT else ft
     out = np.empty(shape, dtype=out_dtype)
     if out.size == 0:
         return out

@@ -78,10 +78,10 @@ def backward_rows_mod(
     rest) float32 residues for (n, n, ...) products, rest the trailing axes
     flattened: entry [j, a] is output row a at product column j, so row a of
     A^T t A is mt.at @ [:, a] mod m.  fold=False returns the exact integer
-    products instead, in gemm.exact_float_dtype (float32 for 8-bit moduli
-    on residues), for a float64 CRT sum whose bound admits them
-    (RnsSystem.crt_fits).  The layer finishes the transform inside its CRT
-    reconstruction.
+    products instead, in the float gemm.exact_matmul computes them in
+    (float32 for 8-bit moduli on residues), for a float64 CRT sum whose
+    bound admits them (RnsSystem.crt_fits).  The layer finishes the
+    transform inside its CRT reconstruction.
     """
     _check_tile(t, mt.n, "product tile")
     if tmax is None:

@@ -248,21 +248,24 @@ def direct_conv(spec: LayerSpec, weights: np.ndarray, x: np.ndarray) -> np.ndarr
     """Reference convolution: streamed im2col rows through exact int32 GEMMs.
 
     Exact by construction (gemm.int32_matmul bounds the full r*r*c dot
-    length with int8 operands at 128), used as the oracle the fast path is
-    compared against; it runs on the same GEMM engine as the fast path.  The
-    input is padded once and the weights converted to float once; _run cuts
-    the b * out_h output rows into a contiguous part per worker of the cap.
-    A part gathers chunks of whole output rows of one image, gemm.slice_rows
-    of them, from the window view straight into one reused float buffer, and
-    multiplies each into its own rows of the int32 output: no whole-layer
-    im2col is built.
+    length with int8 operands at 128, in float32 pieces), used as the oracle
+    the fast path is compared against; it runs on the same GEMM engine as the
+    fast path.  A layer whose product can overflow int32 raises OverflowRisk
+    on the calling thread before any gather (gemm.int32_piece).  The input
+    is padded once and the weights converted to float32 once; _run cuts the
+    b * out_h output rows into a contiguous part per worker of the cap.  A
+    part gathers chunks of whole output rows of one image, gemm.slice_rows
+    of them, from the window view straight into one reused float32 buffer,
+    and multiplies each into its own rows of the int32 output: no
+    whole-layer im2col is built.
     """
     _check_operands(spec, weights, x)
     win = _windows(x, spec.r, spec.stride, spec.padding)
     b, oh, ow = win.shape[:3]
     depth, k = spec.r * spec.r * spec.c, spec.k
     peak = gemm.INT8_ABS_PEAK
-    wmat = weights.reshape(depth, k).astype(gemm.int32_float_dtype(depth, peak, peak))
+    gemm.int32_piece(depth, peak, peak)  # refuses before any gather
+    wmat = weights.reshape(depth, k).astype(np.float32)
     step = gemm.slice_rows(ow * (depth + k), wmat.size, wmat.itemsize)
     out = np.empty((b * oh, ow, k), dtype=np.int32)
 

@@ -5,7 +5,7 @@ list, a 0-d array, an array of another rank, a float array, a bool array, a
 non-contiguous view and a read-only array.  Each call must either return
 what the same values give as a contiguous, writable int8 array, or raise a
 library error or a TypeError naming the argument; nothing else may escape.
-A slice of the table, and the folded product's 2**51 refusal, also run
+A slice of the table, and the modular product's 2**51 refusal, also run
 under python -O, so no refusal rests on an assert statement.
 """
 

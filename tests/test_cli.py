@@ -1,6 +1,7 @@
 """Command line behavior: output content, determinism, exit codes, file IO."""
 
 import csv
+import hashlib
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -136,6 +137,24 @@ def test_verify_default_sweep_passes_and_is_deterministic(capsys):
     assert code == 0 and out2 == out1
     code, out3, _ = run_cli(capsys, "verify", "--seed", "99")
     assert code == 0 and out3 != out1
+
+
+# SHA-256 of `rnswino verify --seed 2020`'s stdout: 218 lines ending in
+# "217/217 cases passed".  Every case line prints its shape, system and
+# result, so a change to what the sweep runs or reports changes the digest.
+VERIFY_2020_SHA256 = "fe57afc93bd297af3013c1a5f51a83320400e583840b8a069c05e13c1cd97310"
+
+
+def test_verify_seed_2020_output_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--seed", "2020")
+    assert code == 0
+    lines = out.splitlines()
+    assert (len(lines), lines[-1]) == (218, "217/217 cases passed")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == VERIFY_2020_SHA256, (
+        f"verify --seed 2020 output changed (sha256 {digest}); the pinned digest "
+        "may change only together with a CHANGES.md line giving the reason"
+    )
 
 
 def test_verify_config_mode(tmp_path, capsys):

@@ -18,12 +18,10 @@ def naive_gemm(a, b):
 
 
 def int32_product(a, b, amax, bmax):
-    """a @ b through int32_matmul, on the float int32_float_dtype picks, as
-    direct_conv calls it."""
-    ft = gemm.int32_float_dtype(a.shape[-1], amax, bmax)
+    """a @ b through int32_matmul on float32 operands, as direct_conv calls it."""
     shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
     out = np.empty(shape, np.int32)
-    gemm.int32_matmul(a.astype(ft), b.astype(ft), amax, bmax, out)
+    gemm.int32_matmul(a.astype(np.float32), b.astype(np.float32), amax, bmax, out)
     return out
 
 
@@ -51,17 +49,6 @@ def test_exact_matmul_matches_naive_small():
     assert np.array_equal(got.astype(np.int64), naive_gemm(a, b))
     unfolded = gemm.exact_matmul(a, b, 128, 128, 251, fold=False)
     assert np.array_equal(unfolded, naive_gemm(a, b))
-
-
-def test_exact_matmul_deep_product_in_float64():
-    # one term of 4100 * 4100 already exceeds 2**24, so no float32 piece
-    # holds it: the int32 product runs in float64
-    rng = np.random.default_rng(13)
-    a = rng.integers(-4100, 4101, (9, 120)).astype(np.int16)
-    b = rng.integers(-4100, 4101, (120, 11)).astype(np.int16)
-    want = np.einsum("ik,kj->ij", a.astype(np.int64), b.astype(np.int64))
-    assert gemm.int32_float_dtype(120, 4100, 4100) == np.float64
-    assert np.array_equal(int32_product(a, b, 4100, 4100).astype(np.int64), want)
 
 
 def test_exact_matmul_stacked_matches_per_slice():
@@ -116,20 +103,26 @@ def test_exact_matmul_modular_matches_wide_oracle():
     assert np.all(np.abs(got) <= half)
 
 
-def test_exact_float_dtype_mantissa_edges():
-    assert gemm.exact_float_dtype(1024, 128, 128) == np.float32  # 2**24
-    assert gemm.exact_float_dtype(673, 97, 257) == np.float64  # 2**24 + 1
-    assert gemm.exact_float_dtype(1, 128, 2**46) == np.float64  # 2**53
-    with pytest.raises(OverflowRisk):
-        gemm.exact_float_dtype(1, 128, 2**46 + 1)
-
-
 def test_exact_matmul_at_float32_edge_is_exact():
-    a = np.full((2, 1024), -128, np.int8)
-    b = np.full((1024, 3), -128, np.int8)
-    got = gemm.exact_matmul(a, b, 128, 128, 251, fold=False)
+    # an unfolded product picks its float by the folded rule: at exactly
+    # float32_fold_edge(251) = 2**24 - 377 (a prime, so one term) float32,
+    # and one more term makes it float64, where the odd sum 2 * edge - 1
+    # is exact and float32 rounds it
+    edge = gemm.float32_fold_edge(251)
+    assert edge == 2**24 - 377
+    a = np.array([[edge], [-edge]], np.int32)
+    b = np.array([[1, -1, 0]], np.int8)
+    got = gemm.exact_matmul(a, b, edge, 1, 251, fold=False)
     assert got.dtype == np.float32
-    assert np.all(got == 2**24)
+    assert np.array_equal(got, a.astype(np.int64) @ b)
+    a = np.array([[edge, edge - 1], [-edge, 1 - edge]], np.int32)
+    b = np.array([[1, -1, 0], [1, -1, 1]], np.int8)
+    want = a.astype(np.int64) @ b
+    assert want[0, 0] == 2 * edge - 1
+    assert not np.array_equal(np.matmul(a.astype(np.float32), b.astype(np.float32)), want)
+    got = gemm.exact_matmul(a, b, edge, 1, 251, fold=False)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)
 
 
 def test_exact_matmul_just_past_float32_edge_uses_float64():
@@ -155,14 +148,15 @@ PIECE_CASES = [
 def test_exact_matmul_float32_pieces_match_oracle(sa, sb):
     # partial sums past 2**24 that one float32 product rounds; each of
     # int32_matmul's pieces is exact in float32 and the int32 sum of the
-    # pieces is exact.  exact_matmul, unfolded, runs them in float64
+    # pieces is exact.  exact_matmul, unfolded, runs them in float64, past
+    # float32_fold_edge(251)
     rng = np.random.default_rng(len(sa) * 10 + len(sb))
     a = rng.integers(115, 128, sa).astype(np.int8)
     b = rng.integers(115, 128, sb).astype(np.int8)
     want = np.matmul(a.astype(np.int64), b.astype(np.int64))
     assert want.min() > gemm.FLOAT32_EXACT
     assert not np.array_equal(np.matmul(a.astype(np.float32), b.astype(np.float32)), want)
-    assert gemm.int32_float_dtype(2049, 128, 128) == np.float32
+    assert gemm.int32_piece(2049, 128, 128) == 1024
     got = int32_product(a, b, 128, 128)
     assert got.dtype == np.int32
     assert np.array_equal(got, want)
@@ -178,7 +172,7 @@ def test_exact_matmul_pieces_hold_at_most_what_float32_holds(monkeypatch):
     a = np.full((1, 673), 97, np.int8)
     b = np.full((673, 1), 257, np.int16)
     a1024 = np.full((1, 1024), -128, np.int8)
-    assert gemm.int32_float_dtype(673, 97, 257) == np.float32
+    assert gemm.int32_piece(673, 97, 257) == 672
     depths = []
     matmul = np.matmul
 
@@ -195,9 +189,10 @@ def test_exact_matmul_pieces_hold_at_most_what_float32_holds(monkeypatch):
 
 
 def fold_edge_faults() -> list[str]:
-    """What goes wrong at the folded product's 2**51 edge: -128 * 2**44 must
-    fold exactly, and a bound of 128 * (2**44 + 1) must raise OverflowRisk
-    naming 2**51 before any product runs, although 127 * (2**44 + 1) fits.
+    """What goes wrong at the modular product's 2**51 edge: -128 * 2**44
+    must fold exactly and, unfolded, come back exact, and a bound of 128 *
+    (2**44 + 1) must raise OverflowRisk naming 2**51 before any product
+    runs, folded or not, although 127 * (2**44 + 1) fits.
 
     Uses no assert, so it checks the same under python -O (test_arrays.py
     runs it there).
@@ -210,14 +205,17 @@ def fold_edge_faults() -> list[str]:
     faults = []
     if (got := gemm.exact_matmul(a, at_edge, amax, 2**44, m)[0, 0]) != want:
         faults.append(f"-128 * 2**44 folded to {got}, not {want}")
+    if (got := gemm.exact_matmul(a, at_edge, amax, 2**44, m, fold=False)[0, 0]) != -(2**51):
+        faults.append(f"-128 * 2**44 unfolded came back {got}, not -2**51")
     if 127 * (2**44 + 1) > gemm.FLOAT64_FOLD:
         faults.append("127 * (2**44 + 1) is past 2**51")
-    try:
-        got = gemm.exact_matmul(a, at_edge + 1, amax, 2**44 + 1, m)
-        faults.append(f"past 2**51 returned {got}")
-    except OverflowRisk as e:
-        if "2**51" not in str(e):
-            faults.append(f"the refusal does not name 2**51: {e}")
+    for fold in (True, False):
+        try:
+            got = gemm.exact_matmul(a, at_edge + 1, amax, 2**44 + 1, m, fold)
+            faults.append(f"past 2**51 with fold={fold} returned {got}")
+        except OverflowRisk as e:
+            if "2**51" not in str(e):
+                faults.append(f"the refusal does not name 2**51: {e}")
     return faults
 
 
@@ -231,7 +229,7 @@ def test_exact_matmul_float64_edge_counts_int8_minimum(monkeypatch):
 
     monkeypatch.setattr(np, "matmul", spy)
     assert fold_edge_faults() == []
-    assert len(calls) == 1  # only the product at the edge ran
+    assert len(calls) == 2  # only the products at the edge ran
 
 
 def test_defer_fold_at_its_edges():
@@ -250,34 +248,31 @@ def test_defer_fold_at_its_edges():
     assert gemm.defer_fold(16, 1024, 16 * 1024 * 128)
 
 
-@pytest.mark.parametrize(
-    "depth,bmax,dtype",
-    # 1024 * 128 * 128 = 2**24 stays float32; 673 * 97 * 257 = 2**24 + 1
-    [(1024, 128, np.float32), (673, 257, np.float64)],
-)
-def test_unfolded_product_is_exact_in_the_narrowest_float(depth, bmax, dtype):
-    amax = gemm.INT8_ABS_PEAK if bmax == 128 else 97
-    a = np.full((2, depth), -amax, np.int16)
-    b = np.full((depth, 3), -bmax, np.int16)
-    b[:, 1] = bmax
-    got = gemm.exact_matmul(a, b, amax, bmax, 251, fold=False)
-    assert got.dtype == dtype
-    assert np.array_equal(got, np.matmul(a.astype(np.int64), b.astype(np.int64)))
-    assert got[0, 0] == depth * amax * bmax
-
-
-def test_exact_matmul_without_modulus_must_fit_int32():
+def test_exact_matmul_without_modulus_must_fit_int32(monkeypatch):
     # exact_matmul is only the modular product; the int32 product is
-    # int32_matmul's, whose float int32_float_dtype picks only where the
-    # product fits int32
-    a = np.full((1, 2), 32767, np.int16)
+    # int32_matmul's, in float32 pieces: 127 terms of 4096 * 4096 = 2**24,
+    # one a piece, sum within int32, 128 can overflow it, and one term of
+    # 4097**2 passes 2**24; both are refused before any product runs
+    a = np.full((1, 2), 4096, np.int16)
     with pytest.raises(TypeError, match="'m'"):
-        gemm.exact_matmul(a, a.T.copy(), 32767, 32767)
-    got = int32_product(a, a.T.copy(), 32767, 32767)
-    assert got[0, 0] == 2 * 32767 * 32767
-    three = np.full((1, 3), 32767, np.int16)
+        gemm.exact_matmul(a, a.T.copy(), 4096, 4096)
+    deep = np.full((1, 127), -4096, np.int16)
+    assert int32_product(deep, deep.T.copy(), 4096, 4096)[0, 0] == 127 * 2**24
+    calls = []
+    matmul = np.matmul
+
+    def spy(x, y, **kwargs):
+        calls.append(x.shape)
+        return matmul(x, y, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    deeper = np.full((1, 128), 4096, np.int16)
     with pytest.raises(OverflowRisk, match="can overflow int32"):
-        int32_product(three, three.T.copy(), 32767, 32767)
+        int32_product(deeper, deeper.T.copy(), 4096, 4096)
+    one = np.full((1, 1), 4097, np.int16)
+    with pytest.raises(OverflowRisk, match="2\\*\\*24"):
+        int32_product(one, one, 4097, 4097)
+    assert calls == []
 
 
 def test_exact_matmul_slices_match_oracle(monkeypatch):
@@ -311,8 +306,10 @@ def test_exact_matmul_slices_match_oracle(monkeypatch):
         # b converted once takes 2 * 288 * 32 * 4 = 73,728 bytes, within the
         # 1 MB floor: 1 MB // ((288 + 32) * 4) = 819 rows a slice
         (2000, 288, 32, 3),
-        # b takes 2 * 1024 * 512 * 4 = 4 MB, past the floor:
-        # 4 MB // ((1024 + 512) * 4) = 682 rows a slice (the floor gives 170)
+        # 1024 * 128 * 128 = 2**24 runs in float64, past
+        # float32_fold_edge(251): b takes 2 * 1024 * 512 * 8 = 8 MB, past the
+        # floor: 8 MB // ((1024 + 512) * 8) = 682 rows a slice (the floor
+        # gives 85)
         (1000, 1024, 512, 2),
     ],
 )

@@ -68,9 +68,11 @@ def test_stage_transforms_match_int64_sandwich(modulus):
     got = kernel.backward_rows_mod(t, mt)
     assert got.shape == (6, 4, 1)
     assert np.array_equal(got[:, :, 0].T.astype(np.int64), sym_reduce(want, modulus))
-    # unfolded: the exact integer products, in the float that holds them
+    # unfolded: the exact integer products, in the float the fold rule
+    # picks: 6 * 125**2 is within float32_fold_edge(251), 6 * 2000**2 past
+    # float32_fold_edge(4001)
     got = kernel.backward_rows_mod(t, mt, fold=False)
-    assert got.dtype == gemm.exact_float_dtype(6, half, half)
+    assert got.dtype == {251: np.float32, 4001: np.float64}[modulus]
     assert np.array_equal(got[:, :, 0].T.astype(np.int64), want)
 
 

@@ -1201,7 +1201,8 @@ POSITION_EDGES = [
     ((32749, 32719), 33, (None, None)),
     # within by 0.05%, past by 0.06%
     ((32429, 32441), 33, (np.float64, None)),
-    # c * h**2 against 2**24 picks the dtype: 12,000,000 and 14,061,675
+    # c * h**2 against gemm.float32_fold_edge(m) (16,771,214 and
+    # 16,770,719) picks the dtype: 12,000,000 and 14,061,675
     ((4001, 4331), 3, (np.float32, np.float32)),
     # 16,000,000 and 18,748,900
     ((4001, 4331), 4, (np.float32, np.float64)),

@@ -248,6 +248,42 @@ def test_defer_fold_at_its_edges():
     assert gemm.defer_fold(16, 1024, 16 * 1024 * 128)
 
 
+def test_exact_float_dtype_mantissa_edges():
+    # the float exact_matmul picks, unfolded, at the edges of its one rule:
+    # float32 at float32_fold_edge(m) and float64 one past it, for a small
+    # and a large modulus, float64 at 2**51 and OverflowRisk one past it;
+    # folded, the residues come back float32 either way
+    one = np.ones((1, 1), np.int8)
+    for m in (251, 4001):
+        edge = gemm.float32_fold_edge(m)
+        for bound, dtype in ((edge, np.float32), (edge + 1, np.float64)):
+            a = np.array([[bound]], np.int64)
+            assert gemm.exact_matmul(a, one, bound, 1, m, fold=False).dtype == dtype
+            assert gemm.exact_matmul(a, one, bound, 1, m).dtype == np.float32
+    top = np.array([[gemm.FLOAT64_FOLD]], np.int64)
+    assert gemm.exact_matmul(top, one, gemm.FLOAT64_FOLD, 1, 251, fold=False).dtype == np.float64
+    with pytest.raises(OverflowRisk, match="2\\*\\*51"):
+        gemm.exact_matmul(top + 1, one, gemm.FLOAT64_FOLD + 1, 1, 251, fold=False)
+
+
+@pytest.mark.parametrize(
+    "depth,bmax,dtype",
+    # 1024 * 127 * 128 = 2**24 - 2**17 is within float32_fold_edge(251);
+    # 673 * 97 * 257 = 2**24 + 1 is past it
+    [(1024, 128, np.float32), (673, 257, np.float64)],
+)
+def test_unfolded_product_is_exact_in_the_narrowest_float(depth, bmax, dtype):
+    amax = 127 if bmax == 128 else 97
+    assert (depth * amax * bmax <= gemm.float32_fold_edge(251)) == (dtype == np.float32)
+    a = np.full((2, depth), -amax, np.int16)
+    b = np.full((depth, 3), -bmax, np.int16)
+    b[:, 1] = bmax
+    got = gemm.exact_matmul(a, b, amax, bmax, 251, fold=False)
+    assert got.dtype == dtype
+    assert np.array_equal(got, np.matmul(a.astype(np.int64), b.astype(np.int64)))
+    assert got[0, 0] == depth * amax * bmax
+
+
 def test_exact_matmul_without_modulus_must_fit_int32(monkeypatch):
     # exact_matmul is only the modular product; the int32 product is
     # int32_matmul's, in float32 pieces: 127 terms of 4096 * 4096 = 2**24,

@@ -24,13 +24,14 @@ worker of the package's one persistent pool, which direct_conv's parts of
 output rows and the preparation of filters (PreparedFilters, in parts of
 input channels) share.  _run alone cuts and runs that work, and while it runs
 OpenBLAS runs one thread, so the pool alone spreads the work over the
-cores.  A worker's share of a layer call or a preparation, a block or a
-part, is bounded by one byte budget (_BLOCK_BYTES); direct_conv streams its
-windows in chunks of gemm.slice_rows instead, building no whole-layer
-im2col.  Every matrix product is exact on float BLAS (gemm.exact_matmul,
-the modular product, or gemm.int32_matmul, the int32 one, or the CRT bound
-for the float64 sum).  Outputs are bit-identical to direct_conv whenever the layer
-passes range_check.
+cores.  One byte budget (_BLOCK_BYTES) bounds a worker's share, a block or
+a part, and one slice rule (gemm.slice_rows) the float copies of every loop
+that streams inside it: exact_matmul's slices, direct_conv's windows (no
+whole-layer im2col is built) and the CRT sum's output rows.  Every matrix
+product is exact on float BLAS (gemm.exact_matmul, the modular product, or
+gemm.int32_matmul, the int32 one, or the CRT bound for the float64 sum).
+Outputs are bit-identical to direct_conv whenever the layer passes
+range_check.
 """
 
 from __future__ import annotations
@@ -312,11 +313,12 @@ def tile_decompose(x: np.ndarray, tile_m: int, r: int, padding: int) -> np.ndarr
     return im2col(canvas, n, tile_m, 0).reshape(b, th, tw, n, n, c)
 
 
-# The one byte budget of a worker's share of a layer call or a preparation:
-# a tile block's widest intermediate at 8 bytes per element, and a part of a
-# filter set's float32 residues per modulus.  Each worker holds a few arrays
-# of about that size at once.  Inside either, gemm._SLICE_BYTES bounds a
-# product's float copies and _CRT_CHUNK_BYTES a block's CRT sum.
+# The one byte budget of a worker's share: a job of total items runs in
+# ceil(total / max(1, _BLOCK_BYTES // item_bytes)) even parts, so no share
+# passes it unless one item does.  A layer call's item is a tile row at its
+# widest intermediate (tw * n * n * max(c, k) * 8 bytes), a preparation's a
+# channel of float32 residues per modulus (n * n * k * 4 bytes).  A worker
+# holds a few arrays of about a share's size at once.
 _BLOCK_BYTES = 1 << 21
 
 
@@ -331,12 +333,12 @@ class PreparedFilters:
     is allocated.
 
     Each modulus's residues are allocated once (gemm.dtype_for_modulus) and
-    filled in parts cut along c by _run, one part per _BLOCK_BYTES of the set's
-    float32 residues per modulus (at most c parts), each part taken through
-    every modulus; a set within one budget runs on the calling thread.  Beside
-    the residues and the weight copy, each worker filling a part holds that
-    part's float products: at most two _BLOCK_BYTES where one channel's float32
-    residues per modulus, n * n * k * 4 bytes, are small against the budget."""
+    filled in parts cut along c by _run, each part taken through every
+    modulus; the parts follow _BLOCK_BYTES's rule over channels of float32
+    residues per modulus, so a set within one budget runs on the calling
+    thread.  Beside the residues and the weight copy, each worker filling a
+    part holds that part's float products: at most two _BLOCK_BYTES, or two
+    channels' where one channel alone passes it."""
 
     weights: np.ndarray
     transforms: tuple[transforms.ModularTransformSet, ...]
@@ -361,7 +363,7 @@ class PreparedFilters:
             for u, mt in zip(residues, mts):
                 u[:, :, cs] = kernel.filter_transform_mod(weights[:, :, cs], mt)
 
-        _run(part, c, ceil(n * n * c * k * 4 / _BLOCK_BYTES))
+        _run(part, c, ceil(c / max(1, _BLOCK_BYTES // (n * n * k * 4))))
         # M_i * a_i, a_i folded in float64: |inv_i * A_i| <= h_i**2 < 2**28
         crt_weights = tuple(
             cf * gemm.reduce_mod_inplace(inv * mt.at.astype(np.float64), mt.modulus)
@@ -465,10 +467,6 @@ def _modulus_pass(
     return y
 
 
-# Bytes of the float64 sum _crt_scatter holds at once: a few output rows.
-_CRT_CHUNK_BYTES = 1 << 18
-
-
 def _crt_scatter(
     ts: Sequence[np.ndarray],
     weights: Sequence[np.ndarray],
@@ -485,13 +483,13 @@ def _crt_scatter(
     true output mod every m_i, so one fold mod the dynamic range
     (gemm.reduce_mod_inplace) yields it; every partial sum is an integer
     within RnsSystem.crt_bound, which range_check keeps within that fold's
-    reach (gemm.FLOAT64_FOLD).  It runs a few output rows at a time in three
-    reused buffers: the sum, its float64 operand and the other terms, which
-    then hold the fold's quotient.
+    reach (gemm.FLOAT64_FOLD).  Its chunks of output rows (gemm.slice_rows)
+    take three reused float64 buffers as their float copies: the sum, its
+    operand and the other terms, which then hold the fold's quotient.
     """
     n, side, rest = ts[0].shape
     rows, _, tw, _, k = out.shape
-    step = max(1, _CRT_CHUNK_BYTES // (side * rest * 8))
+    step = gemm.slice_rows((2 * side + n) * rest, 0, 8)
     acc = np.empty((min(step, side), side, rest))
     q = np.empty_like(acc)
     term = np.empty((len(acc), n, rest))
@@ -529,8 +527,8 @@ def winograd_layer_conv(
     CRT weights across calls that reuse the same weights, exactly as
     repeated inference does.  Any other filters raise ShapeMismatch.
 
-    _run cuts the tile rows into even blocks of at most the budget's rows, and
-    each block goes through every modulus, the float64 CRT reconstruction and
+    _run cuts the tile rows into blocks by _BLOCK_BYTES's rule, and each
+    block goes through every modulus, the float64 CRT reconstruction and
     the scatter into its own output rows; the package's pool, up to
     RNSW_THREADS workers (default: the usable cores), takes the blocks, and a
     layer of one block runs inline.  The tiling covers unit stride only, so a
@@ -586,7 +584,6 @@ def winograd_layer_conv(
         _crt_scatter(res, filters.crt_weights, system, canvas[rows], t)
         return t
 
-    # an even cut into ceil(rows / step) blocks keeps each at step rows or fewer
     for t in _run(block, b * th, ceil(b * th / step)):
         timings.add(t)
 
@@ -683,7 +680,8 @@ def read_tensor(path) -> np.ndarray:
     expected = count * dt.itemsize
     if len(raw) - off != expected:
         raise ValueError(f"{path}: payload is {len(raw) - off} bytes, expected {expected}")
-    arr = np.frombuffer(raw, dtype=dt, count=count, offset=off).reshape(dims)
-    if bits == 32:
-        arr = arr.astype(np.int32)
-    return arr.copy() if bits == 8 else arr
+    try:
+        arr = np.frombuffer(raw, dtype=dt, count=count, offset=off).reshape(dims)
+    except ValueError as e:  # a rank past the axes numpy holds (64 on numpy 2)
+        raise ValueError(f"{path}: {e}") from None
+    return arr.astype(np.int32) if bits == 32 else arr.copy()

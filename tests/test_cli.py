@@ -327,6 +327,22 @@ def test_verify_file_mode_rejects_negative_dimensions(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_verify_file_mode_names_a_file_of_too_many_axes(tmp_path, capsys):
+    # rank 65, every dimension 1, one int8 byte: a well-formed header past the
+    # axes numpy holds (64 on numpy 2, 32 on numpy 1.x)
+    wp = tmp_path / "w.qtns"
+    layer.write_tensor(wp, np.zeros((3, 3, 1, 1), np.int8))
+    xp = tmp_path / "x.qtns"
+    head = b"QTNS" + bytes([1, 65]) + (1).to_bytes(4, "little") * 65
+    xp.write_bytes(head + bytes([8]) + bytes(1))
+    code, out, err = run_cli(
+        capsys, "verify", "--input", str(xp), "--weights", str(wp), "--tile", "4"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "x.qtns: " in err and "65" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "dims,expected",
     [

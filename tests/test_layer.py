@@ -482,10 +482,11 @@ def spy_filter_parts(monkeypatch):
     return seen
 
 
-# (c, k, tile_m, budget or None for the default, channels per part)
+# (c, k, tile_m, budget or None for the default, channels per part); a third
+# of the set's bytes holds 2 1/3 channels, so 7 go in four even parts of at most 2
 PART_CASES = {
     "parts=c": (7, 5, 4, lambda c, k, n: 1, [1] * 7),
-    "c=7 in 3 uneven parts": (7, 5, 4, lambda c, k, n: -(-n * n * c * k * 4 // 3), [2, 2, 3]),
+    "c=7 in 3 uneven parts": (7, 5, 4, lambda c, k, n: -(-n * n * c * k * 4 // 3), [1, 2, 2, 2]),
     "c=1": (1, 5, 4, lambda c, k, n: 1, [1]),
     "default budget": (64, 64, 14, None, [32, 32]),
 }
@@ -695,6 +696,41 @@ def test_blocks_of_an_uneven_cut_stay_within_the_step(monkeypatch):
     weights, x = random_operands(spec, 11)
     got = layer.winograd_layer_conv(spec, weights, x, SYS8)
     assert sorted(rows) == [2, 2, 3]
+    assert np.array_equal(got, layer.direct_conv(spec, weights, x))
+
+
+@pytest.mark.parametrize("items", [0.5, 1.5, 2.6, 3.9])
+def test_no_share_passes_the_budget_unless_one_item_does(monkeypatch, items):
+    # budgets of a non-whole number of items: every preparation part (items
+    # are channels of n * n * k float32 residues) and every tile block (tile
+    # rows of tw * n * n * max(c, k) 8-byte elements) holds at most
+    # _BLOCK_BYTES, unless it is one item that alone passes the budget
+    monkeypatch.setenv("RNSW_THREADS", "2")
+    spec = layer.LayerSpec(h=20, w=20, c=7, k=5, r=3, padding=1, batch=2, tile_m=4)
+    n, tw = spec.n, 5  # 10 tile rows of 5 tiles each
+    weights, x = random_operands(spec, 13)
+    mts = transforms.cached_modular_transforms(spec.tile_m, spec.r, SYS8.moduli)
+    channel = n * n * spec.k * 4
+    monkeypatch.setattr(layer, "_BLOCK_BYTES", int(items * channel))
+    seen = spy_filter_parts(monkeypatch)
+    filters = layer.PreparedFilters(weights, mts)
+    parts = [part for part, _ in seen]
+    assert sum(parts) == spec.c * len(mts)
+    assert all(part * channel <= layer._BLOCK_BYTES or part == 1 for part in parts)
+
+    tile_row = tw * n * n * max(spec.c, spec.k) * 8
+    monkeypatch.setattr(layer, "_BLOCK_BYTES", int(items * tile_row))
+    rows = []
+    scatter = layer._crt_scatter
+
+    def spy(ts, crt_weights, system, out, t):
+        rows.append(len(out))
+        return scatter(ts, crt_weights, system, out, t)
+
+    monkeypatch.setattr(layer, "_crt_scatter", spy)
+    got = layer.winograd_layer_conv(spec, weights, x, SYS8, filters=filters)
+    assert sum(rows) == 10
+    assert all(r * tile_row <= layer._BLOCK_BYTES or r == 1 for r in rows)
     assert np.array_equal(got, layer.direct_conv(spec, weights, x))
 
 
@@ -1120,12 +1156,14 @@ def test_range_check_refuses_a_system_past_the_crt_bound(monkeypatch):
 @pytest.mark.parametrize("step,chunks", [(1, 14), (4, 4)])
 def test_crt_sum_in_row_chunks_matches_direct_conv(monkeypatch, system, step, chunks):
     # one block at F(14x14, 3x3): side 14 output rows of rest = 2 tile rows *
-    # 2 tile columns * k.  A step of 4 rows leaves a last chunk of 2; each
-    # chunk folds the CRT sum mod M once
+    # 2 tile columns * k, each with float64 copies of 2 * 14 + 16 rest
+    # elements (the sum, its quotient and its n = 16 operand rows; the
+    # slice rule).  A step of 4 rows leaves a last chunk of 2; each chunk
+    # folds the CRT sum mod M once
     monkeypatch.setenv("RNSW_THREADS", "1")
     spec = layer.LayerSpec(h=20, w=20, c=3, k=2, r=3, padding=1, tile_m=14)
     assert system.crt_fits(16, folded=False) == (system is SYS8)
-    monkeypatch.setattr(layer, "_CRT_CHUNK_BYTES", step * 14 * (2 * 2 * spec.k) * 8)
+    monkeypatch.setattr(gemm, "_SLICE_BYTES", step * (2 * 14 + 16) * (2 * 2 * spec.k) * 8)
     folds = count_folds(monkeypatch)
     weights, x = random_operands(spec, 14)
     got = layer.winograd_layer_conv(spec, weights, x, system)

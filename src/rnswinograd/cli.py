@@ -408,6 +408,8 @@ def cmd_verify(args) -> int:
 
 def _verify_files(args) -> int:
     # refused before any work; the verdict line is printed before the write
+    if args.output and os.path.isdir(args.output):
+        raise ConfigError(f"--output {args.output}: is a directory")
     if args.output and not os.path.isdir(os.path.dirname(args.output) or "."):
         raise ConfigError(f"--output {args.output}: no such directory")
     x = layer.read_tensor(args.input)

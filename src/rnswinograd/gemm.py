@@ -10,9 +10,10 @@ OverflowRisk beyond.  The fold is lazy: a product whose consumer is itself
 a modular product may hand it the exact unfolded integers instead, where
 defer_fold admits them, and the consumer's own fold reduces both.  The one
 int32 product, int32_matmul, runs in float32 pieces of its contraction
-only (the Ozaki split), each within 2**24.  A modular product runs in
-slices along its leading axis whose float copies take at most max(1 MB,
-twice the float bytes of the operands converted once) (slice_rows).
+only (the Ozaki split), each within 2**24.  One slice rule (slice_rows)
+bounds every streaming loop's float copies, a modular product's slices
+along its leading axis as much as the layer's direct and CRT chunks: at
+most max(1 MB, twice the float bytes converted once for the whole loop).
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ FLOAT32_EXACT = 2**24
 FLOAT32_FOLD = 2**22
 FLOAT64_FOLD = 2**51
 
-# Bytes of the float copies made per slice of a product, the least budget:
-# a product whose operands converted once are larger gets twice their float
-# bytes (slice_rows).
+# Least bytes of the float copies per slice of any streaming loop (slice_rows):
+# a loop whose operands converted once take more gets twice their float bytes.
 _SLICE_BYTES = 1 << 20
 
 
@@ -61,9 +61,9 @@ def defer_fold(depth: int, h: int, bound: int) -> bool:
 
 
 def slice_rows(row: int, once: int, itemsize: int) -> int:
-    """Leading indices per slice of a product whose float copies take row
+    """Leading indices per slice of a loop whose float copies take row
     elements of itemsize bytes per index, beside once elements converted once
-    for the whole product: as many as max(_SLICE_BYTES, twice the bytes
+    for the whole loop: as many as max(_SLICE_BYTES, twice the bytes
     converted once) holds, and at least one.  BLAS packs the operand
     converted once again for every slice, so a large one gets slices that use
     it over many rows."""

@@ -12,13 +12,13 @@ every GEMM mod m; two folds wait where the next product's bound admits it
 (gemm.defer_fold): the position GEMM's, where the backward rows fold in
 float64 even on residues (15-bit moduli), and the rows', where the CRT sum
 admits unfolded rows (RnsSystem.crt_fits; 8-bit moduli).  One reconstruction
-follows, the Chinese Remainder Theorem (CRT) with cofactor weights: the
-second GEMM of modulus m_i runs on a_i = (M_i^-1 mod m_i) * A_i^T mod m_i,
-and sum_i M_i * (a_i @ t_i), folded mod the dynamic range M, gives the
-int32 outputs, which reach NHWC by reshape, transpose and crop.  That sum
-runs in float64 on the weights M_i * a_i (_crt_scatter).  range_check
-refuses a system whose sum is past the float64 bound at the layer's n; no
-int32 output needs one that wide.  The work runs in blocks of tile rows,
+follows, the Chinese Remainder Theorem (CRT) with cofactor weights
+a_i = (M_i^-1 mod m_i) * A_i^T mod m_i: one float64 product of every
+modulus's rows, [M_1 a_1 | ... | M_k a_k] @ [t_1; ...; t_k] (_crt_scatter),
+folded mod the dynamic range M, gives the int32 outputs, which reach NHWC
+by reshape, transpose and crop.  range_check refuses a system whose sum is
+past the float64 bound at the layer's n; no int32 output needs one that
+wide.  The work runs in blocks of tile rows,
 each block taken through every modulus, reconstruction and scatter by one
 worker of the package's one persistent pool, which direct_conv's parts of
 output rows and the preparation of filters (PreparedFilters, in parts of
@@ -327,7 +327,8 @@ class PreparedFilters:
     """Filters transformed once for every call with the weights, n and moduli
     they were prepared for.  From (r, r, c, k) int8 weights and one transform set
     per modulus, all of one size n and r, it derives, read-only: a weight copy,
-    the RnsSystem, per modulus (n, n, c, k) residues and CRT weights.  An empty
+    the RnsSystem, per modulus (n, n, c, k) residues, and the CRT weights, one
+    (m, n * moduli) float64 matrix [M_1 a_1 | ... | M_k a_k].  An empty
     or non-coprime list of moduli, transforms of different sizes, or weights
     that are not int8 shaped (r, r, c, k) with c, k >= 1 raise before anything
     is allocated.
@@ -344,7 +345,7 @@ class PreparedFilters:
     transforms: tuple[transforms.ModularTransformSet, ...]
     system: residue.RnsSystem = field(init=False)
     residues: tuple[np.ndarray, ...] = field(init=False)
-    crt_weights: tuple[np.ndarray, ...] = field(init=False)
+    crt_weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         weights, mts = np.array(self.weights), tuple(self.transforms)
@@ -364,12 +365,12 @@ class PreparedFilters:
                 u[:, :, cs] = kernel.filter_transform_mod(weights[:, :, cs], mt)
 
         _run(part, c, ceil(c / max(1, _BLOCK_BYTES // (n * n * k * 4))))
-        # M_i * a_i, a_i folded in float64: |inv_i * A_i| <= h_i**2 < 2**28
-        crt_weights = tuple(
+        # [M_1 a_1 | ... | M_k a_k], a_i folded in float64: |inv_i * A_i| <= h_i**2 < 2**28
+        crt_weights = np.hstack([
             cf * gemm.reduce_mod_inplace(inv * mt.at.astype(np.float64), mt.modulus)
             for cf, inv, mt in zip(system.cofactors, system.inverses, mts)
-        )
-        for arr in (weights, *residues, *crt_weights):
+        ])
+        for arr in (weights, *residues, crt_weights):
             arr.flags.writeable = False
         self.__dict__.update(weights=weights, transforms=mts, system=system,
                              residues=residues, crt_weights=crt_weights)
@@ -469,7 +470,7 @@ def _modulus_pass(
 
 def _crt_scatter(
     ts: Sequence[np.ndarray],
-    weights: Sequence[np.ndarray],
+    weights: np.ndarray,
     system: residue.RnsSystem,
     out: np.ndarray,
     t: StageTimings,
@@ -477,32 +478,28 @@ def _crt_scatter(
     """Finish the backward transforms and rebuild the outputs by the CRT.
 
     ts: per modulus the (n, m, tiles * k) first backward GEMM t_i, folded or
-    not (kernel.backward_rows_mod); weights: per modulus
-    M_i * a_i in float64; out: the block's (tile rows, m, tw, m, k) int32
-    canvas.  Output row a is sum_i weights[i] @ t_i[:, a], congruent to the
-    true output mod every m_i, so one fold mod the dynamic range
-    (gemm.reduce_mod_inplace) yields it; every partial sum is an integer
-    within RnsSystem.crt_bound, which range_check keeps within that fold's
-    reach (gemm.FLOAT64_FOLD).  Its chunks of output rows (gemm.slice_rows)
-    take three reused float64 buffers as their float copies: the sum, its
-    operand and the other terms, which then hold the fold's quotient.
+    not (kernel.backward_rows_mod); weights: PreparedFilters.crt_weights;
+    out: the block's (tile rows, m, tw, m, k) int32 canvas.  Output row a
+    is weights @ [t_1[:, a]; ...; t_k[:, a]], congruent to the true output
+    mod every m_i, so one fold mod the dynamic range
+    (gemm.reduce_mod_inplace) yields it; every partial sum, in any order, is
+    an integer within RnsSystem.crt_bound, which range_check keeps within
+    that fold's reach (gemm.FLOAT64_FOLD).  Its chunks of output rows
+    (gemm.slice_rows) take three reused float64 buffers as their float
+    copies: the sum, the fold's quotient and the stacked operand.
     """
     n, side, rest = ts[0].shape
     rows, _, tw, _, k = out.shape
-    step = gemm.slice_rows((2 * side + n) * rest, 0, 8)
+    step = gemm.slice_rows((2 * side + n * len(ts)) * rest, 0, 8)
     acc = np.empty((min(step, side), side, rest))
     q = np.empty_like(acc)
-    term = np.empty((len(acc), n, rest))
+    stack = np.empty((len(acc), len(ts), n, rest))
     for a in range(0, side, step):
         t0 = time.perf_counter()
-        ya, qa, ta = acc[: side - a], q[: side - a], term[: side - a]
-        for i, (w, ti) in enumerate(zip(weights, ts)):
-            np.copyto(ta, ti[:, a : a + step].transpose(1, 0, 2))
-            if i == 0:
-                np.matmul(w, ta, out=ya)
-            else:
-                np.matmul(w, ta, out=qa)
-                ya += qa
+        ya, qa, sa = acc[: side - a], q[: side - a], stack[: side - a]
+        for i, ti in enumerate(ts):
+            np.copyto(sa[:, i], ti[:, a : a + step].transpose(1, 0, 2))
+        np.matmul(weights, sa.reshape(len(sa), -1, rest), out=ya)
         gemm.reduce_mod_inplace(ya, system.dynamic_range, qa)
         t1 = time.perf_counter()
         ya = ya.reshape(len(ya), side, rows, tw, k).transpose(2, 0, 3, 1, 4)

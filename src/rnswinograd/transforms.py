@@ -220,12 +220,12 @@ def derive_transforms(m: int, r: int, points: Sequence | None = None) -> ExactTr
 
 
 def denominator_lcm(ts: ExactTransformSet) -> int:
-    """LCM of every denominator appearing in G and BT."""
-    return _lcm_denominators(v for rows in (ts.g, ts.bt) for row in rows for v in row)
+    """LCM of every denominator appearing in AT, G and BT."""
+    return _lcm_denominators(v for rows in (ts.at, ts.g, ts.bt) for row in rows for v in row)
 
 
 def check_modulus_compatibility(ts: ExactTransformSet, m: int) -> bool:
-    """Whether every denominator in G and BT is invertible modulo m.
+    """Whether every denominator in AT, G and BT is invertible modulo m.
 
     With composite moduli and wide point spreads this can fail: a point
     difference divisible by a factor of m has no inverse, and the transform

@@ -81,6 +81,23 @@ def test_gen_transforms_text_output(capsys):
     assert "G' = G / alpha:" in out
 
 
+def test_gen_transforms_text_prints_each_modulus_as_its_json(capsys):
+    argv = ("gen-transforms", "--m", "2", "--r", "3", "--moduli", "251")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    block = out.split("\nmodulus 251:\n")[1].strip().split("\n")
+    names = [i for i, line in enumerate(block) if line.endswith(":")]
+    assert [block[i] for i in names] == ["AT:", "G:", "BT:"]
+    printed = {
+        block[i][:-1]: [[int(v) for v in line.split()] for line in block[i + 1 : j]]
+        for i, j in zip(names, names[1:] + [len(block)])
+    }
+    code, text, _ = run_cli(capsys, *argv, "--json", "-")
+    doc = json.loads(text)[1]
+    assert code == 0 and doc["modulus"] == 251
+    assert printed == {name: doc[name] for name in ("AT", "G", "BT")}
+
+
 def test_gen_transforms_custom_points_match_default(capsys):
     code, default_out, _ = run_cli(
         capsys, "gen-transforms", "--m", "2", "--r", "3", "--json", "-"
@@ -107,6 +124,15 @@ def test_gen_transforms_rejects_shared_factor_modulus(capsys):
     )
     assert code == 1
     assert err == "error: modulus must be odd and in [3, 32767], got 0\n"
+
+
+def test_gen_transforms_names_a_factor_of_the_output_transform(capsys):
+    # at r = 1 the point 1/3 puts its 3 in AT alone, named like one of G's
+    code, _, err = run_cli(
+        capsys, "gen-transforms", "--m", "2", "--r", "1", "--points", "1/3,0", "--moduli", "255"
+    )
+    assert (code, err) == (1, "error: modulus 255 shares factor 3 with transform "
+                              "denominator 3; pick other points or another modulus\n")
 
 
 def test_gen_transforms_rejects_bad_points(capsys):
@@ -174,6 +200,21 @@ def test_verify_config_mode(tmp_path, capsys):
     assert "PASS a rns=(251, 241, 239)" in out
     assert "skip" not in out
     assert out.strip().endswith("1/1 cases passed")
+
+
+def test_verify_config_of_direct_layers_only_exits_1(tmp_path, capsys):
+    cfg = {
+        "rns": [251, 241, 239],
+        "layers": [
+            {"name": "plain", "h": 10, "w": 10, "c": 4, "k": 3, "r": 3, "algorithm": "direct"},
+            {"name": "strided", "h": 10, "w": 10, "c": 4, "k": 3, "r": 3, "stride": 2},
+        ],
+    }
+    path = tmp_path / "direct.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "verify", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: no winograd layers to verify\n"
 
 
 def test_verify_config_range_failure_exits_2(tmp_path, capsys):
@@ -307,6 +348,15 @@ def test_verify_file_mode_argument_errors(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_verify_file_mode_refuses_a_rank_3_input(tmp_path, capsys):
+    xp, wp = tmp_path / "x.qtns", tmp_path / "w.qtns"
+    layer.write_tensor(xp, np.zeros((8, 8, 3), np.int8))
+    layer.write_tensor(wp, np.zeros((3, 3, 3, 2), np.int8))
+    code, out, err = run_cli(capsys, "verify", "--input", str(xp), "--weights", str(wp))
+    assert (code, out) == (1, "")
+    assert err == "error: tensors must be rank 4: input NHWC, weights (r, r, c, k)\n"
+
+
 def test_verify_file_mode_rejects_negative_dimensions(tmp_path, capsys):
     wp = tmp_path / "w.qtns"
     layer.write_tensor(wp, np.zeros((3, 3, 1, 1), np.int8))
@@ -432,6 +482,10 @@ def test_verify_output_into_a_missing_directory_runs_no_layer(tmp_path, capsys, 
     code, out, err = run_cli(capsys, *argv, str(op))
     assert (code, out, ran) == (1, "", [])
     assert err == f"error: --output {op}: no such directory\n"
+    # an existing directory is no file to write either
+    code, out, err = run_cli(capsys, *argv, str(tmp_path))
+    assert (code, out, ran) == (1, "", [])
+    assert err == f"error: --output {tmp_path}: is a directory\n"
 
     # a write that fails after the layer ran still shows the verdict
     def unwritable(path, arr):
@@ -525,6 +579,23 @@ def test_bench_small_config(tmp_path, capsys):
     assert rows[0]["algorithm"] == "winograd"
     assert float(rows[0]["mult_reduction"]) == pytest.approx(
         4 * 4 * 9 / (36 * 3), abs=1e-4
+    )
+
+
+def test_bench_table_and_csv_headers_are_pinned(tmp_path, capsys):
+    path = write_small_bench_config(tmp_path)
+    csv_path = tmp_path / "rows.csv"
+    code, out, _ = run_cli(capsys, "bench", "--config", str(path), "--csv", str(csv_path))
+    assert code == 0
+    lines = out.split("\n")
+    header = (
+        "layer      alg       direct ms     rns ms  speedup  mult red  "
+        "tile%   inp%  gemm%   bwd%   crt%  scat% exact"
+    )
+    assert lines[2:4] == [header, "-" * len(header)]
+    assert csv_path.read_text().split("\n")[0].strip() == (
+        "layer,algorithm,h,w,c,k,r,direct_ms,rns_ms,speedup,mult_reduction,tiling_pct,"
+        "input_transform_pct,gemm_pct,backward_pct,crt_pct,scatter_pct,exact"
     )
 
 
@@ -791,6 +862,15 @@ def test_bench_rejects_bad_config(tmp_path, capsys):
     path.write_text(json.dumps({"rns": [251], "layers": []}))
     code, _, err = run_cli(capsys, "bench", "--config", str(path))
     assert code == 1 and "no layers" in err
+
+
+def test_bench_names_a_config_it_cannot_read(tmp_path, capsys):
+    path = tmp_path / "nonexistent.cfg"
+    code, out, err = run_cli(capsys, "bench", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: cannot read config {path}: [Errno 2] No such file or directory: '{path}'\n"
+    )
 
 
 def test_packaged_vgg16_config_parses():

@@ -88,6 +88,12 @@ def test_exact_matmul_empty_inner_dimension():
     assert np.array_equal(got, np.zeros((3, 4)))
 
 
+@pytest.mark.parametrize("sa,sb", [((0, 3), (3, 4)), ((2, 3), (3, 0))])
+def test_exact_matmul_empty_output(sa, sb):
+    got = gemm.exact_matmul(np.ones(sa, np.int8), np.ones(sb, np.int8), 128, 128, 251)
+    assert got.shape == (sa[0], sb[1]) and got.dtype == np.float32
+
+
 def test_exact_matmul_modular_matches_wide_oracle():
     # 700 * 2165**2 exceeds int32 and 2**22: the product runs in float64 and
     # its residues are returned as float32

@@ -434,7 +434,7 @@ def test_replaced_weights_re_derive_the_set():
 def test_prepared_filters_are_read_only():
     weights, _ = random_operands(PREP_SPEC, 4)
     filters = prepared(weights)
-    for a in (*filters.residues, *filters.crt_weights):
+    for a in (*filters.residues, filters.crt_weights):
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 0
     with pytest.raises(ValueError, match="read-only"):
@@ -1156,14 +1156,16 @@ def test_range_check_refuses_a_system_past_the_crt_bound(monkeypatch):
 @pytest.mark.parametrize("step,chunks", [(1, 14), (4, 4)])
 def test_crt_sum_in_row_chunks_matches_direct_conv(monkeypatch, system, step, chunks):
     # one block at F(14x14, 3x3): side 14 output rows of rest = 2 tile rows *
-    # 2 tile columns * k, each with float64 copies of 2 * 14 + 16 rest
-    # elements (the sum, its quotient and its n = 16 operand rows; the
-    # slice rule).  A step of 4 rows leaves a last chunk of 2; each chunk
-    # folds the CRT sum mod M once
+    # 2 tile columns * k, each with float64 copies of 2 * 14 + 16 * len(system)
+    # rest elements (the sum, its quotient and the n = 16 operand rows of
+    # every modulus; the slice rule).  A step of 4 rows leaves a last chunk
+    # of 2; each chunk folds the CRT sum mod M once
     monkeypatch.setenv("RNSW_THREADS", "1")
     spec = layer.LayerSpec(h=20, w=20, c=3, k=2, r=3, padding=1, tile_m=14)
     assert system.crt_fits(16, folded=False) == (system is SYS8)
-    monkeypatch.setattr(gemm, "_SLICE_BYTES", step * (2 * 14 + 16) * (2 * 2 * spec.k) * 8)
+    monkeypatch.setattr(
+        gemm, "_SLICE_BYTES", step * (2 * 14 + 16 * len(system)) * (2 * 2 * spec.k) * 8
+    )
     folds = count_folds(monkeypatch)
     weights, x = random_operands(spec, 14)
     got = layer.winograd_layer_conv(spec, weights, x, system)
@@ -1194,7 +1196,7 @@ def test_crt_sum_exact_at_its_worst_case(system, folded):
         t[:, :, 0] = top * signs[:, None]
         t[:, :, 1] = -top * signs[:, None]
         rows.append(t)
-    weights = [c * a.astype(np.float64) for c, a in zip(system.cofactors, shares)]
+    weights = np.hstack([c * a.astype(np.float64) for c, a in zip(system.cofactors, shares)])
     out = np.empty((1, side, 1, side, 2), np.int32)
     layer._crt_scatter(rows, weights, system, out, layer.StageTimings())
     big = system.dynamic_range
@@ -1534,6 +1536,11 @@ def test_tensor_rejects_bad_files(tmp_path):
             layer.read_tensor(p)
     with pytest.raises(ShapeMismatch):
         layer.write_tensor(p, np.zeros((2, 2), np.float32))
+    raw = bytearray(good.read_bytes())
+    raw[6 + 4 * 2] = 16  # an element width QTNS does not define
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="bad.qtns: unsupported element width 16"):
+        layer.read_tensor(p)
 
 
 def qtns_bytes(dims, payload: int) -> bytes:

@@ -219,6 +219,15 @@ def test_vector_refuses_a_residue_count_other_than_the_systems(values):
         residue.RnsVector(values, residue.RnsSystem((251, 241, 239)))
 
 
+def test_vector_refuses_a_residue_outside_its_range_and_a_plain_int():
+    system = residue.RnsSystem((251, 241, 239))
+    with pytest.raises(OutOfRange, match="residue 200 outside the symmetric range of 251"):
+        residue.RnsVector((200, 0, 0), system)
+    vector = system.to_rns(5)
+    with pytest.raises(TypeError):
+        vector + 3
+
+
 @pytest.mark.parametrize(
     "moduli", [(7, 9, 11), (251, 241, 239), (4001, 4331), (32749, 32719, 32717, 32713)]
 )

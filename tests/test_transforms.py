@@ -326,6 +326,17 @@ def test_incompatible_modulus_raises():
         transforms.reduce_transforms_mod(ts, 253)
 
 
+def test_compatibility_counts_the_denominators_of_at():
+    # at r = 1 the point 1/3 leaves G and BT integral and puts its 3 in AT
+    ts = transforms.derive_transforms(2, 1, [Fraction(1, 3), 0])
+    assert ts.at[1][0] == Fraction(1, 3)
+    assert transforms.denominator_lcm(ts) == 3
+    assert not transforms.check_modulus_compatibility(ts, 255)
+    with pytest.raises(NotCoprime, match="modulus 255 shares factor 3 "):
+        transforms.reduce_transforms_mod(ts, 255)
+    assert transforms.check_modulus_compatibility(ts, 251)
+
+
 def test_compatibility_accepts_plain_ints_only():
     ts = transforms.derive_transforms(2, 3)
     with pytest.raises(ValueError):

@@ -1536,10 +1536,15 @@ def test_tensor_rejects_bad_files(tmp_path):
             layer.read_tensor(p)
     with pytest.raises(ShapeMismatch):
         layer.write_tensor(p, np.zeros((2, 2), np.float32))
-    raw = bytearray(good.read_bytes())
-    raw[6 + 4 * 2] = 16  # an element width QTNS does not define
+
+
+def test_read_tensor_names_a_file_of_an_undefined_element_width(tmp_path):
+    p = tmp_path / "wide.qtns"
+    layer.write_tensor(p, np.zeros((2, 2), np.int8))
+    raw = bytearray(p.read_bytes())
+    raw[6 + 4 * 2] = 16  # the width byte follows magic, version, rank and 2 dims
     p.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="bad.qtns: unsupported element width 16"):
+    with pytest.raises(ValueError, match="wide.qtns: unsupported element width 16"):
         layer.read_tensor(p)
 
 
